@@ -22,8 +22,6 @@ def _common_flags(parser: argparse.ArgumentParser, need_config: bool) -> None:
                         help="output directory for run artifacts")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config's global seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for sample collection")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,12 +83,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "pipeline":
             from .pipeline import run_pipeline
 
-            run_dir = run_pipeline(_load(args), args.out, threads=args.threads)
+            run_dir = run_pipeline(_load(args), args.out)
             print(f"pipeline complete: {run_dir}")
         elif args.command == "theory":
             from .pipeline import run_theory
 
-            run_dir = run_theory(_load(args), args.out, threads=args.threads)
+            run_dir = run_theory(_load(args), args.out)
             print(f"theory reports written: {run_dir}")
         elif args.command == "consistency":
             from .pipeline import run_consistency
@@ -101,7 +99,7 @@ def main(argv: list[str] | None = None) -> int:
                       "where CONFIG carries a non-empty 'consistency.ratios' "
                       "list", file=sys.stderr)
                 return 2
-            run_dir, rho = run_consistency(cfg, args.out, threads=args.threads)
+            run_dir, rho = run_consistency(cfg, args.out)
             print(f"rank consistency rho = {rho}")
             print(f"reports written: {run_dir}")
         elif args.command == "cost":

@@ -19,6 +19,7 @@ from .errors import ConfigError, MergeMixError
 from .gbt import BoostHyper
 from .hierarchy import MixtureNode
 from .models import ToyNet
+from .simplex import lattice_size, lattice_steps
 from .stats import UtilitySpec
 from .training import TrainConfig
 from .worlds import (
@@ -33,6 +34,7 @@ from .models import Quadratic
 DEFAULT_DESIGN_SIZE = 40
 DEFAULT_RESOLUTION = 0.05
 DEFAULT_BUDGET = 2_000_000
+HIERARCHICAL_MODES = ("hierarchical-top-down", "hierarchical-bottom-up")
 
 
 def _load_schema(name: str) -> dict:
@@ -152,13 +154,23 @@ def _validate_cross_fields(data: dict, cfg: RunConfig) -> None:
         raise ConfigError("utility weights must have one entry per domain")
     if cfg.utility_spec.kind == "single" and cfg.utility_spec.index >= k:
         raise ConfigError("utility capability index out of range")
-    if cfg.mode in ("hierarchical-top-down", "hierarchical-bottom-up"):
+    search_sizes = [k]
+    if cfg.mode in HIERARCHICAL_MODES:
         tree = cfg.build_tree()
         leaves = [leaf.domain for leaf in tree.iter_leaves()]
         if sorted(leaves) != sorted(world.names):
             raise ConfigError(
                 f"hierarchy leaves {sorted(leaves)} must cover exactly the "
                 f"world domains {sorted(world.names)}"
+            )
+        search_sizes = [len(node.children) for node in tree.iter_internal()]
+    steps = lattice_steps(cfg.resolution)
+    for size in search_sizes:
+        points = lattice_size(size, steps)
+        if points > cfg.budget:
+            raise ConfigError(
+                f"a {size}-way search at resolution {cfg.resolution} needs "
+                f"{points} lattice points, exceeding the budget of {cfg.budget}"
             )
     if cfg.mode == "dynamic-recalibrate" and cfg.recalibrate_steps is None:
         raise ConfigError("dynamic-recalibrate mode requires a 'recalibrate' section")

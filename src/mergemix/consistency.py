@@ -16,9 +16,16 @@ import numpy as np
 from .errors import MergeMixError
 from .merging import merge
 from .simplex import normalize_simplex
-from .stats import CorrelationReport, NormContext, UtilitySpec, spearman, utility
-from .training import TrainConfig, train_on_mixture
-from .worlds import World, raw_capability
+from .stats import (
+    CorrelationReport,
+    NormContext,
+    UtilitySpec,
+    normalize_row,
+    spearman,
+    utility,
+)
+from .training import TrainConfig, expert_params, train_on_mixture
+from .worlds import World, raw_capabilities
 
 
 @dataclass(frozen=True)
@@ -37,20 +44,17 @@ class RankConsistencyResult:
 
 def rank_consistency(world: World, base: np.ndarray, experts,
                      ratios, train_config: TrainConfig,
-                     utility_spec: UtilitySpec | None = None,
-                     threads: int = 1) -> RankConsistencyResult:
+                     utility_spec: UtilitySpec | None = None) -> RankConsistencyResult:
     ratios = [normalize_simplex(r) for r in ratios]
     if len(ratios) < 3:
         raise MergeMixError(f"need at least 3 ratios, got {len(ratios)}")
     spec = utility_spec or UtilitySpec()
-    expert_params = [e.final if hasattr(e, "final") else e for e in experts]
-
-    def raws(theta):
-        return [raw_capability(world, m, theta) for m in range(world.num_domains)]
-
-    merged_raw = [raws(merge(base, expert_params, lam)) for lam in ratios]
-    trained_raw = [raws(train_on_mixture(world, lam, base, train_config).final)
-                   for lam in ratios]
+    params = expert_params(experts)
+    merged_raw = [raw_capabilities(world, merge(base, params, lam)) for lam in ratios]
+    trained_raw = [
+        raw_capabilities(world, train_on_mixture(world, lam, base, train_config).final)
+        for lam in ratios
+    ]
 
     # One normalization context per capability over both arms, so the two
     # score lists live in the same units and the offset is meaningful.
@@ -59,15 +63,8 @@ def rank_consistency(world: World, base: np.ndarray, experts,
         pool = [row[m] for row in merged_raw] + [row[m] for row in trained_raw]
         contexts.append(NormContext.from_samples(pool))
 
-    def utilities(raw_rows):
-        out = []
-        for row in raw_rows:
-            out.append(utility([contexts[m].apply(v) for m, v in enumerate(row)],
-                               spec))
-        return out
-
-    merged_scores = utilities(merged_raw)
-    trained_scores = utilities(trained_raw)
+    merged_scores = [utility(normalize_row(row, contexts), spec) for row in merged_raw]
+    trained_scores = [utility(normalize_row(row, contexts), spec) for row in trained_raw]
     report = spearman(merged_scores, trained_scores)
 
     rows = []

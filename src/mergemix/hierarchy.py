@@ -54,8 +54,11 @@ class MixtureNode:
             child.validate()
         names = [leaf.name for leaf in self.iter_leaves()]
         domains = [leaf.domain for leaf in self.iter_leaves()]
+        internal = [node.name for node in self.iter_internal()]
         if len(set(names)) != len(names):
             raise MergeMixError(f"duplicate leaf names under {self.name!r}")
+        if len(set(internal)) != len(internal):
+            raise MergeMixError(f"duplicate internal node names under {self.name!r}")
         if len(set(domains)) != len(domains):
             raise MergeMixError(
                 f"multiple leaves reference one domain under {self.name!r}"
@@ -67,6 +70,13 @@ class MixtureNode:
             return
         for child in self.children:
             yield from child.iter_leaves()
+
+    def iter_internal(self):
+        if self.is_leaf:
+            return
+        yield self
+        for child in self.children:
+            yield from child.iter_internal()
 
     def copy(self) -> "MixtureNode":
         return MixtureNode(
@@ -123,9 +133,10 @@ def flatten_ratios(tree: MixtureNode) -> tuple[list[str], np.ndarray]:
 class HierarchyContext:
     """Shared machinery for every per-node search.
 
-    Each search pass is recorded in stage_log (keyed "root" for the global
-    split, node name for within-cluster splits) so callers can persist the
-    surfaces that produced the weights.
+    Each search pass is recorded in stage_log, keyed by its seed labels
+    (("design",) for the global split, ("design", node name) for
+    within-cluster splits), so callers can persist the surfaces that
+    produced the weights.
     """
 
     world: World
@@ -137,7 +148,6 @@ class HierarchyContext:
     resolution: float = 0.05
     budget: int = DEFAULT_POINT_BUDGET
     seed: int = 0
-    threads: int = 1
     stage_log: dict = field(default_factory=dict)
 
     def expert_vector(self, domain: str) -> np.ndarray:
@@ -170,10 +180,8 @@ class HierarchyContext:
             utility_spec=utility_spec or self.utility_spec,
             resolution=self.resolution,
             budget=self.budget,
-            threads=self.threads,
         )
-        key = seed_labels[1] if len(seed_labels) > 1 else "root"
-        self.stage_log[key] = {"stage": result, "experts": list(experts)}
+        self.stage_log[seed_labels] = {"stage": result, "experts": list(experts)}
         return result
 
 

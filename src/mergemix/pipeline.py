@@ -10,13 +10,14 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from dataclasses import fields, replace
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 
-from .config import RunConfig, THEORY_REPORT_SCHEMA
+from .config import HIERARCHICAL_MODES, RunConfig, THEORY_REPORT_SCHEMA
 from .consistency import rank_consistency
 from .errors import ConfigError, MergeMixError
 from .hierarchy import HierarchyContext, MixtureNode, flatten_ratios, \
@@ -37,11 +38,14 @@ from .stats import (
     NormContext,
     cost_accounting,
     cost_entries_from_dicts,
+    normalize_row,
     utility,
 )
 from .surface import (
     StageResult,
     SurfaceModel,
+    baseline_utilities,
+    merged_scores,
     run_search_stage,
     verify_optimum,
 )
@@ -52,8 +56,13 @@ from .theory import (
     relative_curvature,
     task_vector_cosines,
 )
-from .training import ExpertArtifact, TrainConfig, train_expert, train_on_mixture
-from .worlds import World, raw_capability
+from .training import (
+    ExpertArtifact,
+    expert_params,
+    train_all_experts,
+    train_on_mixture,
+)
+from .worlds import World
 
 REPORT_FORMAT = "mm-report-v1"
 MANIFEST_FORMAT = "mm-manifest-v1"
@@ -62,6 +71,15 @@ SURFACE_FILE = "surface.model.json"
 SAMPLES_FILE = "samples.csv"
 REPORT_FILE = "report.json"
 MANIFEST_FILE = "manifest.json"
+
+
+def _prepare_run_dir(cfg: RunConfig, out_dir: str | Path) -> Path:
+    """Create the run directory and drop any earlier run's manifest, so a
+    run that fails from here on never looks complete."""
+    run_dir = Path(out_dir) / cfg.name
+    run_dir.mkdir(parents=True, exist_ok=True)
+    (run_dir / MANIFEST_FILE).unlink(missing_ok=True)
+    return run_dir
 
 
 def _world_block(cfg: RunConfig, world: World) -> dict:
@@ -85,7 +103,7 @@ def _write_expert_artifacts(run_dir: Path, world: World,
         contexts = [NormContext.from_samples(col) for col in columns]
         rows = []
         for point in artifact.trajectory:
-            normed = [contexts[m].apply(s) for m, s in enumerate(point.raw_scores)]
+            normed = normalize_row(point.raw_scores, contexts)
             rows.append([point.step, *point.raw_scores, *normed])
         write_csv(run_dir / "experts" / f"{artifact.name}.trajectory.csv",
                   header, rows)
@@ -114,60 +132,64 @@ def _export_datasets(run_dir: Path, world: World) -> None:
             write_csv(run_dir / "datasets" / f"{name}.{split}.csv", header, rows)
 
 
-def _scores_with_contexts(world: World, theta: np.ndarray,
-                          contexts) -> list[float]:
-    return [contexts[m].apply(raw_capability(world, m, theta))
-            for m in range(world.num_domains)]
+def _flat_stage(cfg: RunConfig, world: World, base: np.ndarray,
+                experts) -> StageResult:
+    """The global surface pass over all domains, as the config sets it up."""
+    return run_search_stage(
+        world, base, experts,
+        design_size=cfg.design_size, priors=cfg.priors,
+        seed=stable_seed(cfg.seed, "design"),
+        hyper=cfg.hyper, utility_spec=cfg.utility_spec,
+        resolution=cfg.resolution, budget=cfg.budget,
+    )
+
+
+def _optimize_hierarchy(cfg: RunConfig, world: World, base: np.ndarray,
+                        experts: list[ExpertArtifact]):
+    """Optimized tree plus the global stage and the experts it searched over."""
+    ctx = HierarchyContext(
+        world=world, base=base, experts=experts,
+        design_size=cfg.design_size, hyper=cfg.hyper,
+        utility_spec=cfg.utility_spec, resolution=cfg.resolution,
+        budget=cfg.budget, seed=cfg.seed,
+    )
+    optimize = (optimize_top_down if cfg.mode == "hierarchical-top-down"
+                else optimize_bottom_up)
+    tree = optimize(cfg.build_tree(), ctx)
+    logged = ctx.stage_log.get(("design",))
+    if logged is None:
+        raise MergeMixError("hierarchy optimization never ran a root search")
+    return tree, logged["stage"], logged["experts"]
 
 
 def _hierarchy_report(cfg: RunConfig, world: World, base: np.ndarray,
-                      experts: list[ExpertArtifact],
-                      tree: MixtureNode, stage: StageResult) -> dict:
+                      experts: list[ExpertArtifact], tree: MixtureNode,
+                      weights: np.ndarray, contexts) -> dict:
     leaf_names, shares = flatten_ratios(tree)
-    by_name = dict(zip(leaf_names, shares.tolist()))
-    aligned = np.asarray([by_name[name] for name in world.names])
-    expert_params = [e.final for e in experts]
-    contexts = stage.contexts
     spec = cfg.utility_spec
-
-    def actual_utility(weights):
-        merged = merge(base, expert_params, weights)
-        return utility(_scores_with_contexts(world, merged, contexts), spec)
-
-    baselines = {"uniform": actual_utility(uniform_weights(world.num_domains))}
-    for i, name in enumerate(world.names):
-        corner = np.zeros(world.num_domains)
-        corner[i] = 1.0
-        baselines[f"corner_{name}"] = actual_utility(corner)
-
+    baselines = baseline_utilities(world, base, experts, contexts, spec)
     return {
         "tree": tree.to_dict(),
         "leaf_order": leaf_names,
         "leaf_ratios": shares.tolist(),
-        "ratios_by_domain": {n: by_name[n] for n in world.names},
-        "actual_utility": actual_utility(aligned),
+        "ratios_by_domain": dict(zip(world.names, weights.tolist())),
+        "actual_utility": utility(
+            merged_scores(world, base, experts, weights, contexts), spec),
         "baseline_utilities": baselines,
     }
 
 
 def recalibrate(cfg: RunConfig, world: World, midpoint: np.ndarray,
-                alpha_old: np.ndarray, threads: int = 1) -> dict:
+                alpha_old: np.ndarray) -> dict:
     """Re-run the whole expert/surface/search pipeline from a mid-training
     checkpoint and compare the fresh optimum with the original one.
 
     Uses the same derived seeds as the first pass, so recalibrating from
     the untouched base reproduces the original optimum exactly.
     """
-    train_cfg = cfg.train_config(stable_seed(cfg.seed, "train"))
-    experts = [train_expert(world, k, midpoint, train_cfg)
-               for k in range(world.num_domains)]
-    stage = run_search_stage(
-        world, midpoint, experts,
-        design_size=cfg.design_size, priors=cfg.priors,
-        seed=stable_seed(cfg.seed, "design"),
-        hyper=cfg.hyper, utility_spec=cfg.utility_spec,
-        resolution=cfg.resolution, budget=cfg.budget, threads=threads,
-    )
+    experts = train_all_experts(world, midpoint,
+                                cfg.train_config(stable_seed(cfg.seed, "train")))
+    stage = _flat_stage(cfg, world, midpoint, experts)
     alpha_new = stage.search.weights
     return {
         "alpha_old": alpha_old.tolist(),
@@ -186,19 +208,11 @@ def _continuation_curves(cfg: RunConfig, world: World, midpoint: np.ndarray,
         ("static", alpha_old, "continue-static"),
         ("dynamic", alpha_new, "continue-dynamic"),
     ):
-        run_cfg = TrainConfig(
-            learning_rate=float(cfg.train["learning_rate"]),
-            steps=remaining_steps,
-            batch_size=cfg.train.get("batch_size", "full"),
-            checkpoint_interval=int(cfg.train.get("checkpoint_interval", 1)),
-            seed=stable_seed(cfg.seed, seed_label),
-        )
+        run_cfg = replace(cfg.train_config(stable_seed(cfg.seed, seed_label)),
+                          steps=remaining_steps)
         artifact = train_on_mixture(world, weights, midpoint, run_cfg)
         curves[label] = {
-            point.step: utility(
-                [contexts[m].apply(s) for m, s in enumerate(point.raw_scores)],
-                spec,
-            )
+            point.step: utility(normalize_row(point.raw_scores, contexts), spec)
             for point in artifact.trajectory
         }
     steps = sorted(curves["static"])
@@ -210,16 +224,14 @@ def _continuation_curves(cfg: RunConfig, world: World, midpoint: np.ndarray,
     ]
 
 
-def run_pipeline(cfg: RunConfig, out_dir: str | Path, threads: int = 1) -> Path:
+def run_pipeline(cfg: RunConfig, out_dir: str | Path) -> Path:
     """Execute the configured pipeline and return the run directory."""
     world = cfg.build_world()
-    run_dir = Path(out_dir) / cfg.name
-    run_dir.mkdir(parents=True, exist_ok=True)
+    run_dir = _prepare_run_dir(cfg, out_dir)
     base = world.base_params()
 
-    train_cfg = cfg.train_config(stable_seed(cfg.seed, "train"))
-    experts = [train_expert(world, k, base, train_cfg)
-               for k in range(world.num_domains)]
+    experts = train_all_experts(world, base,
+                                cfg.train_config(stable_seed(cfg.seed, "train")))
     expert_digests = _write_expert_artifacts(run_dir, world, experts)
     if cfg.export_datasets:
         _export_datasets(run_dir, world)
@@ -232,85 +244,53 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path, threads: int = 1) -> Path:
         "experts": expert_digests,
     }
 
-    if cfg.mode in ("hierarchical-top-down", "hierarchical-bottom-up"):
-        ctx = HierarchyContext(
-            world=world, base=base, experts=experts,
-            design_size=cfg.design_size, hyper=cfg.hyper,
-            utility_spec=cfg.utility_spec, resolution=cfg.resolution,
-            budget=cfg.budget, seed=cfg.seed, threads=threads,
-        )
-        optimize = (optimize_top_down if cfg.mode == "hierarchical-top-down"
-                    else optimize_bottom_up)
-        tree = optimize(cfg.build_tree(), ctx)
-        logged = ctx.stage_log.get("root")
-        if logged is None:
-            raise MergeMixError("hierarchy optimization never ran a root search")
-        root_stage = logged["stage"]
-        _write_samples(run_dir, root_stage, world)
-        write_json(run_dir / SURFACE_FILE, root_stage.model.to_dict())
-        report["optimum"] = verify_optimum(world, base, logged["experts"],
-                                           root_stage.model, root_stage.search)
-        report["hierarchy"] = _hierarchy_report(cfg, world, base, experts,
-                                                tree, root_stage)
-        write_json(run_dir / "hierarchy.tree.json", tree.to_dict())
+    tree = None
+    if cfg.mode in HIERARCHICAL_MODES:
+        tree, stage, stage_experts = _optimize_hierarchy(cfg, world, base, experts)
         leaf_names, shares = flatten_ratios(tree)
+        by_name = dict(zip(leaf_names, shares.tolist()))
+        weights = np.asarray([by_name[name] for name in world.names])
+    else:
+        stage, stage_experts = _flat_stage(cfg, world, base, experts), experts
+        weights = stage.search.weights
+    _write_samples(run_dir, stage, world)
+    write_json(run_dir / SURFACE_FILE, stage.model.to_dict())
+    report["optimum"] = verify_optimum(world, base, stage_experts,
+                                       stage.model, stage.search)
+    if tree is not None:
+        hierarchy = _hierarchy_report(cfg, world, base, experts, tree, weights,
+                                      stage.contexts)
+        report["hierarchy"] = hierarchy
+        write_json(run_dir / "hierarchy.tree.json", tree.to_dict())
         write_csv(run_dir / "hierarchy.ratios.csv",
                   ["domain", "ratio"],
-                  [[n, s] for n, s in zip(leaf_names, shares.tolist())])
-        by_name = dict(zip(leaf_names, shares.tolist()))
-        aligned = np.asarray([by_name[name] for name in world.names])
-        save_checkpoint(
-            run_dir / "merged.optimum.ckpt",
-            merge(base, [e.final for e in experts], aligned),
-            world.model_descriptor(),
-            provenance={"weights": aligned.tolist(), "experts": expert_digests},
-        )
-    else:
-        stage = run_search_stage(
-            world, base, experts,
-            design_size=cfg.design_size, priors=cfg.priors,
-            seed=stable_seed(cfg.seed, "design"),
-            hyper=cfg.hyper, utility_spec=cfg.utility_spec,
-            resolution=cfg.resolution, budget=cfg.budget, threads=threads,
-        )
-        _write_samples(run_dir, stage, world)
-        write_json(run_dir / SURFACE_FILE, stage.model.to_dict())
-        report["optimum"] = verify_optimum(world, base, experts,
-                                           stage.model, stage.search)
-        alpha_star = stage.search.weights
-        save_checkpoint(
-            run_dir / "merged.optimum.ckpt",
-            merge(base, [e.final for e in experts], alpha_star),
-            world.model_descriptor(),
-            provenance={
-                "weights": alpha_star.tolist(),
-                "experts": expert_digests,
-            },
-        )
+                  [[n, s] for n, s in zip(hierarchy["leaf_order"],
+                                          hierarchy["leaf_ratios"])])
+    save_checkpoint(
+        run_dir / "merged.optimum.ckpt",
+        merge(base, expert_params(experts), weights),
+        world.model_descriptor(),
+        provenance={"weights": weights.tolist(), "experts": expert_digests},
+    )
 
-        if cfg.mode == "dynamic-recalibrate":
-            total = cfg.recalibrate_steps
-            half = total // 2
-            mid_cfg = TrainConfig(
-                learning_rate=float(cfg.train["learning_rate"]),
-                steps=half,
-                batch_size=cfg.train.get("batch_size", "full"),
-                checkpoint_interval=int(cfg.train.get("checkpoint_interval", 1)),
-                seed=stable_seed(cfg.seed, "mixture-train"),
-            )
-            midpoint = train_on_mixture(world, alpha_star, base, mid_cfg).final
-            recal = recalibrate(cfg, world, midpoint, alpha_star, threads)
-            curve = _continuation_curves(
-                cfg, world, midpoint, alpha_star,
-                np.asarray(recal["alpha_new"]), total - half, stage.contexts)
-            recal["total_steps"] = total
-            recal["midpoint_step"] = half
-            recal["continuation"] = curve
-            report["recalibration"] = recal
-            write_csv(run_dir / "recalibration.curve.csv",
-                      ["step", "static_utility", "dynamic_utility"],
-                      [[r["step"], r["static_utility"], r["dynamic_utility"]]
-                       for r in curve])
+    if cfg.mode == "dynamic-recalibrate":
+        total = cfg.recalibrate_steps
+        half = total // 2
+        mid_cfg = replace(cfg.train_config(stable_seed(cfg.seed, "mixture-train")),
+                          steps=half)
+        midpoint = train_on_mixture(world, weights, base, mid_cfg).final
+        recal = recalibrate(cfg, world, midpoint, weights)
+        curve = _continuation_curves(
+            cfg, world, midpoint, weights,
+            np.asarray(recal["alpha_new"]), total - half, stage.contexts)
+        recal["total_steps"] = total
+        recal["midpoint_step"] = half
+        recal["continuation"] = curve
+        report["recalibration"] = recal
+        write_csv(run_dir / "recalibration.curve.csv",
+                  ["step", "static_utility", "dynamic_utility"],
+                  [[r["step"], r["static_utility"], r["dynamic_utility"]]
+                   for r in curve])
 
     write_json(run_dir / REPORT_FILE, report)
     _write_manifest(cfg, run_dir)
@@ -339,27 +319,22 @@ def _write_manifest(cfg: RunConfig, run_dir: Path) -> None:
 
 
 def _config_digest(cfg: RunConfig) -> str:
-    payload = dumps_json({
-        "name": cfg.name, "seed": cfg.seed, "mode": cfg.mode,
-        "world": cfg.world_spec, "train": cfg.train,
-        "design_size": cfg.design_size, "priors": [list(p) for p in cfg.priors],
-        "surface": cfg.hyper.to_dict(), "utility": cfg.utility_spec.to_dict(),
-        "resolution": cfg.resolution, "budget": cfg.budget,
-        "hierarchy": cfg.hierarchy,
-        "recalibrate_steps": cfg.recalibrate_steps,
-    })
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    """Digest of every RunConfig field, so no field can be left out."""
+    payload = {}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        payload[f.name] = value.to_dict() if hasattr(value, "to_dict") else value
+    return hashlib.sha256(dumps_json(payload).encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
 # Theory runner
 # ---------------------------------------------------------------------------
 
-def run_theory(cfg: RunConfig, out_dir: str | Path, threads: int = 1) -> Path:
+def run_theory(cfg: RunConfig, out_dir: str | Path) -> Path:
     """Scaling check, discrepancy sweep, curvature and cosine matrices."""
     world = cfg.build_world()
-    run_dir = Path(out_dir) / cfg.name
-    run_dir.mkdir(parents=True, exist_ok=True)
+    run_dir = _prepare_run_dir(cfg, out_dir)
     base = world.base_params()
     names = world.names
     k = world.num_domains
@@ -372,8 +347,8 @@ def run_theory(cfg: RunConfig, out_dir: str | Path, threads: int = 1) -> Path:
     scaling = horizon_scaling_check(world, weights, lr, steps, base)
 
     train_cfg = cfg.train_config(stable_seed(cfg.seed, "train"))
-    experts = [train_expert(world, i, base, train_cfg) for i in range(k)]
-    expert_params = [e.final for e in experts]
+    experts = train_all_experts(world, base, train_cfg)
+    params = expert_params(experts)
 
     curvature = relative_curvature(world, base)
     cosines = task_vector_cosines(experts, base)
@@ -387,7 +362,7 @@ def run_theory(cfg: RunConfig, out_dir: str | Path, threads: int = 1) -> Path:
     for lam in grid:
         rep = discrepancy(ctx, lam)
         mixed = train_on_mixture(world, lam, base, train_cfg).final
-        merged = merge(base, expert_params, lam)
+        merged = merge(base, params, lam)
         rep = rep.with_observation(mixed - merged)
         delta_norm = float(np.linalg.norm(rep.delta))
         max_delta = max(max_delta, delta_norm)
@@ -439,20 +414,17 @@ def run_theory(cfg: RunConfig, out_dir: str | Path, threads: int = 1) -> Path:
 # Consistency and cost runners
 # ---------------------------------------------------------------------------
 
-def run_consistency(cfg: RunConfig, out_dir: str | Path,
-                    threads: int = 1) -> tuple[Path, float]:
+def run_consistency(cfg: RunConfig, out_dir: str | Path) -> tuple[Path, float]:
     if not cfg.consistency_ratios:
         raise ConfigError("consistency requires a non-empty 'consistency.ratios' list")
     world = cfg.build_world()
-    run_dir = Path(out_dir) / cfg.name
-    run_dir.mkdir(parents=True, exist_ok=True)
+    run_dir = _prepare_run_dir(cfg, out_dir)
     base = world.base_params()
     train_cfg = cfg.train_config(stable_seed(cfg.seed, "train"))
-    experts = [train_expert(world, k, base, train_cfg)
-               for k in range(world.num_domains)]
+    experts = train_all_experts(world, base, train_cfg)
     result = rank_consistency(world, base, experts,
                               [np.asarray(r) for r in cfg.consistency_ratios],
-                              train_cfg, cfg.utility_spec, threads)
+                              train_cfg, cfg.utility_spec)
     k = world.num_domains
     header = ([f"lambda_{i + 1}" for i in range(k)]
               + ["merged_score", "trained_score", "merged_rank", "trained_rank"])

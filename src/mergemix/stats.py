@@ -111,6 +111,11 @@ def normalize_scores(raw: Sequence[float], context: NormContext) -> list[float]:
     return [context.apply(x) for x in raw]
 
 
+def normalize_row(raw: Sequence[float], contexts: Sequence[NormContext]) -> list[float]:
+    """One score per capability, each normalized in its own context."""
+    return [context.apply(x) for context, x in zip(contexts, raw)]
+
+
 # ---------------------------------------------------------------------------
 # Utility scalarization
 # ---------------------------------------------------------------------------

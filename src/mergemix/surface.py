@@ -29,8 +29,9 @@ from .simplex import (
     simplex_lattice,
     uniform_weights,
 )
-from .stats import NormContext, UtilitySpec, utility
-from .worlds import World, raw_capability
+from .stats import NormContext, UtilitySpec, normalize_row, utility
+from .training import expert_params
+from .worlds import World, raw_capabilities
 
 SURFACE_FORMAT = "mm-surface-v1"
 DUPLICATE_TOL = 1e-9
@@ -105,43 +106,27 @@ class SurfaceSample:
     digest: str
 
 
-def _parallel_map(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))  # order preserved: partitioned by index
-
-
-def collect_raw_scores(world: World, base: np.ndarray, experts, configs,
-                       threads: int = 1):
+def collect_raw_scores(world: World, base: np.ndarray, experts, configs):
     """Merge at each config and score every capability; returns raws and digests."""
-    expert_params = [e.final if hasattr(e, "final") else e for e in experts]
-
-    def one(weights):
-        merged = merge(base, expert_params, weights)
-        raws = [raw_capability(world, m, merged) for m in range(world.num_domains)]
-        return raws, params_digest(merged)
-
-    results = _parallel_map(one, list(configs), threads)
-    raws = np.asarray([r[0] for r in results])
-    digests = [r[1] for r in results]
-    return raws, digests
+    params = expert_params(experts)
+    raws, digests = [], []
+    for weights in configs:
+        merged = merge(base, params, weights)
+        raws.append(raw_capabilities(world, merged))
+        digests.append(params_digest(merged))
+    return np.asarray(raws), digests
 
 
-def collect_samples(world: World, base: np.ndarray, experts, design: SeedDesign,
-                    threads: int = 1) -> tuple[list[SurfaceSample], list[NormContext]]:
+def collect_samples(world: World, base: np.ndarray, experts,
+                    design: SeedDesign) -> tuple[list[SurfaceSample], list[NormContext]]:
     """Evaluate the whole design; the design population is the normalization
     context for every capability."""
-    raws, digests = collect_raw_scores(world, base, experts, design.configs, threads)
+    raws, digests = collect_raw_scores(world, base, experts, design.configs)
     contexts = [NormContext.from_samples(raws[:, m])
                 for m in range(world.num_domains)]
-    samples = []
-    for i in range(design.size):
-        normalized = tuple(contexts[m].apply(raws[i, m])
-                           for m in range(world.num_domains))
-        samples.append(SurfaceSample(design.configs[i], normalized, digests[i]))
+    samples = [SurfaceSample(design.configs[i], tuple(normalize_row(raws[i], contexts)),
+                             digests[i])
+               for i in range(design.size)]
     return samples, contexts
 
 
@@ -332,8 +317,7 @@ def run_search_stage(world: World, base: np.ndarray, experts, *,
                      hyper: BoostHyper | None = None,
                      utility_spec: UtilitySpec | None = None,
                      resolution: float = 0.05,
-                     budget: int = DEFAULT_POINT_BUDGET,
-                     threads: int = 1) -> StageResult:
+                     budget: int = DEFAULT_POINT_BUDGET) -> StageResult:
     """One full surface pass over a set of expert vectors.
 
     The flat pipeline and every node of a hierarchical search run this same
@@ -341,11 +325,33 @@ def run_search_stage(world: World, base: np.ndarray, experts, *,
     """
     k = len(experts)
     design = sample_seed_configs(k, design_size, priors=priors, seed=seed)
-    samples, contexts = collect_samples(world, base, experts, design, threads)
+    samples, contexts = collect_samples(world, base, experts, design)
     model = fit_surface(samples, list(world.names), contexts,
                         hyper=hyper, utility_spec=utility_spec)
     search = search_optimum(model, resolution=resolution, budget=budget)
     return StageResult(design, samples, contexts, model, search)
+
+
+def merged_scores(world: World, base: np.ndarray, experts, weights,
+                  contexts) -> list[float]:
+    """Merge at `weights` and score every capability in the given units."""
+    merged = merge(base, expert_params(experts), weights)
+    return normalize_row(raw_capabilities(world, merged), contexts)
+
+
+def baseline_utilities(world: World, base: np.ndarray, experts, contexts,
+                       spec: UtilitySpec) -> dict:
+    """Actual utility of the uniform mixture and of every corner."""
+    k = len(experts)
+    baselines = {"uniform": utility(
+        merged_scores(world, base, experts, uniform_weights(k), contexts), spec)}
+    for i, expert in enumerate(experts):
+        corner = np.zeros(k)
+        corner[i] = 1.0
+        label = expert.name if hasattr(expert, "name") else str(i)
+        baselines[f"corner_{label}"] = utility(
+            merged_scores(world, base, experts, corner, contexts), spec)
+    return baselines
 
 
 def verify_optimum(world: World, base: np.ndarray, experts,
@@ -356,26 +362,11 @@ def verify_optimum(world: World, base: np.ndarray, experts,
     normalization context, so the report shows whether the optimized
     mixture actually beats the obvious baselines.
     """
-    expert_params = [e.final if hasattr(e, "final") else e for e in experts]
-    labels = [e.name if hasattr(e, "name") else str(i)
-              for i, e in enumerate(experts)]
     spec = model.utility_spec
-
-    def actual_scores(weights):
-        merged = merge(base, expert_params, weights)
-        return [model.contexts[m].apply(raw_capability(world, m, merged))
-                for m in range(world.num_domains)]
-
-    actual = actual_scores(result.weights)
+    actual = merged_scores(world, base, experts, result.weights, model.contexts)
     predicted = list(result.predicted_scores)
     gaps = [p - a for p, a in zip(predicted, actual)]
-
-    k = len(expert_params)
-    baselines = {"uniform": utility(actual_scores(uniform_weights(k)), spec)}
-    for i in range(k):
-        corner = np.zeros(k)
-        corner[i] = 1.0
-        baselines[f"corner_{labels[i]}"] = utility(actual_scores(corner), spec)
+    baselines = baseline_utilities(world, base, experts, model.contexts, spec)
 
     return {
         "weights": result.weights.tolist(),

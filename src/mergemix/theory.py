@@ -224,16 +224,6 @@ class CurvatureMatrix:
     values: np.ndarray
     row_dominant: tuple[bool, ...]
 
-    def to_rows(self, names: list[str]) -> list[dict]:
-        out = []
-        for i, name in enumerate(names):
-            row = {"domain": name}
-            row.update({other: float(self.values[i, j])
-                        for j, other in enumerate(names)})
-            row["diagonally_dominant"] = self.row_dominant[i]
-            out.append(row)
-        return out
-
 
 def relative_curvature(world: World, theta0: np.ndarray,
                        step: float | None = None) -> CurvatureMatrix:

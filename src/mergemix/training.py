@@ -17,7 +17,7 @@ from .errors import DimensionError, MergeMixError, TrainingDiverged
 from .params import as_params, check_same_dim, params_digest
 from .seeding import rng_for
 from .simplex import normalize_simplex
-from .worlds import World, raw_capability
+from .worlds import World, raw_capabilities
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,11 @@ class ExpertArtifact:
         return self.final - self.trajectory[0].params
 
 
+def expert_params(experts) -> list[np.ndarray]:
+    """Final parameters of trained artifacts; bare vectors pass through."""
+    return [e.final if hasattr(e, "final") else e for e in experts]
+
+
 class _BatchStream:
     """Seeded epoch-reshuffled index stream over one domain's training set."""
 
@@ -80,8 +85,7 @@ class _BatchStream:
 
 
 def _snapshot(world: World, step: int, theta: np.ndarray) -> TrajectoryPoint:
-    scores = tuple(raw_capability(world, j, theta) for j in range(world.num_domains))
-    return TrajectoryPoint(step, theta.copy(), scores)
+    return TrajectoryPoint(step, theta.copy(), tuple(raw_capabilities(world, theta)))
 
 
 def _descend(world: World, grad_fn, base: np.ndarray,

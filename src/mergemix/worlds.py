@@ -218,6 +218,11 @@ def raw_capability(world: World, k: int, theta: np.ndarray) -> float:
     return -world.heldout_loss(k, as_params(theta))
 
 
+def raw_capabilities(world: World, theta: np.ndarray) -> list[float]:
+    """Raw capability on every domain, in domain order."""
+    return [raw_capability(world, k, theta) for k in range(world.num_domains)]
+
+
 def evaluate_capability(world: World, k: int, theta: np.ndarray,
                         context: NormContext) -> CapabilityScore:
     raw = raw_capability(world, k, theta)

@@ -110,14 +110,33 @@ class TestPipelineCommand:
         assert ((out_a / "qw2" / "samples.csv").read_bytes()
                 != (out_b / "qw2" / "samples.csv").read_bytes())
 
-    def test_threads_do_not_change_artifacts(self, tmp_path):
+    def test_threads_flag_rejected(self, tmp_path):
         cfg = write_config(tmp_path, QW2_PIPELINE)
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        main(["pipeline", "--config", str(cfg), "--out", str(out_a)])
-        main(["pipeline", "--config", str(cfg), "--out", str(out_b),
-              "--threads", "4"])
-        assert ((out_a / "qw2" / "samples.csv").read_bytes()
-                == (out_b / "qw2" / "samples.csv").read_bytes())
+        with pytest.raises(SystemExit) as exc:
+            main(["pipeline", "--config", str(cfg), "--out",
+                  str(tmp_path / "out"), "--threads", "4"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_budget_below_lattice_exits_2_before_training(self, tmp_path):
+        payload = dict(QW2_PIPELINE)
+        payload["search"] = {"resolution": 0.05, "budget": 10}
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not (out / "qw2" / "experts").exists()
+
+    def test_failed_rerun_removes_stale_manifest(self, tmp_path):
+        out = tmp_path / "out"
+        good = write_config(tmp_path, QW2_PIPELINE, "good.json")
+        assert main(["pipeline", "--config", str(good), "--out", str(out)]) == 0
+        assert (out / "qw2" / "manifest.json").exists()
+        payload = dict(QW2_PIPELINE)
+        payload["train"] = {"learning_rate": 3.0, "steps": 2000,
+                            "checkpoint_interval": 2000}
+        bad = write_config(tmp_path, payload, "bad.json")
+        assert main(["pipeline", "--config", str(bad), "--out", str(out)]) == 1
+        assert not (out / "qw2" / "manifest.json").exists()
 
     def test_report_weights_match_checkpoint_provenance(self, pipeline_run):
         report = read_json(pipeline_run / "report.json")
@@ -321,6 +340,38 @@ class TestHierarchicalAndRecalibrateModes:
         hier_report = read_json(out_hier / "qw2" / "report.json")
         assert (hier_report["hierarchy"]["ratios_by_domain"]
                 == dict(zip(["d1", "d2"], flat_report["optimum"]["weights"])))
+
+    def test_internal_node_named_root_keeps_global_stage(self, tmp_path):
+        """A cluster called "root" must not replace the global search in
+        the persisted surface and the verified optimum."""
+        cfg_payload = {
+            "name": "qw4",
+            "seed": 11,
+            "mode": "hierarchical-top-down",
+            "world": {"fixture": "QW-4"},
+            "train": {"learning_rate": 0.05, "steps": 3},
+            "design": {"size": 12},
+            "search": {"resolution": 0.25},
+            "hierarchy": {
+                "name": "all",
+                "children": [
+                    {"name": "root", "children": [
+                        {"name": "math", "domain": "math"},
+                        {"name": "code", "domain": "code"}]},
+                    {"name": "rest", "children": [
+                        {"name": "sft", "domain": "sft"},
+                        {"name": "web", "domain": "web"}]},
+                ],
+            },
+        }
+        cfg = write_config(tmp_path, cfg_payload)
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+        surface = read_json(out / "qw4" / "surface.model.json")
+        assert surface["utility"] == {"kind": "macro"}
+        report = read_json(out / "qw4" / "report.json")
+        assert (report["optimum"]["weights"]
+                == report["hierarchy"]["tree"]["weights"])
 
     def test_diverging_run_exits_1_without_manifest(self, tmp_path):
         cfg_payload = dict(QW2_PIPELINE)

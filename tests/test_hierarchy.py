@@ -100,6 +100,18 @@ class TestTreeValidation:
                              {"name": "y", "domain": "d"}],
             })
 
+    def test_duplicate_internal_names_rejected(self):
+        with pytest.raises(MergeMixError):
+            MixtureNode.from_dict({
+                "name": "root",
+                "children": [
+                    {"name": "c", "children": [{"name": "a", "domain": "a"},
+                                               {"name": "b", "domain": "b"}]},
+                    {"name": "c", "children": [{"name": "x", "domain": "x"},
+                                               {"name": "y", "domain": "y"}]},
+                ],
+            })
+
     def test_round_trip(self):
         tree = two_level_tree()
         clone = MixtureNode.from_dict(tree.to_dict())

@@ -132,6 +132,33 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             parse_config(bad)
 
+    def test_search_budget_checked_per_search(self):
+        """Budget 100 cannot hold the 4-way lattice at resolution 0.05
+        (1,771 points) but holds every 2-way one (21 points)."""
+        flat = {"name": "b", "seed": 1, "world": {"fixture": "QW-4"},
+                "train": {"learning_rate": 0.05, "steps": 2},
+                "search": {"resolution": 0.05, "budget": 100}}
+        with pytest.raises(ConfigError, match="budget"):
+            parse_config(flat)
+        hier = dict(flat, mode="hierarchical-top-down", hierarchy={
+            "name": "all",
+            "children": [
+                {"name": "x", "children": [{"name": "math", "domain": "math"},
+                                           {"name": "code", "domain": "code"}]},
+                {"name": "y", "children": [{"name": "sft", "domain": "sft"},
+                                           {"name": "web", "domain": "web"}]},
+            ],
+        })
+        assert parse_config(hier).budget == 100
+
+    def test_config_digest_covers_export_datasets(self):
+        from mergemix.pipeline import _config_digest
+
+        plain = parse_config(dict(BASE_CONFIG))
+        exporting = parse_config(dict(BASE_CONFIG, export_datasets=True))
+        assert _config_digest(plain) != _config_digest(exporting)
+        assert _config_digest(plain) == _config_digest(parse_config(dict(BASE_CONFIG)))
+
     def test_custom_quadratic_world(self):
         cfg = parse_config({
             "name": "custom",

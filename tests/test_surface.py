@@ -81,15 +81,6 @@ class TestCollectSamples:
         first = samples[0].scores
         assert all(s.scores == first for s in samples)
 
-    def test_threaded_collection_matches_serial(self, qw4, qw4_experts):
-        design = sample_seed_configs(4, 12, seed=2)
-        serial, _ = collect_samples(qw4, qw4.base_params(), qw4_experts, design,
-                                    threads=1)
-        threaded, _ = collect_samples(qw4, qw4.base_params(), qw4_experts, design,
-                                      threads=4)
-        for a, b in zip(serial, threaded):
-            assert a.scores == b.scores and a.digest == b.digest
-
 
 class TestFitAndPredict:
     def test_constant_targets_fit_exactly(self):
