@@ -19,7 +19,7 @@ from .errors import ConfigError, MergeMixError
 from .gbt import BoostHyper
 from .hierarchy import MixtureNode
 from .models import ToyNet
-from .simplex import lattice_size, lattice_steps
+from .simplex import REFINE_RADIUS, lattice_size, lattice_steps
 from .stats import UtilitySpec
 from .training import TrainConfig
 from .worlds import (
@@ -166,11 +166,14 @@ def _validate_cross_fields(data: dict, cfg: RunConfig) -> None:
         search_sizes = [len(node.children) for node in tree.iter_internal()]
     steps = lattice_steps(cfg.resolution)
     for size in search_sizes:
-        points = lattice_size(size, steps)
-        if points > cfg.budget:
+        coarse = lattice_size(size, steps)
+        refine = lattice_size(size, REFINE_RADIUS)  # the box around a corner
+        if coarse + refine > cfg.budget:
             raise ConfigError(
                 f"a {size}-way search at resolution {cfg.resolution} needs "
-                f"{points} lattice points, exceeding the budget of {cfg.budget}"
+                f"{coarse} coarse lattice points plus at least {refine} "
+                f"refinement points, exceeding the budget of {cfg.budget} "
+                f"(a larger refinement box can still exceed it during the search)"
             )
     if cfg.mode == "dynamic-recalibrate" and cfg.recalibrate_steps is None:
         raise ConfigError("dynamic-recalibrate mode requires a 'recalibrate' section")

@@ -5,6 +5,20 @@ SSE reduction, candidate thresholds at midpoints of consecutive sorted
 values, features scanned in fixed order with strict improvement so ties
 resolve the same way on every run. No row or feature subsampling, hence no
 randomness anywhere in fit or predict.
+
+Splits are found exact-greedy on presorted columns, as in XGBoost (Chen &
+Guestrin, KDD 2016): x is stably argsorted once per fit, and each node
+filters that order to its own rows, so every feature's sorted view comes
+without another sort. The split search over all features and thresholds of
+a node is one array computation; the flat first maximum keeps the
+first-feature, first-threshold tie rule. Each round's residual update reuses
+the leaf values the rows reached while the tree grew.
+
+Predict works on blocks of PREDICT_BLOCK_ROWS rows, transposed so that each
+feature is one contiguous column. A tree is evaluated as nested `np.where`
+over one column comparison per internal node; the ensemble folds the
+learning rate into the leaf values and sums the trees in order. Both give
+the same floats as routing each row down the tree.
 """
 
 from __future__ import annotations
@@ -14,6 +28,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, MergeMixError
+
+PREDICT_BLOCK_ROWS = 4096
+
+
+def _column_blocks(x: np.ndarray):
+    """(start, cols) per block of rows; cols[f] is feature f, contiguous."""
+    for start in range(0, x.shape[0], PREDICT_BLOCK_ROWS):
+        yield start, np.ascontiguousarray(x[start:start + PREDICT_BLOCK_ROWS].T)
+
+
+def _evaluate(route, cols: np.ndarray):
+    """Value of a route (see RegressionTree._route) for every column of a block.
+
+    A single-leaf route gives a float, which broadcasts.
+    """
+    if isinstance(route, float):
+        return route
+    f, threshold, left, right = route
+    return np.where(cols[f] <= threshold, _evaluate(left, cols),
+                    _evaluate(right, cols))
 
 
 @dataclass
@@ -27,20 +61,32 @@ class RegressionTree:
     values: np.ndarray
     max_depth: int
 
+    def _route(self, scale: float = 1.0):
+        """The tree as nested (feature, threshold, left, right) tuples.
+
+        Leaves become `scale * value`. Like a row-by-row walk, a route stops
+        max_depth + 1 levels down even if a stored tree goes deeper.
+        """
+        features = self.features.tolist()
+        thresholds = self.thresholds.tolist()
+        lefts = self.lefts.tolist()
+        rights = self.rights.tolist()
+        values = self.values.tolist()
+
+        def build(node: int, depth: int):
+            if features[node] < 0 or depth > self.max_depth:
+                return scale * values[node]
+            return (features[node], thresholds[node],
+                    build(lefts[node], depth + 1), build(rights[node], depth + 1))
+
+        return build(0, 0)
+
     def predict(self, x: np.ndarray) -> np.ndarray:
-        n = x.shape[0]
-        node = np.zeros(n, dtype=np.int64)
-        for _ in range(self.max_depth + 1):
-            feat = self.features[node]
-            internal = feat >= 0
-            if not internal.any():
-                break
-            col = np.where(internal, feat, 0)
-            go_left = x[np.arange(n), col] <= self.thresholds[node]
-            node = np.where(internal,
-                            np.where(go_left, self.lefts[node], self.rights[node]),
-                            node)
-        return self.values[node]
+        route = self._route()
+        out = np.empty(x.shape[0])
+        for start, cols in _column_blocks(x):
+            out[start:start + cols.shape[1]] = _evaluate(route, cols)
+        return out
 
     def to_dict(self) -> dict:
         return {
@@ -64,76 +110,92 @@ class RegressionTree:
         )
 
 
-def _best_split(x: np.ndarray, y: np.ndarray, min_leaf: int):
-    """Exact SSE-minimizing (feature, threshold), or None if nothing helps.
+def _presort(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns of x, and per feature its row indices and values ascending.
 
-    Features are scanned in index order and only strictly better gains win,
-    so ties always resolve to the first feature and the first threshold.
+    Each is (features, rows). Equal values keep row order (stable sort).
     """
-    n = y.shape[0]
-    total = float(y.sum())
-    total_sq = float((y * y).sum())
+    cols = np.ascontiguousarray(x.T)
+    order = np.ascontiguousarray(np.argsort(x, axis=0, kind="stable").T)
+    return cols, order, np.take_along_axis(cols, order, axis=1)
+
+
+def _best_split(xs: np.ndarray, ys: np.ndarray, total: float, total_sq: float,
+                min_leaf: int):
+    """Exact SSE-minimizing (feature, threshold) of one node, or None.
+
+    `xs` and `ys` hold the node's values and targets sorted per feature;
+    `total` and `total_sq` are the target sums in row order. The flat argmax
+    over (feature, threshold) takes the first maximum and only a positive
+    gain wins, so ties resolve to the first feature and the first threshold.
+    """
+    n = ys.shape[1]
     parent_sse = total_sq - total * total / n
-    best = None
-    best_gain = 0.0
-    for f in range(x.shape[1]):
-        order = np.argsort(x[:, f], kind="stable")
-        xs = x[order, f]
-        ys = y[order]
-        csum = np.cumsum(ys)
-        csum_sq = np.cumsum(ys * ys)
-        # Candidate split sizes i (left-leaf count), smallest first.
-        i = np.arange(min_leaf, n - min_leaf + 1)
-        separable = xs[i - 1] != xs[i]  # equal values admit no threshold
-        i = i[separable]
-        if i.size == 0:
-            continue
-        left_sum = csum[i - 1]
-        left_sse = csum_sq[i - 1] - left_sum * left_sum / i
-        right_sum = total - left_sum
-        right_sse = (total_sq - csum_sq[i - 1]) - right_sum * right_sum / (n - i)
-        gains = parent_sse - left_sse - right_sse
-        pos = int(np.argmax(gains))  # first maximum: earliest threshold
-        if gains[pos] > best_gain:
-            best_gain = float(gains[pos])
-            split_at = int(i[pos])
-            best = (f, 0.5 * (xs[split_at - 1] + xs[split_at]))
-    return best
+    csum = np.cumsum(ys, axis=1)
+    csum_sq = np.cumsum(ys * ys, axis=1)
+    # Candidate split sizes i (left-leaf count), smallest first; column
+    # i - 1 holds the last left row, so the columns of all i are one slice.
+    i = np.arange(min_leaf, n - min_leaf + 1)
+    last = slice(min_leaf - 1, n - min_leaf)
+    left_sum = csum[:, last]
+    left_sse = csum_sq[:, last] - left_sum * left_sum / i
+    right_sum = total - left_sum
+    right_sse = (total_sq - csum_sq[:, last]) - right_sum * right_sum / (n - i)
+    gains = parent_sse - left_sse - right_sse
+    # Equal values admit no threshold.
+    gains[xs[:, last] == xs[:, min_leaf:n - min_leaf + 1]] = -np.inf
+    best = int(np.argmax(gains))
+    if not gains.flat[best] > 0.0:
+        return None
+    f, pos = divmod(best, i.shape[0])
+    split_at = min_leaf + pos
+    return f, 0.5 * (xs[f, split_at - 1] + xs[f, split_at])
 
 
-def _grow(x: np.ndarray, y: np.ndarray, depth: int, max_depth: int,
-          min_leaf: int, nodes: dict) -> int:
-    index = len(nodes["features"])
-    for key in nodes:
-        nodes[key].append(None)
-    split = None
-    if depth < max_depth and y.shape[0] >= 2 * min_leaf:
-        split = _best_split(x, y, min_leaf)
-    if split is None:
-        nodes["features"][index] = -1
-        nodes["thresholds"][index] = 0.0
-        nodes["lefts"][index] = -1
-        nodes["rights"][index] = -1
-        nodes["values"][index] = float(y.mean())
-        return index
-    f, thr = split
-    mask = x[:, f] <= thr
-    left = _grow(x[mask], y[mask], depth + 1, max_depth, min_leaf, nodes)
-    right = _grow(x[~mask], y[~mask], depth + 1, max_depth, min_leaf, nodes)
-    nodes["features"][index] = f
-    nodes["thresholds"][index] = float(thr)
-    nodes["lefts"][index] = left
-    nodes["rights"][index] = right
-    nodes["values"][index] = float(y.mean())
-    return index
-
-
-def fit_tree(x: np.ndarray, y: np.ndarray, max_depth: int,
-             min_leaf: int) -> RegressionTree:
+def _grow_tree(presorted, y: np.ndarray, max_depth: int,
+               min_leaf: int) -> tuple[RegressionTree, np.ndarray]:
+    """Fit one tree on _presort(x); also return its value at every row."""
+    cols, order, xs = presorted
     nodes = {"features": [], "thresholds": [], "lefts": [], "rights": [],
              "values": []}
-    _grow(x, y, 0, max_depth, min_leaf, nodes)
-    return RegressionTree(
+    fitted = np.empty(y.shape[0])
+
+    def grow(rows: np.ndarray, order: np.ndarray, xs: np.ndarray,
+             depth: int) -> int:
+        index = len(nodes["features"])
+        for key in nodes:
+            nodes[key].append(None)
+        y_node = y[rows]
+        total = y_node.sum()
+        value = float(total / rows.shape[0])  # y_node.mean(); nan when empty
+        nodes["values"][index] = value
+        split = None
+        if depth < max_depth and rows.shape[0] >= 2 * min_leaf:
+            split = _best_split(xs, y[order], float(total),
+                                float((y_node * y_node).sum()), min_leaf)
+        if split is None:
+            nodes["features"][index] = -1
+            nodes["thresholds"][index] = 0.0
+            nodes["lefts"][index] = -1
+            nodes["rights"][index] = -1
+            fitted[rows] = value
+            return index
+        f, thr = split
+        go_left = cols[f] <= thr
+        sides = []
+        for side in (go_left, ~go_left):
+            side_rows = rows[side[rows]]
+            keep = side[order]
+            shape = (order.shape[0], side_rows.shape[0])
+            sides.append(grow(side_rows, order[keep].reshape(shape),
+                              xs[keep].reshape(shape), depth + 1))
+        nodes["features"][index] = f
+        nodes["thresholds"][index] = float(thr)
+        nodes["lefts"][index], nodes["rights"][index] = sides
+        return index
+
+    grow(np.arange(y.shape[0]), order, xs, 0)
+    tree = RegressionTree(
         features=np.asarray(nodes["features"], dtype=np.int64),
         thresholds=np.asarray(nodes["thresholds"], dtype=np.float64),
         lefts=np.asarray(nodes["lefts"], dtype=np.int64),
@@ -141,6 +203,14 @@ def fit_tree(x: np.ndarray, y: np.ndarray, max_depth: int,
         values=np.asarray(nodes["values"], dtype=np.float64),
         max_depth=max_depth,
     )
+    return tree, fitted
+
+
+def fit_tree(x: np.ndarray, y: np.ndarray, max_depth: int,
+             min_leaf: int) -> RegressionTree:
+    tree, _ = _grow_tree(_presort(np.asarray(x)), np.asarray(y),
+                         max_depth, min_leaf)
+    return tree
 
 
 @dataclass(frozen=True)
@@ -186,21 +256,28 @@ class GradientBoostedRegressor:
             )
         self.init_value = float(y.mean())
         self.trees = []
+        presorted = _presort(x)
         current = np.full(y.shape[0], self.init_value)
         for _ in range(self.hyper.n_trees):
             residual = y - current
             if np.max(np.abs(residual)) == 0.0:
                 break  # constant target fitted exactly; nothing left to boost
-            tree = fit_tree(x, residual, self.hyper.max_depth, self.hyper.min_leaf)
-            current = current + self.hyper.learning_rate * tree.predict(x)
+            tree, fitted = _grow_tree(presorted, residual,
+                                      self.hyper.max_depth, self.hyper.min_leaf)
+            current = current + self.hyper.learning_rate * fitted
             self.trees.append(tree)
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        out = np.full(x.shape[0], self.init_value)
-        for tree in self.trees:
-            out = out + self.hyper.learning_rate * tree.predict(x)
+        # lr * leaf value is the same float as lr times the routed value.
+        routes = [tree._route(self.hyper.learning_rate) for tree in self.trees]
+        out = np.empty(x.shape[0])
+        for start, cols in _column_blocks(x):
+            acc = np.full(cols.shape[1], self.init_value)
+            for route in routes:
+                acc += _evaluate(route, cols)
+            out[start:start + cols.shape[1]] = acc
         return out
 
     def to_dict(self) -> dict:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -32,22 +33,40 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def atomic_write_text(path: str | Path, text: str) -> Path:
+@contextmanager
+def _atomic_open(path: str | Path):
+    """Text file handle on a temp name, renamed onto `path` on success."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def atomic_write_text(path: str | Path, text: str) -> Path:
+    with _atomic_open(path) as fh:
         fh.write(text)
-    os.replace(tmp, path)
-    return path
+    return Path(path)
+
+
+_JSON_FORMAT = {"sort_keys": True, "indent": 2, "ensure_ascii": False}
 
 
 def dumps_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(obj, **_JSON_FORMAT) + "\n"
 
 
 def write_json(path: str | Path, obj) -> Path:
-    return atomic_write_text(path, dumps_json(obj))
+    """Write dumps_json(obj), streamed so the text is never whole in memory."""
+    with _atomic_open(path) as fh:
+        json.dump(obj, fh, **_JSON_FORMAT)
+        fh.write("\n")
+    return Path(path)
 
 
 def read_json(path: str | Path):

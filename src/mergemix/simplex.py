@@ -10,6 +10,10 @@ from .errors import BudgetExceededError, SimplexError
 
 SIMPLEX_TOL = 1e-9
 DEFAULT_POINT_BUDGET = 2_000_000
+# Refinement searches an L-inf box of this many steps at 1/(5 * steps)
+# around the coarse optimum; the box around a corner is the smallest, with
+# lattice_size(k, REFINE_RADIUS) points.
+REFINE_RADIUS = 5
 
 
 def normalize_simplex(weights, tol: float = SIMPLEX_TOL) -> np.ndarray:
@@ -110,12 +114,12 @@ def boxed_lattice(center: np.ndarray, steps: int, radius: int,
     comp = [0] * k
 
     def rec(pos: int, remaining: int):
-        if len(rows) > budget:
-            raise BudgetExceededError(
-                f"refinement lattice exceeds the budget of {budget}"
-            )
         if pos == k - 1:
             if lo[pos] <= remaining <= hi[pos]:
+                if len(rows) == budget:
+                    raise BudgetExceededError(
+                        f"refinement lattice exceeds the budget of {budget}"
+                    )
                 comp[pos] = remaining
                 rows.append([c / steps for c in comp])
             return

@@ -22,6 +22,7 @@ from .params import params_digest
 from .seeding import rng_for
 from .simplex import (
     DEFAULT_POINT_BUDGET,
+    REFINE_RADIUS,
     boxed_lattice,
     dirichlet_points,
     lattice_steps,
@@ -47,10 +48,6 @@ class SeedDesign:
         return self.configs.shape[0]
 
 
-def _is_duplicate(candidate: np.ndarray, rows: list[np.ndarray]) -> bool:
-    return any(np.max(np.abs(candidate - r)) <= DUPLICATE_TOL for r in rows)
-
-
 def sample_seed_configs(k: int, n: int, priors=(), seed: int = 0) -> SeedDesign:
     """Corners, then a resolution-1/4 grid, then priors, then random fill.
 
@@ -62,41 +59,43 @@ def sample_seed_configs(k: int, n: int, priors=(), seed: int = 0) -> SeedDesign:
     if n < k + 1:
         raise MergeMixError(f"design size {n} cannot hold the {k} corners plus one")
     rng = rng_for(seed, "seed-design")
-    rows: list[np.ndarray] = []
+    rows = np.empty((n, k))
     provenance: list[str] = []
 
-    for i in range(k):
-        corner = np.zeros(k)
-        corner[i] = 1.0
-        rows.append(corner)
-        provenance.append("corner")
+    def is_duplicate(candidate: np.ndarray) -> bool:
+        taken = rows[:len(provenance)]
+        return bool(np.any(np.max(np.abs(taken - candidate), axis=1) <= DUPLICATE_TOL))
 
-    grid = [p for p in simplex_lattice(k, 4) if not _is_duplicate(p, rows)]
-    room = n - len(rows)
+    def add(point: np.ndarray, label: str) -> None:
+        rows[len(provenance)] = point
+        provenance.append(label)
+
+    for corner in np.eye(k):
+        add(corner, "corner")
+
+    grid = [p for p in simplex_lattice(k, 4) if not is_duplicate(p)]
+    room = n - len(provenance)
     if len(grid) > room:
         keep = sorted(rng.choice(len(grid), size=room, replace=False).tolist())
         grid = [grid[i] for i in keep]
     for p in grid:
-        rows.append(p)
-        provenance.append("grid")
+        add(p, "grid")
 
     for prior in priors:
-        if len(rows) >= n:
+        if len(provenance) >= n:
             break
         p = normalize_simplex(prior)
         if p.shape[0] != k:
             raise DimensionError(f"prior has length {p.shape[0]}, expected {k}")
-        if not _is_duplicate(p, rows):
-            rows.append(p)
-            provenance.append("prior")
+        if not is_duplicate(p):
+            add(p, "prior")
 
-    while len(rows) < n:
+    while len(provenance) < n:
         p = dirichlet_points(k, 1, rng)[0]
-        if not _is_duplicate(p, rows):
-            rows.append(p)
-            provenance.append("random")
+        if not is_duplicate(p):
+            add(p, "random")
 
-    return SeedDesign(np.asarray(rows), tuple(provenance))
+    return SeedDesign(rows, tuple(provenance))
 
 
 @dataclass(frozen=True)
@@ -284,7 +283,7 @@ def search_optimum(model, utility_spec: UtilitySpec | None = None,
     best = int(np.argmax(coarse_vals))  # first max = lex smallest tie
     evaluated = coarse.shape[0]
 
-    fine = boxed_lattice(coarse[best], steps * 5, radius=5,
+    fine = boxed_lattice(coarse[best], steps * 5, radius=REFINE_RADIUS,
                          budget=max(0, budget - evaluated))
     fine_vals = values(fine)
     best_fine = int(np.argmax(fine_vals))

@@ -126,6 +126,15 @@ class TestPipelineCommand:
         assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
         assert not (out / "qw2" / "experts").exists()
 
+    def test_budget_without_room_for_refinement_exits_2(self, tmp_path):
+        """21 points hold the coarse 2-way lattice but no refinement box."""
+        payload = dict(QW2_PIPELINE)
+        payload["search"] = {"resolution": 0.05, "budget": 21}
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not (out / "qw2" / "experts").exists()
+
     def test_failed_rerun_removes_stale_manifest(self, tmp_path):
         out = tmp_path / "out"
         good = write_config(tmp_path, QW2_PIPELINE, "good.json")

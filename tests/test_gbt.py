@@ -2,8 +2,139 @@ import numpy as np
 import pytest
 
 from mergemix.errors import MergeMixError
-from mergemix.gbt import BoostHyper, GradientBoostedRegressor, fit_tree
+from mergemix.gbt import (
+    PREDICT_BLOCK_ROWS,
+    BoostHyper,
+    GradientBoostedRegressor,
+    RegressionTree,
+    fit_tree,
+)
 from mergemix.stats import spearman
+
+
+# Reference kernels: the straightforward per-level predict, per-feature
+# argsort split search and predict-based boosting loop. The package's
+# blocked and presorted kernels must reproduce them bit for bit.
+
+def reference_tree_predict(tree: RegressionTree, x: np.ndarray) -> np.ndarray:
+    n = x.shape[0]
+    node = np.zeros(n, dtype=np.int64)
+    for _ in range(tree.max_depth + 1):
+        feat = tree.features[node]
+        internal = feat >= 0
+        if not internal.any():
+            break
+        col = np.where(internal, feat, 0)
+        go_left = x[np.arange(n), col] <= tree.thresholds[node]
+        node = np.where(internal,
+                        np.where(go_left, tree.lefts[node], tree.rights[node]),
+                        node)
+    return tree.values[node]
+
+
+def reference_best_split(x, y, min_leaf):
+    n = y.shape[0]
+    total = float(y.sum())
+    total_sq = float((y * y).sum())
+    parent_sse = total_sq - total * total / n
+    best = None
+    best_gain = 0.0
+    for f in range(x.shape[1]):
+        order = np.argsort(x[:, f], kind="stable")
+        xs = x[order, f]
+        ys = y[order]
+        csum = np.cumsum(ys)
+        csum_sq = np.cumsum(ys * ys)
+        i = np.arange(min_leaf, n - min_leaf + 1)
+        i = i[xs[i - 1] != xs[i]]
+        if i.size == 0:
+            continue
+        left_sum = csum[i - 1]
+        left_sse = csum_sq[i - 1] - left_sum * left_sum / i
+        right_sum = total - left_sum
+        right_sse = (total_sq - csum_sq[i - 1]) - right_sum * right_sum / (n - i)
+        gains = parent_sse - left_sse - right_sse
+        pos = int(np.argmax(gains))
+        if gains[pos] > best_gain:
+            best_gain = float(gains[pos])
+            split_at = int(i[pos])
+            best = (f, 0.5 * (xs[split_at - 1] + xs[split_at]))
+    return best
+
+
+def reference_fit_tree(x, y, max_depth, min_leaf) -> RegressionTree:
+    nodes = {"features": [], "thresholds": [], "lefts": [], "rights": [],
+             "values": []}
+
+    def grow(x, y, depth):
+        index = len(nodes["features"])
+        for key in nodes:
+            nodes[key].append(None)
+        split = None
+        if depth < max_depth and y.shape[0] >= 2 * min_leaf:
+            split = reference_best_split(x, y, min_leaf)
+        nodes["values"][index] = float(y.mean())
+        if split is None:
+            nodes["features"][index] = -1
+            nodes["thresholds"][index] = 0.0
+            nodes["lefts"][index] = -1
+            nodes["rights"][index] = -1
+            return index
+        f, thr = split
+        mask = x[:, f] <= thr
+        left = grow(x[mask], y[mask], depth + 1)
+        right = grow(x[~mask], y[~mask], depth + 1)
+        nodes["features"][index] = f
+        nodes["thresholds"][index] = float(thr)
+        nodes["lefts"][index] = left
+        nodes["rights"][index] = right
+        return index
+
+    grow(x, y, 0)
+    return RegressionTree(
+        features=np.asarray(nodes["features"], dtype=np.int64),
+        thresholds=np.asarray(nodes["thresholds"], dtype=np.float64),
+        lefts=np.asarray(nodes["lefts"], dtype=np.int64),
+        rights=np.asarray(nodes["rights"], dtype=np.int64),
+        values=np.asarray(nodes["values"], dtype=np.float64),
+        max_depth=max_depth,
+    )
+
+
+def reference_boost(x, y, hyper: BoostHyper):
+    init_value = float(y.mean())
+    trees = []
+    current = np.full(y.shape[0], init_value)
+    for _ in range(hyper.n_trees):
+        residual = y - current
+        if np.max(np.abs(residual)) == 0.0:
+            break
+        tree = reference_fit_tree(x, residual, hyper.max_depth, hyper.min_leaf)
+        current = current + hyper.learning_rate * reference_tree_predict(tree, x)
+        trees.append(tree)
+    return init_value, trees
+
+
+def reference_ensemble_predict(init_value, trees, learning_rate, x):
+    out = np.full(x.shape[0], init_value)
+    for tree in trees:
+        out = out + learning_rate * reference_tree_predict(tree, x)
+    return out
+
+
+def assert_same_tree(actual: RegressionTree, expected: RegressionTree):
+    for name in ("features", "thresholds", "lefts", "rights", "values"):
+        np.testing.assert_array_equal(getattr(actual, name), getattr(expected, name))
+        assert getattr(actual, name).dtype == getattr(expected, name).dtype
+    assert actual.max_depth == expected.max_depth
+
+
+def coarse_data(seed, n, k, levels=5):
+    """Rows with many repeated feature values, as on a simplex lattice."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, levels, size=(n, k)) / levels
+    y = np.sin(3 * x[:, 0]) - x[:, -1] + 0.1 * rng.standard_normal(n)
+    return x, y
 
 
 class TestRegressionTree:
@@ -84,3 +215,129 @@ class TestBoostedEnsemble:
             BoostHyper(n_trees=0)
         with pytest.raises(MergeMixError):
             BoostHyper(learning_rate=0.0)
+
+
+class TestKernelEquivalence:
+    """Blocked predict and presorted fit against the reference kernels."""
+
+    @pytest.mark.parametrize("seed,n,k,levels", [
+        (0, 40, 3, 5), (1, 97, 4, 3), (2, 600, 2, 21), (3, 25, 6, 2),
+    ])
+    @pytest.mark.parametrize("max_depth,min_leaf", [(1, 1), (3, 2), (4, 5)])
+    def test_fit_tree_matches_reference(self, seed, n, k, levels, max_depth,
+                                        min_leaf):
+        x, y = coarse_data(seed, n, k, levels)
+        assert_same_tree(fit_tree(x, y, max_depth, min_leaf),
+                         reference_fit_tree(x, y, max_depth, min_leaf))
+
+    def test_gain_ties_resolve_to_first_feature_and_threshold(self):
+        # Two identical columns tie on every gain; a symmetric target ties
+        # the outer thresholds of one column.
+        col = np.array([0.0, 1, 2, 3, 4, 5])
+        x = np.stack([col, col], axis=1)
+        y = np.array([1.0, 0, 0, 0, 0, 1])
+        tree = fit_tree(x, y, max_depth=1, min_leaf=1)
+        assert_same_tree(tree, reference_fit_tree(x, y, 1, 1))
+        assert tree.features[0] == 0 and tree.thresholds[0] == 0.5
+
+    def test_equal_gains_prefer_first_feature_over_earlier_threshold(self):
+        # Both columns isolate row 5: feature 0 at its last threshold,
+        # feature 1 (reversed) at its first.
+        col = np.array([0.0, 1, 2, 3, 4, 5])
+        x = np.stack([col, 5 - col], axis=1)
+        y = np.array([0.0, 0, 0, 0, 0, 1])
+        tree = fit_tree(x, y, max_depth=1, min_leaf=1)
+        assert_same_tree(tree, reference_fit_tree(x, y, 1, 1))
+        assert tree.features[0] == 0 and tree.thresholds[0] == 4.5
+
+    @pytest.mark.filterwarnings("ignore:Mean of empty slice")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("low", [1.0, 1.0 + 2.0 ** -52])
+    def test_threshold_rounding_onto_a_training_value(self, low):
+        """Between adjacent floats the midpoint rounds onto one of them; rows
+        equal to the threshold go left, even when that empties the right
+        child (whose value is then nan)."""
+        high = np.nextafter(low, 2.0)
+        x = np.array([[low], [low], [low], [high], [high], [high]])
+        y = np.array([0.0, 0, 0, 1, 1, 1])
+        tree = fit_tree(x, y, max_depth=2, min_leaf=1)
+        assert_same_tree(tree, reference_fit_tree(x, y, 2, 1))
+        np.testing.assert_array_equal(tree.predict(x),
+                                      reference_tree_predict(tree, x))
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_min_leaf_at_its_edge(self, n):
+        """n = 2 * min_leaf admits one split size; n = 2 * min_leaf + 1 two."""
+        x, y = coarse_data(4, n, 3, levels=7)
+        for depth in (1, 3):
+            assert_same_tree(fit_tree(x, y, depth, 2),
+                             reference_fit_tree(x, y, depth, 2))
+
+    def test_unsplittable_node_is_a_single_leaf(self):
+        x = np.ones((8, 2))
+        y = np.arange(8.0)
+        tree = fit_tree(x, y, max_depth=3, min_leaf=1)
+        assert_same_tree(tree, reference_fit_tree(x, y, 3, 1))
+        assert tree.features.tolist() == [-1]
+
+    @pytest.mark.parametrize("rows", [0, 1, PREDICT_BLOCK_ROWS - 1,
+                                      PREDICT_BLOCK_ROWS,
+                                      2 * PREDICT_BLOCK_ROWS + 17])
+    def test_tree_predict_matches_reference(self, rows):
+        x, y = coarse_data(5, 120, 4, levels=6)
+        grid = np.random.default_rng(6).uniform(size=(rows, 4))
+        grid[::3] = np.round(grid[::3] * 6) / 6  # rows on the thresholds' grid
+        for depth in (1, 3, 5):
+            tree = fit_tree(x, y, depth, 2)
+            expected = reference_tree_predict(tree, grid)
+            actual = tree.predict(grid)
+            np.testing.assert_array_equal(actual, expected)
+            assert actual.dtype == expected.dtype and actual.shape == (rows,)
+
+    def test_single_leaf_tree_predict(self):
+        tree = fit_tree(np.zeros((6, 2)), np.full(6, 0.25), 3, 2)
+        grid = np.random.default_rng(7).uniform(size=(PREDICT_BLOCK_ROWS + 3, 2))
+        np.testing.assert_array_equal(tree.predict(grid),
+                                      reference_tree_predict(tree, grid))
+
+    def test_stored_tree_deeper_than_max_depth(self):
+        """A walk stops after max_depth + 1 levels, even inside the tree."""
+        x, y = coarse_data(8, 200, 3, levels=10)
+        tree = fit_tree(x, y, 4, 1)
+        shallow = RegressionTree.from_dict(dict(tree.to_dict(), max_depth=1))
+        grid = np.random.default_rng(9).uniform(size=(300, 3))
+        np.testing.assert_array_equal(shallow.predict(grid),
+                                      reference_tree_predict(shallow, grid))
+
+    @pytest.mark.parametrize("hyper", [
+        BoostHyper(n_trees=40),
+        BoostHyper(n_trees=25, max_depth=1, learning_rate=0.3, min_leaf=1),
+        BoostHyper(n_trees=15, max_depth=4, learning_rate=1.0, min_leaf=3),
+    ])
+    def test_boosting_matches_reference(self, hyper):
+        x, y = coarse_data(10, 150, 4, levels=5)
+        model = GradientBoostedRegressor(hyper).fit(x, y)
+        init_value, trees = reference_boost(x, y, hyper)
+        assert model.init_value == init_value
+        assert len(model.trees) == len(trees)
+        for actual, expected in zip(model.trees, trees):
+            assert_same_tree(actual, expected)
+        grid = np.random.default_rng(11).uniform(size=(PREDICT_BLOCK_ROWS + 5, 4))
+        for points in (grid, x, grid[:0]):
+            np.testing.assert_array_equal(
+                model.predict(points),
+                reference_ensemble_predict(init_value, trees,
+                                           hyper.learning_rate, points))
+
+    def test_ensemble_with_single_leaf_trees(self):
+        """Identical rows with different targets: every tree is one leaf."""
+        x = np.tile([0.3, 0.7], (10, 1))
+        y = np.linspace(0.0, 1.0, 10)
+        hyper = BoostHyper(n_trees=5)
+        model = GradientBoostedRegressor(hyper).fit(x, y)
+        init_value, trees = reference_boost(x, y, hyper)
+        assert [t.features.tolist() for t in model.trees] == [[-1]] * 5
+        grid = np.random.default_rng(12).uniform(size=(9, 2))
+        np.testing.assert_array_equal(
+            model.predict(grid),
+            reference_ensemble_predict(init_value, trees, hyper.learning_rate, grid))

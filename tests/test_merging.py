@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from mergemix.errors import DimensionError, MergeMixError, SimplexError
+from mergemix.errors import (
+    BudgetExceededError,
+    DimensionError,
+    MergeMixError,
+    SimplexError,
+)
 from mergemix.merging import merge, select_top_checkpoints, simulate_anneal, soup
 from mergemix.simplex import (
+    REFINE_RADIUS,
     boxed_lattice,
     dirichlet_points,
     lattice_size,
@@ -52,6 +58,21 @@ class TestSimplexValidation:
         center = np.array([0.5, 0.25, 0.25])
         fine = boxed_lattice(center, steps=20, radius=5)
         assert any(np.allclose(p, center) for p in fine)
+
+    def test_boxed_lattice_budget_counts_every_row(self):
+        corner = np.array([1.0, 0.0])
+        with pytest.raises(BudgetExceededError):
+            boxed_lattice(corner, steps=20, radius=5, budget=5)
+        assert boxed_lattice(corner, steps=20, radius=5, budget=6).shape == (6, 2)
+        with pytest.raises(BudgetExceededError):
+            boxed_lattice(np.array([0.0, 0.0, 1.0]), steps=20, radius=5, budget=20)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("steps", [4, 10])
+    def test_smallest_refinement_box_is_a_corner_box(self, k, steps):
+        sizes = [boxed_lattice(p, steps * 5, REFINE_RADIUS).shape[0]
+                 for p in simplex_lattice(k, steps)]
+        assert min(sizes) == lattice_size(k, REFINE_RADIUS)
 
     def test_dirichlet_deterministic(self):
         a = dirichlet_points(3, 4, np.random.default_rng(5))

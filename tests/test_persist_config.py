@@ -6,6 +6,7 @@ import pytest
 from mergemix.config import load_config, parse_config
 from mergemix.errors import ConfigError, MergeMixError
 from mergemix.persist import (
+    dumps_json,
     load_checkpoint,
     read_json,
     save_checkpoint,
@@ -71,6 +72,24 @@ class TestArtifactWriters:
         p1 = write_json(tmp_path / "1.json", {"b": 1, "a": 2})
         p2 = write_json(tmp_path / "2.json", {"a": 2, "b": 1})
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_streamed_json_equals_dumps_json(self, tmp_path):
+        payload = {
+            "zeta": [0.1, 1e-300, -2.5e17, 1 / 3, [float("nan"), 7]],
+            "alpha": {"z": {"b": 2, "a": [{"y": 1.0, "x": -0.0}]}, "": None},
+            "µ-naïve": "日本語 ✓ \"quoted\" \\ tab\t",
+            "empty": [[], {}],
+            "flag": True,
+        }
+        path = write_json(tmp_path / "stream.json", payload)
+        assert path.read_bytes() == dumps_json(payload).encode("utf-8")
+
+    def test_failed_json_write_keeps_old_file(self, tmp_path):
+        path = write_json(tmp_path / "a.json", {"x": 1})
+        with pytest.raises(TypeError):
+            write_json(path, {"x": object()})
+        assert read_json(path) == {"x": 1}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json"]
 
 
 class TestConfigValidation:
@@ -150,6 +169,17 @@ class TestConfigValidation:
             ],
         })
         assert parse_config(hier).budget == 100
+
+    def test_search_budget_covers_smallest_refinement_box(self):
+        """QW-2 at resolution 0.05: 21 coarse points plus the 6-point box
+        around a corner."""
+        cfg = {"name": "b", "seed": 1, "world": {"fixture": "QW-2"},
+               "train": {"learning_rate": 0.05, "steps": 2},
+               "search": {"resolution": 0.05, "budget": 26}}
+        with pytest.raises(ConfigError, match="refinement"):
+            parse_config(cfg)
+        cfg["search"] = {"resolution": 0.05, "budget": 27}
+        assert parse_config(cfg).budget == 27
 
     def test_config_digest_covers_export_datasets(self):
         from mergemix.pipeline import _config_digest

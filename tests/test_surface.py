@@ -6,9 +6,11 @@ import pytest
 from mergemix.errors import BudgetExceededError, MergeMixError
 from mergemix.gbt import BoostHyper
 from mergemix.seeding import rng_for, stable_seed
-from mergemix.simplex import dirichlet_points
+from mergemix.simplex import dirichlet_points, normalize_simplex, simplex_lattice
 from mergemix.stats import NormContext, UtilitySpec, spearman
 from mergemix.surface import (
+    DUPLICATE_TOL,
+    SeedDesign,
     SurfaceModel,
     SurfaceSample,
     collect_raw_scores,
@@ -20,6 +22,42 @@ from mergemix.surface import (
     verify_optimum,
 )
 from tests.conftest import RUN_SEED
+
+
+def reference_seed_configs(k, n, priors=(), seed=0) -> SeedDesign:
+    """The seed design with a list scan per duplicate check."""
+
+    def is_duplicate(candidate, rows):
+        return any(np.max(np.abs(candidate - r)) <= DUPLICATE_TOL for r in rows)
+
+    rng = rng_for(seed, "seed-design")
+    rows, provenance = [], []
+    for i in range(k):
+        corner = np.zeros(k)
+        corner[i] = 1.0
+        rows.append(corner)
+        provenance.append("corner")
+    grid = [p for p in simplex_lattice(k, 4) if not is_duplicate(p, rows)]
+    room = n - len(rows)
+    if len(grid) > room:
+        keep = sorted(rng.choice(len(grid), size=room, replace=False).tolist())
+        grid = [grid[i] for i in keep]
+    for p in grid:
+        rows.append(p)
+        provenance.append("grid")
+    for prior in priors:
+        if len(rows) >= n:
+            break
+        p = normalize_simplex(prior)
+        if not is_duplicate(p, rows):
+            rows.append(p)
+            provenance.append("prior")
+    while len(rows) < n:
+        p = dirichlet_points(k, 1, rng)[0]
+        if not is_duplicate(p, rows):
+            rows.append(p)
+            provenance.append("random")
+    return SeedDesign(np.asarray(rows), tuple(provenance))
 
 
 class TestSeedDesign:
@@ -60,6 +98,21 @@ class TestSeedDesign:
     def test_too_small_rejected(self):
         with pytest.raises(MergeMixError):
             sample_seed_configs(4, 4, seed=0)
+
+    @pytest.mark.parametrize("k,n,priors,seed", [
+        (2, 3, (), 0),                      # grid subsampled to one point
+        (2, 600, (), 1),                    # sep-hier's stage size
+        (3, 25, ([0.5, 0.5, 0.0], [1.0, 0.0, 0.0]), 2),  # priors on grid/corner
+        (4, 40, ([0.7, 0.1, 0.1, 0.1], [0.7, 0.1, 0.1, 0.1]), 3),  # repeated prior
+        (6, 200, (), 4),
+        (5, 12, ([0.2] * 5,), 5),           # no room left for the prior
+    ])
+    def test_matches_list_scan_reference(self, k, n, priors, seed):
+        design = sample_seed_configs(k, n, priors=priors, seed=seed)
+        expected = reference_seed_configs(k, n, priors=priors, seed=seed)
+        np.testing.assert_array_equal(design.configs, expected.configs)
+        assert design.configs.dtype == expected.configs.dtype
+        assert design.provenance == expected.provenance
 
 
 class TestCollectSamples:
