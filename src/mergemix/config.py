@@ -15,11 +15,17 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
-from .errors import ConfigError, MergeMixError
+from .errors import ConfigError, MergeMixError, SimplexError
 from .gbt import BoostHyper
 from .hierarchy import MixtureNode
 from .models import ToyNet
-from .simplex import REFINE_RADIUS, lattice_size, lattice_steps
+from .simplex import (
+    DEFAULT_POINT_BUDGET,
+    REFINE_RADIUS,
+    lattice_size,
+    lattice_steps,
+    normalize_simplex,
+)
 from .stats import UtilitySpec
 from .training import TrainConfig
 from .worlds import (
@@ -33,7 +39,6 @@ from .models import Quadratic
 
 DEFAULT_DESIGN_SIZE = 40
 DEFAULT_RESOLUTION = 0.05
-DEFAULT_BUDGET = 2_000_000
 HIERARCHICAL_MODES = ("hierarchical-top-down", "hierarchical-bottom-up")
 
 
@@ -58,7 +63,7 @@ class RunConfig:
     hyper: BoostHyper = field(default_factory=BoostHyper)
     utility_spec: UtilitySpec = field(default_factory=UtilitySpec)
     resolution: float = DEFAULT_RESOLUTION
-    budget: int = DEFAULT_BUDGET
+    budget: int = DEFAULT_POINT_BUDGET
     hierarchy: dict | None = None
     recalibrate_steps: int | None = None
     consistency_ratios: tuple = ()
@@ -147,9 +152,17 @@ def _validate_cross_fields(data: dict, cfg: RunConfig) -> None:
         raise ConfigError(
             f"design size {cfg.design_size} too small for {k} domains"
         )
-    for prior in cfg.priors:
-        if len(prior) != k:
-            raise ConfigError(f"prior {prior} does not have {k} entries")
+    vectors = [("prior", prior) for prior in cfg.priors]
+    vectors += [("consistency ratio", lam) for lam in cfg.consistency_ratios]
+    if "weights" in cfg.theory:
+        vectors.append(("theory weights", tuple(cfg.theory["weights"])))
+    for label, weights in vectors:
+        if len(weights) != k:
+            raise ConfigError(f"{label} {weights} does not have {k} entries")
+        try:
+            normalize_simplex(weights)
+        except SimplexError as exc:
+            raise ConfigError(f"{label} {weights}: {exc}") from exc
     if cfg.utility_spec.kind == "weighted" and len(cfg.utility_spec.weights) != k:
         raise ConfigError("utility weights must have one entry per domain")
     if cfg.utility_spec.kind == "single" and cfg.utility_spec.index >= k:
@@ -177,9 +190,6 @@ def _validate_cross_fields(data: dict, cfg: RunConfig) -> None:
             )
     if cfg.mode == "dynamic-recalibrate" and cfg.recalibrate_steps is None:
         raise ConfigError("dynamic-recalibrate mode requires a 'recalibrate' section")
-    for lam in cfg.consistency_ratios:
-        if len(lam) != k:
-            raise ConfigError(f"consistency ratio {lam} does not have {k} entries")
 
 
 def parse_config(data: dict) -> RunConfig:
@@ -216,7 +226,7 @@ def parse_config(data: dict) -> RunConfig:
             hyper=hyper,
             utility_spec=utility_spec,
             resolution=float(search.get("resolution", DEFAULT_RESOLUTION)),
-            budget=int(search.get("budget", DEFAULT_BUDGET)),
+            budget=int(search.get("budget", DEFAULT_POINT_BUDGET)),
             hierarchy=data.get("hierarchy"),
             recalibrate_steps=(int(data["recalibrate"]["total_steps"])
                                if "recalibrate" in data else None),

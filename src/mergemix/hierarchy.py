@@ -246,6 +246,12 @@ def optimize_top_down(tree: MixtureNode, ctx: HierarchyContext) -> MixtureNode:
         virtual = [rest + mass * (p - ctx.base) for p in parts]
         node.weights = _searched_weights(
             ctx, virtual, ("design", node.name), ctx.cluster_utility(node))
+        refine_children(node, mass, rest)
+
+    def refine_children(node: MixtureNode, mass: float, rest: np.ndarray):
+        """Refine each child of a node whose weights are set, with its
+        siblings frozen at those weights."""
+        parts = [frozen[id(child)] for child in node.children]
         for i, child in enumerate(node.children):
             child_rest = rest.copy()
             for j, pv in enumerate(parts):
@@ -255,13 +261,7 @@ def optimize_top_down(tree: MixtureNode, ctx: HierarchyContext) -> MixtureNode:
                     )
             refine(child, mass * float(node.weights[i]), child_rest)
 
-    parts = [frozen[id(c)] for c in tree.children]
-    for i, child in enumerate(tree.children):
-        rest = ctx.base.copy()
-        for j, pv in enumerate(parts):
-            if j != i:
-                rest = rest + float(tree.weights[j]) * (pv - ctx.base)
-        refine(child, float(tree.weights[i]), rest)
+    refine_children(tree, 1.0, ctx.base)  # 1.0 * w is exactly w
     tree.validate()
     return tree
 

@@ -346,7 +346,9 @@ def run_theory(cfg: RunConfig, out_dir: str | Path) -> Path:
 
     scaling = horizon_scaling_check(world, weights, lr, steps, base)
 
+    # Only final parameters are read here, so record no intermediate checkpoints.
     train_cfg = cfg.train_config(stable_seed(cfg.seed, "train"))
+    train_cfg = replace(train_cfg, checkpoint_interval=max(1, train_cfg.steps))
     experts = train_all_experts(world, base, train_cfg)
     params = expert_params(experts)
 

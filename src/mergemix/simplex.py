@@ -1,4 +1,11 @@
-"""Probability-simplex utilities: validation, lattice enumeration, sampling."""
+"""Probability-simplex utilities: validation, lattice enumeration, sampling.
+
+Both lattices the search sweeps, the full simplex lattice and the box
+around a coarse optimum, come from one non-recursive enumerator, `_lattice`:
+it builds the points coordinate by coordinate with `np.repeat`, checks the
+budget before building anything larger, and writes the rows in ascending
+lexicographic order into one preallocated array.
+"""
 
 from __future__ import annotations
 
@@ -25,6 +32,8 @@ def normalize_simplex(weights, tol: float = SIMPLEX_TOL) -> np.ndarray:
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.shape[0] < 1:
         raise SimplexError(f"weights must be a 1-D vector, got shape {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise SimplexError(f"non-finite weight in {w.tolist()}")
     if np.any(w < 0):
         raise SimplexError(f"negative weight in {w.tolist()}")
     total = float(w.sum())
@@ -72,31 +81,57 @@ def lattice_size(k: int, steps: int) -> int:
     return comb(steps + k - 1, k - 1)
 
 
+def _lattice(lo: np.ndarray, hi: np.ndarray, steps: int, budget: int,
+             label: str) -> np.ndarray:
+    """Integer points `lo <= c <= hi` with `sum(c) == steps`, divided by
+    `steps`, in ascending lexicographic order.
+
+    Coordinates are chosen left to right. At coordinate `pos` a prefix with
+    `rest` units left takes, in ascending order, every value that leaves the
+    coordinates after it a total they can hold; its children are contiguous,
+    so each level lists its prefixes lexicographically. Every such prefix
+    completes to at least one point, so no level is larger than the result,
+    and checking each level against the budget raises before any array
+    larger than the budget is built. Each level keeps one (value, parent)
+    pair of index arrays; the rows are then written, last coordinate first,
+    into one preallocated array, releasing each level once it is written.
+    """
+    k = lo.shape[0]
+    # Fewest and most units that coordinates pos.. can hold; 0 past the end.
+    tail_lo = np.append(np.cumsum(lo[::-1])[::-1], 0)
+    tail_hi = np.append(np.cumsum(hi[::-1])[::-1], 0)
+    rest = np.array([steps])
+    levels = []  # (value, parent prefix index) per coordinate
+    for pos in range(k):
+        first = np.maximum(lo[pos], rest - tail_hi[pos + 1])
+        last = np.minimum(hi[pos], rest - tail_lo[pos + 1])
+        counts = np.maximum(last - first + 1, 0)
+        n = int(counts.sum())
+        if n > budget:
+            raise BudgetExceededError(f"{label} exceeds the budget of {budget}")
+        parent = np.repeat(np.arange(rest.shape[0]), counts)
+        # The j-th child of a prefix takes first + j.
+        value = np.arange(n)
+        value += (first - (np.cumsum(counts) - counts))[parent]
+        rest = rest[parent]
+        rest -= value
+        levels.append((value, parent))
+    out = np.empty((rest.shape[0], k), dtype=np.float64)
+    del rest
+    row = None  # each output row's index into the current level
+    for pos in range(k - 1, -1, -1):
+        value, parent = levels.pop()
+        out[:, pos] = value if row is None else value[row]
+        row = parent if row is None else parent[row]
+    out /= steps  # the same correctly rounded quotient as int c / steps
+    return out
+
+
 def simplex_lattice(k: int, steps: int,
                     budget: int = DEFAULT_POINT_BUDGET) -> np.ndarray:
     """All points of the simplex lattice {c/steps}, lexicographically ascending."""
-    size = lattice_size(k, steps)
-    if size > budget:
-        raise BudgetExceededError(
-            f"simplex lattice has {size} points, exceeding the budget of {budget}"
-        )
-    out = np.empty((size, k), dtype=np.float64)
-    comp = [0] * k
-    row = 0
-
-    def rec(pos: int, remaining: int):
-        nonlocal row
-        if pos == k - 1:
-            comp[pos] = remaining
-            out[row] = [c / steps for c in comp]
-            row += 1
-            return
-        for c in range(remaining + 1):
-            comp[pos] = c
-            rec(pos + 1, remaining - c)
-
-    rec(0, steps)
-    return out
+    return _lattice(np.zeros(k, dtype=np.int64), np.full(k, steps, dtype=np.int64),
+                    steps, budget, "simplex lattice")
 
 
 def boxed_lattice(center: np.ndarray, steps: int, radius: int,
@@ -106,33 +141,10 @@ def boxed_lattice(center: np.ndarray, steps: int, radius: int,
     Used for the local refinement pass around a coarse optimum; `center`
     must itself lie on the lattice.
     """
-    k = center.shape[0]
-    center_units = np.rint(center * steps).astype(int)
+    center_units = np.rint(center * steps).astype(np.int64)
     lo = np.maximum(center_units - radius, 0)
     hi = np.minimum(center_units + radius, steps)
-    rows: list[list[float]] = []
-    comp = [0] * k
-
-    def rec(pos: int, remaining: int):
-        if pos == k - 1:
-            if lo[pos] <= remaining <= hi[pos]:
-                if len(rows) == budget:
-                    raise BudgetExceededError(
-                        f"refinement lattice exceeds the budget of {budget}"
-                    )
-                comp[pos] = remaining
-                rows.append([c / steps for c in comp])
-            return
-        tail_lo = int(lo[pos + 1 :].sum())
-        tail_hi = int(hi[pos + 1 :].sum())
-        for c in range(lo[pos], hi[pos] + 1):
-            rest = remaining - c
-            if tail_lo <= rest <= tail_hi:
-                comp[pos] = c
-                rec(pos + 1, rest)
-
-    rec(0, steps)
-    return np.asarray(rows, dtype=np.float64)
+    return _lattice(lo, hi, steps, budget, "refinement lattice")
 
 
 def dirichlet_points(k: int, n: int, rng: np.random.Generator) -> np.ndarray:

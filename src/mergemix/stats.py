@@ -139,8 +139,10 @@ class UtilitySpec:
             if not self.weights:
                 raise MergeMixError("weighted utility needs weights")
             w = np.asarray(self.weights, dtype=np.float64)
-            if np.any(w < 0) or abs(float(w.sum()) - 1.0) > 1e-9:
-                raise MergeMixError("utility weights must be >= 0 and sum to 1")
+            if (not np.all(np.isfinite(w)) or np.any(w < 0)
+                    or abs(float(w.sum()) - 1.0) > 1e-9):
+                raise MergeMixError(
+                    "utility weights must be finite, >= 0 and sum to 1")
             object.__setattr__(self, "weights", tuple(float(x) for x in w))
         if self.kind == "single" and self.index is None:
             raise MergeMixError("single-capability utility needs an index")

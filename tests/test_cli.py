@@ -135,6 +135,28 @@ class TestPipelineCommand:
         assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
         assert not (out / "qw2" / "experts").exists()
 
+    @pytest.mark.parametrize("prior,message", [
+        ([float("nan"), 0.5], "non-finite"),
+        ([0.5, 0.3], "sum to 0.8"),
+    ])
+    def test_bad_design_prior_exits_2_before_any_directory(
+            self, tmp_path, capsys, prior, message):
+        payload = dict(QW2_PIPELINE, design={"size": 8, "priors": [prior]})
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_utility_weights_exit_2_before_any_directory(
+            self, tmp_path):
+        payload = dict(QW2_PIPELINE, utility={"kind": "weighted",
+                                              "weights": [float("nan"), 1.0]})
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_failed_rerun_removes_stale_manifest(self, tmp_path):
         out = tmp_path / "out"
         good = write_config(tmp_path, QW2_PIPELINE, "good.json")
@@ -217,6 +239,16 @@ class TestTheoryCommand:
         col = header.index("delta_norm")
         for line in lines[1:]:
             assert float(line.split(",")[col]) <= 1e-12
+
+    def test_theory_weights_length_exits_2_before_any_directory(
+            self, tmp_path, capsys):
+        payload = dict(QW2_THEORY, world={"fixture": "QW-4"},
+                       theory={"sweep_resolution": 0.25, "weights": [0.5, 0.5]})
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["theory", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "does not have 4 entries" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConsistencyCommand:

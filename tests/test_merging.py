@@ -23,6 +23,74 @@ from mergemix.models import ToyNet
 from mergemix.seeding import stable_seed
 
 
+# Test-only reference kernels: the recursive enumerators the array-built
+# `simplex._lattice` replaced. The tests below pin bit-for-bit equality.
+
+def reference_simplex_lattice(k: int, steps: int) -> np.ndarray:
+    out = np.empty((lattice_size(k, steps), k), dtype=np.float64)
+    comp = [0] * k
+    row = 0
+
+    def rec(pos: int, remaining: int):
+        nonlocal row
+        if pos == k - 1:
+            comp[pos] = remaining
+            out[row] = [c / steps for c in comp]
+            row += 1
+            return
+        for c in range(remaining + 1):
+            comp[pos] = c
+            rec(pos + 1, remaining - c)
+
+    rec(0, steps)
+    return out
+
+
+def reference_boxed_lattice(center: np.ndarray, steps: int,
+                            radius: int) -> np.ndarray:
+    k = center.shape[0]
+    center_units = np.rint(center * steps).astype(int)
+    lo = np.maximum(center_units - radius, 0)
+    hi = np.minimum(center_units + radius, steps)
+    rows: list[list[float]] = []
+    comp = [0] * k
+
+    def rec(pos: int, remaining: int):
+        if pos == k - 1:
+            if lo[pos] <= remaining <= hi[pos]:
+                comp[pos] = remaining
+                rows.append([c / steps for c in comp])
+            return
+        tail_lo = int(lo[pos + 1 :].sum())
+        tail_hi = int(hi[pos + 1 :].sum())
+        for c in range(lo[pos], hi[pos] + 1):
+            rest = remaining - c
+            if tail_lo <= rest <= tail_hi:
+                comp[pos] = c
+                rec(pos + 1, rest)
+
+    rec(0, steps)
+    return np.asarray(rows, dtype=np.float64)
+
+
+BOX_STEPS = 60  # divisible by every k below, so the uniform point is on the lattice
+
+
+def box_centers(k: int) -> list[np.ndarray]:
+    """Both end corners, an edge midpoint, the uniform point and an interior
+    point next to a corner, in units of 1/BOX_STEPS."""
+    units = [np.eye(k, dtype=int)[0] * BOX_STEPS,
+             np.eye(k, dtype=int)[k - 1] * BOX_STEPS,
+             np.full(k, BOX_STEPS // k)]
+    if k >= 2:
+        edge = np.zeros(k, dtype=int)
+        edge[: 2] = BOX_STEPS // 2
+        near_corner = np.ones(k, dtype=int)
+        near_corner[0] = BOX_STEPS - (k - 1)
+        units += [edge, near_corner]
+    return [u / BOX_STEPS for u in units]
+
+
 class TestSimplexValidation:
     def test_renormalizes_tolerated_drift(self):
         w = normalize_simplex([0.5, 0.5 + 5e-10])
@@ -35,6 +103,12 @@ class TestSimplexValidation:
     def test_rejects_negative(self):
         with pytest.raises(SimplexError):
             normalize_simplex([1.1, -0.1])
+
+    @pytest.mark.parametrize("weights", [[float("nan"), 0.5], [float("nan"), 1.0],
+                                         [float("inf"), 0.0], [0.5, -float("inf")]])
+    def test_rejects_non_finite(self, weights):
+        with pytest.raises(SimplexError, match="non-finite"):
+            normalize_simplex(weights)
 
     def test_uniform_weights_sum_exactly_one(self):
         for k in range(1, 12):
@@ -78,6 +152,42 @@ class TestSimplexValidation:
         a = dirichlet_points(3, 4, np.random.default_rng(5))
         b = dirichlet_points(3, 4, np.random.default_rng(5))
         np.testing.assert_array_equal(a, b)
+
+
+class TestLatticeMatchesReference:
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_simplex_lattice_bit_identical(self, k):
+        for steps in range(1, 21):
+            got = simplex_lattice(k, steps)
+            want = reference_simplex_lattice(k, steps)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_boxed_lattice_bit_identical(self, k):
+        for center in box_centers(k):
+            for radius in range(7):
+                got = boxed_lattice(center, BOX_STEPS, radius)
+                want = reference_boxed_lattice(center, BOX_STEPS, radius)
+                assert got.shape == want.shape, (center, radius)
+                assert got.tobytes() == want.tobytes(), (center, radius)
+
+    @pytest.mark.parametrize("k,steps", [(1, 1), (1, 7), (2, 5), (3, 6), (5, 4)])
+    def test_simplex_lattice_budget_edge(self, k, steps):
+        n = lattice_size(k, steps)
+        with pytest.raises(BudgetExceededError):
+            simplex_lattice(k, steps, budget=n - 1)
+        assert simplex_lattice(k, steps, budget=n).shape == (n, k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_boxed_lattice_budget_edge(self, k):
+        for center in box_centers(k):
+            for radius in (0, 1, 5):
+                n = reference_boxed_lattice(center, BOX_STEPS, radius).shape[0]
+                with pytest.raises(BudgetExceededError):
+                    boxed_lattice(center, BOX_STEPS, radius, budget=n - 1)
+                got = boxed_lattice(center, BOX_STEPS, radius, budget=n)
+                assert got.shape == (n, k)
 
 
 class TestMerge:

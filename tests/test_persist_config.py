@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,6 +93,19 @@ class TestArtifactWriters:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json"]
 
 
+SHIPPED_CONFIGS = sorted(
+    (Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+def test_shipped_config_loads(path):
+    assert load_config(path).name == path.stem
+
+
+def test_shipped_configs_found():
+    assert len(SHIPPED_CONFIGS) >= 6
+
+
 class TestConfigValidation:
     def test_minimal_config_parses(self):
         cfg = parse_config(dict(BASE_CONFIG))
@@ -150,6 +164,28 @@ class TestConfigValidation:
         bad["design"] = {"priors": [[0.2, 0.3, 0.5]]}
         with pytest.raises(ConfigError):
             parse_config(bad)
+
+    @pytest.mark.parametrize("section", [
+        lambda w: {"design": {"priors": [[0.5, 0.5], w]}},
+        lambda w: {"consistency": {"ratios": [[0.5, 0.5], w]}},
+        lambda w: {"theory": {"weights": w}},
+    ])
+    @pytest.mark.parametrize("weights,message", [
+        ([0.5, 0.3], "sum to 0.8"),
+        ([float("nan"), 0.5], "non-finite"),
+        ([0.2, 0.3, 0.5], "does not have 2 entries"),
+    ])
+    def test_every_weight_vector_checked_at_parse_time(self, section, weights,
+                                                       message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(dict(BASE_CONFIG, **section(weights)))
+
+    def test_weight_vectors_within_tolerance_parse(self):
+        drift = [0.5, 0.5 + 5e-10]
+        cfg = parse_config(dict(BASE_CONFIG, design={"priors": [drift]},
+                                consistency={"ratios": [drift]},
+                                theory={"weights": drift}))
+        assert cfg.priors == (tuple(drift),)
 
     def test_search_budget_checked_per_search(self):
         """Budget 100 cannot hold the 4-way lattice at resolution 0.05

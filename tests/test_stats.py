@@ -129,6 +129,8 @@ class TestUtility:
             UtilitySpec(kind="weighted", weights=(0.5, 0.6))
         with pytest.raises(MergeMixError):
             UtilitySpec(kind="weighted", weights=(-0.2, 1.2))
+        with pytest.raises(MergeMixError, match="finite"):
+            UtilitySpec(kind="weighted", weights=(float("nan"), 1.0))
 
 
 REFERENCE_ROWS = [
