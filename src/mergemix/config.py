@@ -146,6 +146,12 @@ def build_world(spec: dict) -> World:
 
 
 def _validate_cross_fields(data: dict, cfg: RunConfig) -> None:
+    # The run directory is <out>/<name>, and a rerun replaces it.
+    if cfg.name in (".", "..") or any(c in cfg.name for c in ("/", "\\", "\0")):
+        raise ConfigError(
+            f"run name {cfg.name!r} must be a single path component: "
+            "no '/', '\\' or NUL, and not '.' or '..'"
+        )
     world = cfg.build_world()  # resolves fixture names and domain specs
     k = world.num_domains
     if cfg.design_size < k + 1:
@@ -163,6 +169,13 @@ def _validate_cross_fields(data: dict, cfg: RunConfig) -> None:
             normalize_simplex(weights)
         except SimplexError as exc:
             raise ConfigError(f"{label} {weights}: {exc}") from exc
+    # An empty list means no consistency run; the consistency command
+    # reports that with its usage line.
+    if 0 < len(cfg.consistency_ratios) < 3:
+        raise ConfigError(
+            f"consistency needs at least 3 ratios to rank, "
+            f"got {len(cfg.consistency_ratios)}"
+        )
     if cfg.utility_spec.kind == "weighted" and len(cfg.utility_spec.weights) != k:
         raise ConfigError("utility weights must have one entry per domain")
     if cfg.utility_spec.kind == "single" and cfg.utility_spec.index >= k:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MergeMixError
-from .merging import merge
+from .merging import merge_many
 from .simplex import normalize_simplex
 from .stats import (
     CorrelationReport,
@@ -24,7 +24,7 @@ from .stats import (
     spearman,
     utility,
 )
-from .training import TrainConfig, expert_params, train_on_mixture
+from .training import TrainConfig, expert_params, train_on_mixtures
 from .worlds import World, raw_capabilities
 
 
@@ -50,11 +50,10 @@ def rank_consistency(world: World, base: np.ndarray, experts,
         raise MergeMixError(f"need at least 3 ratios, got {len(ratios)}")
     spec = utility_spec or UtilitySpec()
     params = expert_params(experts)
-    merged_raw = [raw_capabilities(world, merge(base, params, lam)) for lam in ratios]
-    trained_raw = [
-        raw_capabilities(world, train_on_mixture(world, lam, base, train_config).final)
-        for lam in ratios
-    ]
+    merged_raw = [raw_capabilities(world, theta)
+                  for theta in merge_many(base, params, ratios)]
+    trained_raw = [raw_capabilities(world, artifact.final)
+                   for artifact in train_on_mixtures(world, ratios, base, train_config)]
 
     # One normalization context per capability over both arms, so the two
     # score lists live in the same units and the offset is meaningful.

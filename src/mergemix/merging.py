@@ -18,20 +18,35 @@ def merge(base: np.ndarray, experts: Sequence[np.ndarray],
     One-hot weights return the selected expert bit-exactly (no float
     round trip through the subtraction).
     """
+    return merge_many(base, experts, [weights])[0]
+
+
+def merge_many(base: np.ndarray, experts: Sequence[np.ndarray],
+               weights) -> np.ndarray:
+    """`merge` at every weight row, as an (n, P) stack in input order.
+
+    Each row goes through the same vector-matrix kernel as a single
+    `w @ (stack - base)`, so row i is bit-identical to merging at weights[i]
+    alone.
+    """
     base = as_params(base)
     if len(experts) == 0:
         raise DimensionError("merge requires at least one expert")
-    w = normalize_simplex(weights)
-    if w.shape[0] != len(experts):
-        raise DimensionError(
-            f"{len(experts)} experts but {w.shape[0]} weights"
-        )
+    rows = [normalize_simplex(row) for row in weights]
+    for row in rows:
+        if row.shape[0] != len(experts):
+            raise DimensionError(
+                f"{len(experts)} experts but {row.shape[0]} weights"
+            )
+    w = np.reshape(rows, (len(rows), len(experts)))
     stack = np.stack([as_params(e) for e in experts])
     check_same_dim(base, stack[0])
-    hot = is_one_hot(w)
-    if hot is not None:
-        return stack[hot].copy()
-    return base + w @ (stack - base)
+    merged = base + np.matmul(w[:, None, :], stack - base)[:, 0, :]
+    for i, row in enumerate(w):
+        hot = is_one_hot(row)
+        if hot is not None:
+            merged[i] = stack[hot]
+    return merged
 
 
 def soup(checkpoints: Sequence[np.ndarray]) -> np.ndarray:

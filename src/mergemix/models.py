@@ -48,7 +48,13 @@ class Quadratic:
         return 0.5 * float(d @ (self.curvature @ d))
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
-        return self.curvature @ (theta - self.minimizer)
+        """Gradient at one vector, or row-wise at an (n, P) stack.
+
+        Each row goes through the same matrix-vector kernel as `A @ d`, so a
+        stacked row is bit-identical to the single-vector gradient.
+        """
+        d = theta - self.minimizer
+        return np.matmul(self.curvature, d[..., None])[..., 0]
 
     def hvp(self, direction: np.ndarray) -> np.ndarray:
         return self.curvature @ direction

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 import time
 from dataclasses import fields, replace
 from importlib import resources
@@ -51,13 +52,14 @@ from .surface import (
 )
 from .theory import (
     TaylorContext,
-    discrepancy,
+    discrepancy_sweep,
     horizon_scaling_check,
     relative_curvature,
     task_vector_cosines,
 )
 from .training import (
     ExpertArtifact,
+    TrainConfig,
     expert_params,
     train_all_experts,
     train_on_mixture,
@@ -74,12 +76,20 @@ MANIFEST_FILE = "manifest.json"
 
 
 def _prepare_run_dir(cfg: RunConfig, out_dir: str | Path) -> Path:
-    """Create the run directory and drop any earlier run's manifest, so a
-    run that fails from here on never looks complete."""
+    """Create an empty run directory, replacing any earlier run's, so the
+    manifest certifies only this run's files and a run that fails from here
+    on never looks complete."""
     run_dir = Path(out_dir) / cfg.name
-    run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / MANIFEST_FILE).unlink(missing_ok=True)
+    if run_dir.exists():
+        shutil.rmtree(run_dir)
+    run_dir.mkdir(parents=True)
     return run_dir
+
+
+def _final_only(train_cfg: TrainConfig) -> TrainConfig:
+    """The same training, recording no intermediate checkpoints: for runs
+    whose final parameters are all that is read."""
+    return replace(train_cfg, checkpoint_interval=max(1, train_cfg.steps))
 
 
 def _world_block(cfg: RunConfig, world: World) -> dict:
@@ -346,43 +356,22 @@ def run_theory(cfg: RunConfig, out_dir: str | Path) -> Path:
 
     scaling = horizon_scaling_check(world, weights, lr, steps, base)
 
-    # Only final parameters are read here, so record no intermediate checkpoints.
-    train_cfg = cfg.train_config(stable_seed(cfg.seed, "train"))
-    train_cfg = replace(train_cfg, checkpoint_interval=max(1, train_cfg.steps))
+    train_cfg = _final_only(cfg.train_config(stable_seed(cfg.seed, "train")))
     experts = train_all_experts(world, base, train_cfg)
     params = expert_params(experts)
 
     curvature = relative_curvature(world, base)
     cosines = task_vector_cosines(experts, base)
 
-    horizon = lr * steps
-    ctx = TaylorContext.from_world(world, base, horizon)
+    ctx = TaylorContext.from_world(world, base, lr * steps)
     grid = simplex_lattice(k, lattice_steps(sweep_res))
-    sweep_rows = []
-    max_delta = 0.0
-    max_residual = 0.0
-    for lam in grid:
-        rep = discrepancy(ctx, lam)
-        mixed = train_on_mixture(world, lam, base, train_cfg).final
-        merged = merge(base, params, lam)
-        rep = rep.with_observation(mixed - merged)
-        delta_norm = float(np.linalg.norm(rep.delta))
-        max_delta = max(max_delta, delta_norm)
-        max_residual = max(max_residual, rep.residual_norm)
-        sweep_rows.append([
-            *lam.tolist(),
-            delta_norm,
-            float(np.linalg.norm(rep.cross_interference)),
-            float(np.linalg.norm(rep.self_scaling)),
-            float(np.linalg.norm(rep.observed)),
-            rep.residual_norm,
-        ])
+    norms = discrepancy_sweep(world, base, params, grid, ctx, train_cfg)
 
     write_csv(run_dir / "delta_sweep.csv",
               [f"lambda_{i + 1}" for i in range(k)]
               + ["delta_norm", "cross_norm", "self_norm",
                  "observed_norm", "residual_norm"],
-              sweep_rows)
+              ([*lam.tolist(), *row.tolist()] for lam, row in zip(grid, norms)))
     write_csv(run_dir / "curvature_matrix.csv",
               ["domain", *names, "diagonally_dominant"],
               [[names[i], *curvature.values[i].tolist(),
@@ -402,9 +391,9 @@ def run_theory(cfg: RunConfig, out_dir: str | Path) -> Path:
         "task_vector_cosine": cosines.tolist(),
         "sweep": {
             "resolution": sweep_res,
-            "rows": len(sweep_rows),
-            "max_delta_norm": max_delta,
-            "max_residual_norm": max_residual,
+            "rows": len(norms),
+            "max_delta_norm": max(0.0, *norms[:, 0].tolist()),
+            "max_residual_norm": max(0.0, *norms[:, 4].tolist()),
         },
     }
     jsonschema.validate(report, THEORY_REPORT_SCHEMA)
@@ -422,7 +411,7 @@ def run_consistency(cfg: RunConfig, out_dir: str | Path) -> tuple[Path, float]:
     world = cfg.build_world()
     run_dir = _prepare_run_dir(cfg, out_dir)
     base = world.base_params()
-    train_cfg = cfg.train_config(stable_seed(cfg.seed, "train"))
+    train_cfg = _final_only(cfg.train_config(stable_seed(cfg.seed, "train")))
     experts = train_all_experts(world, base, train_cfg)
     result = rank_consistency(world, base, experts,
                               [np.asarray(r) for r in cfg.consistency_ratios],

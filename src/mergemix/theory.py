@@ -12,14 +12,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
 from .errors import DegenerateInputError, DimensionError, MergeMixError, NumericError
-from .merging import merge
+from .merging import merge, merge_many
 from .params import as_params
 from .simplex import normalize_simplex
-from .training import TrainConfig, train_on_mixture, train_expert
+from .training import (
+    MIXTURE_BLOCK_ROWS,
+    TrainConfig,
+    train_expert,
+    train_on_mixture,
+    train_on_mixtures,
+)
 from .worlds import World
 
 
@@ -79,32 +86,38 @@ def _check_weights(ctx: TaylorContext, weights) -> np.ndarray:
     return lam
 
 
-def _first_order(ctx: TaylorContext, lam: np.ndarray) -> np.ndarray:
-    step = np.zeros_like(ctx.theta0)
+def _first_order(ctx: TaylorContext, lams: np.ndarray) -> np.ndarray:
+    step = np.zeros((lams.shape[0], ctx.theta0.shape[0]))
     for k in range(ctx.num_domains):
-        step += lam[k] * ctx.grads[k]
+        step += lams[:, k : k + 1] * ctx.grads[k]
     return ctx.theta0 - ctx.horizon * step
+
+
+def _predict_mixture(ctx: TaylorContext, lams: np.ndarray) -> np.ndarray:
+    table = ctx.curvature_responses
+    quad = np.zeros((lams.shape[0], ctx.theta0.shape[0]))
+    for k in range(ctx.num_domains):
+        for j in range(ctx.num_domains):
+            quad += (lams[:, k] * lams[:, j])[:, None] * table[k, j]
+    return _first_order(ctx, lams) + 0.5 * ctx.horizon**2 * quad
+
+
+def _predict_merge(ctx: TaylorContext, lams: np.ndarray) -> np.ndarray:
+    table = ctx.curvature_responses
+    quad = np.zeros((lams.shape[0], ctx.theta0.shape[0]))
+    for k in range(ctx.num_domains):
+        quad += lams[:, k : k + 1] * table[k, k]
+    return _first_order(ctx, lams) + 0.5 * ctx.horizon**2 * quad
 
 
 def predict_mixture_params(ctx: TaylorContext, weights) -> np.ndarray:
     """Second-order estimate of training on the weighted mixed loss."""
-    lam = _check_weights(ctx, weights)
-    table = ctx.curvature_responses
-    quad = np.zeros_like(ctx.theta0)
-    for k in range(ctx.num_domains):
-        for j in range(ctx.num_domains):
-            quad += lam[k] * lam[j] * table[k, j]
-    return _first_order(ctx, lam) + 0.5 * ctx.horizon**2 * quad
+    return _predict_mixture(ctx, _check_weights(ctx, weights)[None])[0]
 
 
 def predict_merge_params(ctx: TaylorContext, weights) -> np.ndarray:
     """Second-order estimate of merging independently trained experts."""
-    lam = _check_weights(ctx, weights)
-    table = ctx.curvature_responses
-    quad = np.zeros_like(ctx.theta0)
-    for k in range(ctx.num_domains):
-        quad += lam[k] * table[k, k]
-    return _first_order(ctx, lam) + 0.5 * ctx.horizon**2 * quad
+    return _predict_merge(ctx, _check_weights(ctx, weights)[None])[0]
 
 
 @dataclass(frozen=True)
@@ -142,28 +155,70 @@ class DiscrepancyReport:
         return out
 
 
-def discrepancy(ctx: TaylorContext, weights) -> DiscrepancyReport:
-    """Mixture-minus-merge gap at second order, split into its two parts."""
-    lam = _check_weights(ctx, weights)
+def _discrepancy_parts(ctx: TaylorContext, lams: np.ndarray):
+    """(delta, cross, self) stacks, one row per weight row of `lams`.
+
+    Each row must match the difference of the two predictions to 1e-12
+    relative to that row's largest gap entry.
+    """
     table = ctx.curvature_responses
     scale = 0.5 * ctx.horizon**2
-    cross = np.zeros_like(ctx.theta0)
-    self_term = np.zeros_like(ctx.theta0)
+    shape = (lams.shape[0], ctx.theta0.shape[0])
+    cross = np.zeros(shape)
+    self_term = np.zeros(shape)
     for k in range(ctx.num_domains):
+        lam_k = lams[:, k]
         for j in range(ctx.num_domains):
             if k == j:
-                self_term += (lam[k] * lam[k] - lam[k]) * table[k, k]
+                self_term += (lam_k * lam_k - lam_k)[:, None] * table[k, k]
             else:
-                cross += lam[k] * lam[j] * table[k, j]
+                cross += (lam_k * lams[:, j])[:, None] * table[k, j]
     cross = scale * cross
     self_term = scale * self_term
     delta = cross + self_term
 
-    gap = predict_mixture_params(ctx, lam) - predict_merge_params(ctx, lam)
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(gap))) if gap.size else 1.0)
-    if np.max(np.abs(gap - delta)) > tol:
+    gap = _predict_mixture(ctx, lams) - _predict_merge(ctx, lams)
+    tol = 1e-12 * np.maximum(1.0, np.max(np.abs(gap), axis=1))
+    if np.any(np.max(np.abs(gap - delta), axis=1) > tol):
         raise NumericError("discrepancy does not match prediction difference")
-    return DiscrepancyReport(delta, cross, self_term)
+    return delta, cross, self_term
+
+
+def discrepancy(ctx: TaylorContext, weights) -> DiscrepancyReport:
+    """Mixture-minus-merge gap at second order, split into its two parts."""
+    lam = _check_weights(ctx, weights)
+    delta, cross, self_term = _discrepancy_parts(ctx, lam[None])
+    return DiscrepancyReport(delta[0], cross[0], self_term[0])
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row, each bit-identical to np.linalg.norm(row)."""
+    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
+
+
+def discrepancy_sweep(world: World, base: np.ndarray, experts, grid,
+                      ctx: TaylorContext, train_config: TrainConfig) -> np.ndarray:
+    """Predicted and simulated mix-vs-merge gap at every weight row of `grid`.
+
+    Returns an (n, 5) array of norms per row: delta, cross interference,
+    self scaling, the observed gap and the residual observed - delta. The
+    whole grid trains in one `train_on_mixtures` call; each block of
+    MIXTURE_BLOCK_ROWS trained rows is merged and predicted as soon as it
+    is done, so memory stays bounded on large grids.
+    """
+    norms = np.empty((len(grid), 5))
+    trained = train_on_mixtures(world, grid, base, train_config)
+    for lo in range(0, len(grid), MIXTURE_BLOCK_ROWS):
+        block = grid[lo : lo + MIXTURE_BLOCK_ROWS]
+        artifacts = list(islice(trained, len(block)))
+        delta, cross, self_term = _discrepancy_parts(
+            ctx, np.asarray([artifact.mixture for artifact in artifacts]))
+        observed = (np.stack([artifact.final for artifact in artifacts])
+                    - merge_many(base, experts, block))
+        norms[lo : lo + len(block)] = np.column_stack([
+            _row_norms(x) for x in (delta, cross, self_term, observed, observed - delta)
+        ])
+    return norms
 
 
 def _simulate_gap(world: World, weights, base: np.ndarray,

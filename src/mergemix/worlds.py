@@ -132,6 +132,7 @@ class QuadraticWorld:
         return self.quadratics[k].loss(theta)
 
     def grad(self, k: int, theta: np.ndarray) -> np.ndarray:
+        """Gradient at one vector, or row-wise at an (n, P) stack."""
         return self.quadratics[k].grad(theta)
 
     def grad_on(self, k: int, theta: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -183,7 +184,10 @@ class RegressionWorld:
         return self.net.loss(theta, d.inputs, d.targets)
 
     def grad(self, k: int, theta: np.ndarray) -> np.ndarray:
+        """Full-batch gradient at one vector, or row by row at an (n, P) stack."""
         d = self.train[k]
+        if np.ndim(theta) == 2:
+            return np.stack([self.net.grad(row, d.inputs, d.targets) for row in theta])
         return self.net.grad(theta, d.inputs, d.targets)
 
     def grad_on(self, k: int, theta: np.ndarray, indices: np.ndarray) -> np.ndarray:

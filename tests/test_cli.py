@@ -169,6 +169,34 @@ class TestPipelineCommand:
         assert main(["pipeline", "--config", str(bad), "--out", str(out)]) == 1
         assert not (out / "qw2" / "manifest.json").exists()
 
+    def test_rerun_under_same_name_drops_stale_artifacts(self, tmp_path):
+        out = tmp_path / "out"
+        recal = dict(QW2_PIPELINE, mode="dynamic-recalibrate",
+                     recalibrate={"total_steps": 8})
+        cfg = write_config(tmp_path, recal, "recal.json")
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "qw2" / "recalibration.curve.csv").exists()
+        cfg = write_config(tmp_path, QW2_PIPELINE, "flat.json")
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = read_json(out / "qw2" / "manifest.json")
+        assert "recalibration.curve.csv" not in manifest["artifacts"]
+        assert not (out / "qw2" / "recalibration.curve.csv").exists()
+        on_disk = {str(p.relative_to(out / "qw2"))
+                   for p in (out / "qw2").rglob("*") if p.is_file()}
+        assert on_disk == set(manifest["artifacts"]) | {"manifest.json"}
+
+    @pytest.mark.parametrize("name", ["../escaped", "/abs/escaped"])
+    def test_run_name_outside_out_exits_2_before_any_directory(
+            self, tmp_path, capsys, name):
+        if name.startswith("/"):
+            name = str(tmp_path / "abs" / "escaped")
+        cfg = write_config(tmp_path, dict(QW2_PIPELINE, name=name))
+        out = tmp_path / "sub" / "out"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "single path component" in capsys.readouterr().err
+        assert not (tmp_path / "sub").exists()
+        assert not (tmp_path / "abs").exists()
+
     def test_report_weights_match_checkpoint_provenance(self, pipeline_run):
         report = read_json(pipeline_run / "report.json")
         ckpt = read_json(pipeline_run / "merged.optimum.ckpt")
@@ -265,6 +293,16 @@ class TestConsistencyCommand:
         assert table[0] == ("lambda_1,lambda_2,merged_score,trained_score,"
                             "merged_rank,trained_rank")
         assert len(table) == 1 + 9
+
+    def test_two_ratios_exit_2_before_any_directory(self, tmp_path, capsys):
+        payload = dict(QW2_CONSISTENCY,
+                       consistency={"ratios": [[0.1, 0.9], [0.9, 0.1]]})
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["consistency", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert "at least 3 ratios" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_ratio_list_exits_2_with_usage(self, tmp_path, capsys):
         payload = dict(QW2_CONSISTENCY)

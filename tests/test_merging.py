@@ -7,7 +7,13 @@ from mergemix.errors import (
     MergeMixError,
     SimplexError,
 )
-from mergemix.merging import merge, select_top_checkpoints, simulate_anneal, soup
+from mergemix.merging import (
+    merge,
+    merge_many,
+    select_top_checkpoints,
+    simulate_anneal,
+    soup,
+)
 from mergemix.simplex import (
     REFINE_RADIUS,
     boxed_lattice,
@@ -74,6 +80,15 @@ def reference_boxed_lattice(center: np.ndarray, steps: int,
 
 
 BOX_STEPS = 60  # divisible by every k below, so the uniform point is on the lattice
+
+
+def reference_merge(base, experts, weights) -> np.ndarray:
+    """One-vector merge as it stood before `merge_many`."""
+    w = normalize_simplex(weights)
+    stack = np.stack(experts)
+    if np.count_nonzero(w == 1.0) == 1 and np.all((w == 0.0) | (w == 1.0)):
+        return stack[int(np.argmax(w))].copy()
+    return base + w @ (stack - base)
 
 
 def box_centers(k: int) -> list[np.ndarray]:
@@ -240,6 +255,35 @@ class TestMerge:
     def test_expert_length_mismatch(self):
         with pytest.raises(DimensionError):
             merge(np.zeros(2), [np.zeros(3)], [1.0])
+
+
+class TestMergeManyMatchesReference:
+    @pytest.mark.parametrize("k,dim", [(1, 3), (2, 2), (4, 8), (6, 16), (3, 26)])
+    def test_rows_bit_identical(self, k, dim):
+        rng = np.random.default_rng(k * 100 + dim)
+        base = rng.standard_normal(dim) * 0.3
+        experts = [rng.standard_normal(dim) for _ in range(k)]
+        grid = np.concatenate([simplex_lattice(k, 6), np.eye(k),
+                               dirichlet_points(k, 200, rng)])
+        stacked = merge_many(base, experts, grid)
+        assert stacked.shape == (grid.shape[0], dim)
+        for row, w in zip(stacked, grid):
+            assert row.tobytes() == reference_merge(base, experts, w).tobytes()
+            assert row.tobytes() == merge(base, experts, w).tobytes()
+
+    def test_one_hot_rows_return_the_expert(self):
+        rng = np.random.default_rng(1)
+        base = rng.standard_normal(16) * 1e6
+        experts = [rng.standard_normal(16) for _ in range(3)]
+        out = merge_many(base, experts, np.eye(3))
+        for k in range(3):
+            assert out[k].tobytes() == experts[k].tobytes()
+
+    def test_rejects_bad_rows(self):
+        with pytest.raises(SimplexError):
+            merge_many(np.zeros(2), [np.zeros(2)] * 2, [[0.5, 0.5], [0.7, 0.7]])
+        with pytest.raises(DimensionError):
+            merge_many(np.zeros(2), [np.zeros(2)], [[1.0], [0.5, 0.5]])
 
 
 class TestSoup:

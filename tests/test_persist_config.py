@@ -183,9 +183,32 @@ class TestConfigValidation:
     def test_weight_vectors_within_tolerance_parse(self):
         drift = [0.5, 0.5 + 5e-10]
         cfg = parse_config(dict(BASE_CONFIG, design={"priors": [drift]},
-                                consistency={"ratios": [drift]},
+                                consistency={"ratios": [drift, [0.2, 0.8],
+                                                        [0.8, 0.2]]},
                                 theory={"weights": drift}))
         assert cfg.priors == (tuple(drift),)
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_fewer_than_three_consistency_ratios_rejected(self, count):
+        ratios = [[0.5, 0.5], [0.2, 0.8]][:count]
+        with pytest.raises(ConfigError, match="at least 3 ratios"):
+            parse_config(dict(BASE_CONFIG, consistency={"ratios": ratios}))
+
+    @pytest.mark.parametrize("count", [0, 3])
+    def test_no_or_three_consistency_ratios_parse(self, count):
+        ratios = [[0.5, 0.5], [0.2, 0.8], [0.8, 0.2]][:count]
+        cfg = parse_config(dict(BASE_CONFIG, consistency={"ratios": ratios}))
+        assert len(cfg.consistency_ratios) == count
+
+    @pytest.mark.parametrize("name", ["/abs/run", "../up", "a/b", "a\\b", ".",
+                                      "..", "nul\0byte"])
+    def test_run_name_must_be_one_path_component(self, name):
+        with pytest.raises(ConfigError, match="single path component"):
+            parse_config(dict(BASE_CONFIG, name=name))
+
+    @pytest.mark.parametrize("name", ["run", "qw4-flat.v2", "..hidden", "a b"])
+    def test_plain_run_names_parse(self, name):
+        assert parse_config(dict(BASE_CONFIG, name=name)).name == name
 
     def test_search_budget_checked_per_search(self):
         """Budget 100 cannot hold the 4-way lattice at resolution 0.05

@@ -2,17 +2,51 @@ import numpy as np
 import pytest
 
 from mergemix.errors import DegenerateInputError
-from mergemix.simplex import dirichlet_points
+from mergemix.simplex import dirichlet_points, normalize_simplex, simplex_lattice
 from mergemix.theory import (
     TaylorContext,
     discrepancy,
+    discrepancy_sweep,
     horizon_scaling_check,
     predict_merge_params,
     predict_mixture_params,
     relative_curvature,
     task_vector_cosines,
 )
+from mergemix.training import MIXTURE_BLOCK_ROWS, TrainConfig, train_all_experts
 from mergemix.worlds import fixture_qw2, fixture_qw4
+from tests.test_merging import reference_merge
+from tests.test_training import reference_mixture
+
+
+# Test-only reference kernels: the one-row discrepancy and the row-by-row
+# sweep that the theory runner used before the batched sweep.
+
+def reference_discrepancy(ctx, lam):
+    table = ctx.curvature_responses
+    scale = 0.5 * ctx.horizon**2
+    cross = np.zeros_like(ctx.theta0)
+    self_term = np.zeros_like(ctx.theta0)
+    for k in range(ctx.num_domains):
+        for j in range(ctx.num_domains):
+            if k == j:
+                self_term += (lam[k] * lam[k] - lam[k]) * table[k, k]
+            else:
+                cross += lam[k] * lam[j] * table[k, j]
+    cross = scale * cross
+    self_term = scale * self_term
+    return cross + self_term, cross, self_term
+
+
+def reference_sweep(world, base, params, grid, ctx, config):
+    rows = []
+    for lam in grid:
+        delta, cross, self_term = reference_discrepancy(ctx, normalize_simplex(lam))
+        mixed, _ = reference_mixture(world, lam, base, config)
+        observed = mixed - reference_merge(base, params, lam)
+        rows.append([np.linalg.norm(x) for x in
+                     (delta, cross, self_term, observed, observed - delta)])
+    return np.asarray(rows)
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +166,39 @@ class TestDiscrepancy:
         attached = report.with_observation(observed)
         assert attached.residual_norm == pytest.approx(1e-5 * np.sqrt(2),
                                                        rel=1e-6)
+
+
+class TestBatchedSweepMatchesReference:
+    @pytest.mark.parametrize("fixture,lattice,lr,steps", [
+        ("qw2", 2 * MIXTURE_BLOCK_ROWS + 10, 0.004, 50),  # three row blocks
+        ("qw4", 6, 0.01, 50),
+        ("qw_sep", 4, 0.05, 10),
+        ("toy_world", 4, 0.05, 4),
+    ])
+    def test_rows_bit_identical(self, request, fixture, lattice, lr, steps):
+        world = request.getfixturevalue(fixture)
+        base = world.base_params()
+        config = TrainConfig(learning_rate=lr, steps=steps, checkpoint_interval=steps)
+        params = [e.final for e in train_all_experts(world, base, config)]
+        ctx = TaylorContext.from_world(world, base, lr * steps)
+        grid = simplex_lattice(world.num_domains, lattice)
+        got = discrepancy_sweep(world, base, params, grid, ctx, config)
+        want = reference_sweep(world, base, params, grid, ctx, config)
+        assert got.shape == (grid.shape[0], 5)
+        assert got.tobytes() == want.tobytes()
+
+    def test_one_row_discrepancy_matches_reference(self):
+        rng = np.random.default_rng(77)
+        for world in (fixture_qw2(), fixture_qw4()):
+            ctx = TaylorContext.from_world(world, rng.standard_normal(world.dim), 0.3)
+            grid = np.concatenate([simplex_lattice(world.num_domains, 5),
+                                   dirichlet_points(world.num_domains, 50, rng)])
+            for lam in grid:
+                report = discrepancy(ctx, lam)
+                want = reference_discrepancy(ctx, normalize_simplex(lam))
+                for got, ref in zip((report.delta, report.cross_interference,
+                                     report.self_scaling), want):
+                    assert got.tobytes() == ref.tobytes()
 
 
 class TestHorizonScaling:

@@ -2,13 +2,96 @@ import numpy as np
 import pytest
 
 from mergemix.errors import MergeMixError, SimplexError, TrainingDiverged
-from mergemix.seeding import stable_seed
+from mergemix.seeding import rng_for, stable_seed
+from mergemix.simplex import dirichlet_points, normalize_simplex, simplex_lattice
 from mergemix.training import (
+    MIXTURE_BLOCK_ROWS,
     TrainConfig,
+    _BatchStream,
+    _mixed_grad_fn,
     suggest_steps,
     train_expert,
     train_on_mixture,
+    train_on_mixtures,
 )
+from mergemix.worlds import raw_capabilities
+
+
+# Test-only reference kernels: the one-vector descent loop that trained every
+# expert and mixture before the stacked descent, with the single-vector
+# gradient `A @ d`. The tests below pin bit-for-bit equality with it.
+
+def reference_grad(world, k, theta):
+    if hasattr(world, "quadratics"):
+        q = world.quadratics[k]
+        return q.curvature @ (theta - q.minimizer)
+    d = world.train[k]
+    return world.net.grad(theta, d.inputs, d.targets)
+
+
+def reference_descend(world, grad_fn, base, config):
+    theta = base.copy()
+    trajectory = [(0, theta.copy(), tuple(raw_capabilities(world, theta)))]
+    for step in range(1, config.steps + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            theta = theta - config.learning_rate * grad_fn(theta, step)
+        if not np.all(np.isfinite(theta)):
+            raise TrainingDiverged(step)
+        if step % config.checkpoint_interval == 0 or step == config.steps:
+            trajectory.append((step, theta.copy(), tuple(raw_capabilities(world, theta))))
+    return trajectory[-1][1].copy(), trajectory
+
+
+def reference_mixture(world, weights, base, config):
+    """Full-batch: lam[0] * g_0, then + lam[k] * g_k for each nonzero lam[k].
+    Mini-batch: per-run streams, one domain drawn by lambda per step."""
+    lam = normalize_simplex(weights)
+    if config.batch_size == "full" or world.train_size(0) == 0:
+        def grad_fn(theta, step):
+            g = lam[0] * reference_grad(world, 0, theta)
+            for k in range(1, world.num_domains):
+                if lam[k] != 0.0:
+                    g = g + lam[k] * reference_grad(world, k, theta)
+            return g
+    else:
+        streams = [_BatchStream(world.train_size(k), int(config.batch_size),
+                                rng_for(config.seed, "batches", world.names[k]))
+                   for k in range(world.num_domains)]
+        chooser = rng_for(config.seed, "mixture-choice")
+
+        def grad_fn(theta, step):
+            k = int(chooser.choice(world.num_domains, p=lam))
+            return world.grad_on(k, theta, streams[k].next_batch())
+    return reference_descend(world, grad_fn, base, config)
+
+
+def reference_expert(world, k, base, config):
+    if config.batch_size == "full" or world.train_size(k) == 0:
+        grad_fn = lambda theta, step: reference_grad(world, k, theta)
+    else:
+        stream = _BatchStream(world.train_size(k), int(config.batch_size),
+                              rng_for(config.seed, "batches", world.names[k]))
+        grad_fn = lambda theta, step: world.grad_on(k, theta, stream.next_batch())
+    return reference_descend(world, grad_fn, base, config)
+
+
+def assert_same_run(artifact, reference):
+    final, trajectory = reference
+    assert artifact.final.tobytes() == final.tobytes()
+    assert len(artifact.trajectory) == len(trajectory)
+    for point, (step, params, scores) in zip(artifact.trajectory, trajectory):
+        assert point.step == step
+        assert point.params.tobytes() == params.tobytes()
+        assert np.array(point.raw_scores).tobytes() == np.array(scores).tobytes()
+
+
+def assert_matches_reference(world, grid, config):
+    base = world.base_params()
+    artifacts = list(train_on_mixtures(world, grid, base, config))
+    assert len(artifacts) == len(grid)
+    for lam, artifact in zip(grid, artifacts):
+        assert artifact.mixture == tuple(normalize_simplex(lam).tolist())
+        assert_same_run(artifact, reference_mixture(world, lam, base, config))
 
 
 def closed_form_descent(minimizer, curvature, theta0, lr, steps):
@@ -161,3 +244,129 @@ class TestConfigAndDefaults:
         span = min(np.linalg.norm(base - q.minimizer) for q in qw4.quadratics)
         assert steps >= 1
         assert lr * steps * max_grad <= 0.5 * span + 1e-12
+
+
+class TestStackedMixturesMatchReference:
+    @pytest.mark.parametrize("interval", [1, 3, 7])
+    @pytest.mark.parametrize("fixture,steps", [
+        ("qw2", 7), ("qw4", 7), ("qw_sep", 7), ("toy_world", 4),
+    ])
+    def test_lattice_grids(self, request, fixture, steps, interval):
+        """Lattices hold zero weights and one-hot corners; interval 7 equals
+        the step count on the quadratics and exceeds it on TOY-2."""
+        world = request.getfixturevalue(fixture)
+        grid = simplex_lattice(world.num_domains, 4)
+        cfg = TrainConfig(learning_rate=0.05, steps=steps,
+                          checkpoint_interval=interval)
+        assert_matches_reference(world, grid, cfg)
+
+    @pytest.mark.parametrize("fixture", ["qw2", "qw4", "qw_sep", "toy_world"])
+    def test_one_row_stacks(self, request, fixture):
+        world = request.getfixturevalue(fixture)
+        k = world.num_domains
+        cfg = TrainConfig(learning_rate=0.05, steps=5, checkpoint_interval=2)
+        for lam in (np.full(k, 1.0 / k), np.eye(k)[k - 1],
+                    dirichlet_points(k, 1, rng_for(3, "one-row"))[0]):
+            assert_matches_reference(world, [lam], cfg)
+            assert_same_run(train_on_mixture(world, lam, world.base_params(), cfg),
+                            reference_mixture(world, lam, world.base_params(), cfg))
+
+    def test_theory_sweep_horizon(self, qw4):
+        """The theory runner's grid and horizon: lr 0.01 x 50, finals only."""
+        grid = simplex_lattice(4, 10)
+        assert_matches_reference(qw4, grid, TrainConfig(
+            learning_rate=0.01, steps=50, checkpoint_interval=50))
+
+    @pytest.mark.parametrize("rows", [MIXTURE_BLOCK_ROWS - 1, MIXTURE_BLOCK_ROWS,
+                                      MIXTURE_BLOCK_ROWS + 1])
+    def test_block_size_edges(self, qw4, rows):
+        grid = dirichlet_points(4, rows, rng_for(rows, "block-edges"))
+        grid[::5] = np.eye(4)[np.arange(0, rows, 5) % 4]
+        grid[1::5, 1:3] = [0.5, 0.5]
+        grid[1::5, [0, 3]] = 0.0
+        assert_matches_reference(qw4, grid, TrainConfig(
+            learning_rate=0.05, steps=4, checkpoint_interval=2))
+
+    def test_empty_weight_list_trains_nothing(self, qw2):
+        cfg = TrainConfig(learning_rate=0.05, steps=3)
+        assert list(train_on_mixtures(qw2, [], qw2.base_params(), cfg)) == []
+
+    def test_minibatch_runs_unchanged(self, toy_world):
+        cfg = TrainConfig(learning_rate=0.05, steps=9, batch_size=8,
+                          checkpoint_interval=3, seed=41)
+        assert_matches_reference(toy_world, [[0.3, 0.7], [1.0, 0.0], [0.5, 0.5]], cfg)
+
+    @pytest.mark.parametrize("fixture,batch", [
+        ("qw4", "full"), ("toy_world", "full"), ("toy_world", 8),
+    ])
+    def test_experts_unchanged(self, request, fixture, batch):
+        world = request.getfixturevalue(fixture)
+        cfg = TrainConfig(learning_rate=0.05, steps=6, batch_size=batch,
+                          checkpoint_interval=4, seed=17)
+        for k in range(world.num_domains):
+            assert_same_run(train_expert(world, k, world.base_params(), cfg),
+                            reference_expert(world, k, world.base_params(), cfg))
+
+
+def test_skipped_mixture_terms_keep_signed_zeros():
+    """A zero weight leaves its domain out of the sum; adding 0 * g_k instead
+    would turn the -0.0 that 0 * g_0 leaves in the first column into +0.0."""
+    grads = np.array([[-1.0, 2.0], [5.0, -3.0], [-0.0, 0.0]])
+
+    class FixedGradWorld:
+        num_domains = 3
+
+        def grad(self, k, theta):
+            return np.broadcast_to(grads[k], theta.shape)
+
+    lams = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0],
+                     [0.5, 0.0, 0.5]])
+    got = _mixed_grad_fn(FixedGradWorld(), lams)(np.zeros((4, 2)), 1)
+    for lam, row in zip(lams, got):
+        want = lam[0] * grads[0]
+        for k in (1, 2):
+            if lam[k] != 0.0:
+                want = want + lam[k] * grads[k]
+        assert row.tobytes() == want.tobytes()
+    assert np.signbit(got[0, 0])
+
+
+class TestStackedDivergence:
+    """On QW-2 at lr 1.5, lambda = (0.1, 0.9) grows by 1.85 per step and
+    (0.4, 0.6) by 1.4, so the later row diverges first."""
+
+    CFG = TrainConfig(learning_rate=1.5, steps=3000, checkpoint_interval=3000)
+    SLOW = [0.4, 0.6]
+    FAST = [0.1, 0.9]
+    STABLE = [1.0, 0.0]
+
+    def reference_step(self, world, lam):
+        with pytest.raises(TrainingDiverged) as err:
+            reference_mixture(world, lam, world.base_params(), self.CFG)
+        return err.value.step
+
+    def test_reports_first_row_in_input_order(self, qw2):
+        slow = self.reference_step(qw2, self.SLOW)
+        fast = self.reference_step(qw2, self.FAST)
+        assert fast < slow
+        for grid, expected in (([self.SLOW, self.FAST], slow),
+                               ([self.FAST, self.SLOW], fast),
+                               ([self.STABLE, self.SLOW], slow)):
+            with pytest.raises(TrainingDiverged) as err:
+                list(train_on_mixtures(qw2, grid, qw2.base_params(), self.CFG))
+            assert err.value.step == expected
+
+    def test_first_row_across_blocks(self, qw2):
+        """A row of the first block that diverges late wins over a row of
+        the second block that diverges early."""
+        grid = [self.STABLE] * (MIXTURE_BLOCK_ROWS + 3)
+        grid[5] = self.SLOW
+        grid[MIXTURE_BLOCK_ROWS + 1] = self.FAST
+        with pytest.raises(TrainingDiverged) as err:
+            list(train_on_mixtures(qw2, grid, qw2.base_params(), self.CFG))
+        assert err.value.step == self.reference_step(qw2, self.SLOW)
+
+    def test_single_run_step_unchanged(self, qw2):
+        with pytest.raises(TrainingDiverged) as err:
+            train_on_mixture(qw2, self.SLOW, qw2.base_params(), self.CFG)
+        assert err.value.step == self.reference_step(qw2, self.SLOW)
