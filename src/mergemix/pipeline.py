@@ -59,12 +59,12 @@ from .theory import (
 )
 from .training import (
     ExpertArtifact,
-    TrainConfig,
     expert_params,
+    final_only,
     train_all_experts,
     train_on_mixture,
 )
-from .worlds import World
+from .worlds import World, raw_capabilities
 
 REPORT_FORMAT = "mm-report-v1"
 MANIFEST_FORMAT = "mm-manifest-v1"
@@ -86,12 +86,6 @@ def _prepare_run_dir(cfg: RunConfig, out_dir: str | Path) -> Path:
     return run_dir
 
 
-def _final_only(train_cfg: TrainConfig) -> TrainConfig:
-    """The same training, recording no intermediate checkpoints: for runs
-    whose final parameters are all that is read."""
-    return replace(train_cfg, checkpoint_interval=max(1, train_cfg.steps))
-
-
 def _world_block(cfg: RunConfig, world: World) -> dict:
     block = {"domains": list(world.names)}
     if "fixture" in cfg.world_spec:
@@ -109,12 +103,10 @@ def _write_expert_artifacts(run_dir: Path, world: World,
         header = (["step"]
                   + [f"raw_{n}" for n in world.names]
                   + [f"norm_{n}" for n in world.names])
-        columns = list(zip(*[p.raw_scores for p in artifact.trajectory]))
-        contexts = [NormContext.from_samples(col) for col in columns]
-        rows = []
-        for point in artifact.trajectory:
-            normed = normalize_row(point.raw_scores, contexts)
-            rows.append([point.step, *point.raw_scores, *normed])
+        raws = [raw_capabilities(world, point.params) for point in artifact.trajectory]
+        contexts = [NormContext.from_samples(col) for col in zip(*raws)]
+        rows = [[point.step, *raw, *normalize_row(raw, contexts)]
+                for point, raw in zip(artifact.trajectory, raws)]
         write_csv(run_dir / "experts" / f"{artifact.name}.trajectory.csv",
                   header, rows)
     return digests
@@ -222,7 +214,8 @@ def _continuation_curves(cfg: RunConfig, world: World, midpoint: np.ndarray,
                           steps=remaining_steps)
         artifact = train_on_mixture(world, weights, midpoint, run_cfg)
         curves[label] = {
-            point.step: utility(normalize_row(point.raw_scores, contexts), spec)
+            point.step: utility(
+                normalize_row(raw_capabilities(world, point.params), contexts), spec)
             for point in artifact.trajectory
         }
     steps = sorted(curves["static"])
@@ -356,7 +349,7 @@ def run_theory(cfg: RunConfig, out_dir: str | Path) -> Path:
 
     scaling = horizon_scaling_check(world, weights, lr, steps, base)
 
-    train_cfg = _final_only(cfg.train_config(stable_seed(cfg.seed, "train")))
+    train_cfg = final_only(cfg.train_config(stable_seed(cfg.seed, "train")))
     experts = train_all_experts(world, base, train_cfg)
     params = expert_params(experts)
 
@@ -411,7 +404,7 @@ def run_consistency(cfg: RunConfig, out_dir: str | Path) -> tuple[Path, float]:
     world = cfg.build_world()
     run_dir = _prepare_run_dir(cfg, out_dir)
     base = world.base_params()
-    train_cfg = _final_only(cfg.train_config(stable_seed(cfg.seed, "train")))
+    train_cfg = final_only(cfg.train_config(stable_seed(cfg.seed, "train")))
     experts = train_all_experts(world, base, train_cfg)
     result = rank_consistency(world, base, experts,
                               [np.asarray(r) for r in cfg.consistency_ratios],

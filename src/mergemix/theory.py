@@ -23,6 +23,7 @@ from .simplex import normalize_simplex
 from .training import (
     MIXTURE_BLOCK_ROWS,
     TrainConfig,
+    final_only,
     train_expert,
     train_on_mixture,
     train_on_mixtures,
@@ -224,8 +225,7 @@ def discrepancy_sweep(world: World, base: np.ndarray, experts, grid,
 def _simulate_gap(world: World, weights, base: np.ndarray,
                   learning_rate: float, steps: int) -> np.ndarray:
     """Exact (Theta_mix - Theta_merge) from real training runs."""
-    cfg = TrainConfig(learning_rate=learning_rate, steps=steps,
-                      checkpoint_interval=max(1, steps))
+    cfg = final_only(TrainConfig(learning_rate=learning_rate, steps=steps))
     mixed = train_on_mixture(world, weights, base, cfg).final
     experts = [train_expert(world, k, base, cfg).final
                for k in range(world.num_domains)]

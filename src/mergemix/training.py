@@ -6,6 +6,9 @@ the full-batch analytic gradient; regression domains support seeded
 mini-batching. Mixture runs draw each mini-batch from domain k with
 probability lambda_k, or descend the exact mixed gradient when full-batch.
 
+Training reads a world only for gradients: a checkpoint is a step and its
+parameters, and a caller that reads capabilities scores them itself.
+
 Every run goes through one descent over an (n, P) stack of parameter
 vectors, one row per run. `train_on_mixtures` trains a whole list of
 full-batch mixtures in lockstep, MIXTURE_BLOCK_ROWS rows at a time, and
@@ -17,15 +20,15 @@ mini-batch run, whose random draws depend on its own lambda.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DimensionError, MergeMixError, TrainingDiverged
-from .params import as_params, check_same_dim, params_digest
+from .params import as_params
 from .seeding import rng_for
 from .simplex import normalize_simplex
-from .worlds import World, raw_capabilities
+from .worlds import World
 
 # Full-batch mixtures descend in lockstep blocks of this many rows. Larger
 # blocks ran no faster on a 1,771-row sweep and hold more trajectories at once.
@@ -51,11 +54,15 @@ class TrainConfig:
             raise MergeMixError("batch size must be 'full' or a positive integer")
 
 
+def final_only(config: TrainConfig) -> TrainConfig:
+    """The same training, recording no intermediate checkpoints."""
+    return replace(config, checkpoint_interval=max(1, config.steps))
+
+
 @dataclass(frozen=True)
 class TrajectoryPoint:
     step: int
     params: np.ndarray
-    raw_scores: tuple[float, ...]  # raw capability on every world domain
 
 
 @dataclass(frozen=True)
@@ -63,8 +70,6 @@ class ExpertArtifact:
     name: str
     final: np.ndarray
     trajectory: tuple[TrajectoryPoint, ...]
-    config: TrainConfig
-    base_digest: str
     mixture: tuple[float, ...] | None = None
 
     @property
@@ -96,11 +101,7 @@ class _BatchStream:
         return idx
 
 
-def _snapshot(world: World, step: int, theta: np.ndarray) -> TrajectoryPoint:
-    return TrajectoryPoint(step, theta.copy(), tuple(raw_capabilities(world, theta)))
-
-
-def _descend(world: World, grad_fn, base: np.ndarray, rows: int,
+def _descend(grad_fn, base: np.ndarray, rows: int,
              config: TrainConfig) -> list[tuple[np.ndarray, tuple[TrajectoryPoint, ...]]]:
     """Descend `rows` runs from `base` in lockstep, one stack row per run.
 
@@ -110,8 +111,7 @@ def _descend(world: World, grad_fn, base: np.ndarray, rows: int,
     order is raised when the descent ends.
     """
     theta = np.repeat(base[None, :], rows, axis=0)
-    start = tuple(raw_capabilities(world, base))
-    trajectories = [[TrajectoryPoint(0, base.copy(), start)] for _ in range(rows)]
+    trajectories = [[TrajectoryPoint(0, base.copy())] for _ in range(rows)]
     diverged_at = None
     for step in range(1, config.steps + 1):
         with np.errstate(over="ignore", invalid="ignore"):  # divergence is handled
@@ -125,7 +125,7 @@ def _descend(world: World, grad_fn, base: np.ndarray, rows: int,
         if diverged_at is None and (step % config.checkpoint_interval == 0
                                     or step == config.steps):
             for trajectory, row in zip(trajectories, theta):
-                trajectory.append(_snapshot(world, step, row))
+                trajectory.append(TrajectoryPoint(step, row.copy()))
     if diverged_at is not None:
         raise TrainingDiverged(diverged_at)
     return [(trajectory[-1].params.copy(), tuple(trajectory))
@@ -159,8 +159,8 @@ def train_expert(world: World, domain_index: int, base: np.ndarray,
         grad_fn = lambda theta, step: world.grad_on(
             domain_index, theta[0], stream.next_batch()
         )
-    [(final, trajectory)] = _descend(world, grad_fn, base, 1, config)
-    return ExpertArtifact(name, final, trajectory, config, params_digest(base))
+    [(final, trajectory)] = _descend(grad_fn, base, 1, config)
+    return ExpertArtifact(name, final, trajectory)
 
 
 def _mixed_grad_fn(world: World, lam: np.ndarray):
@@ -222,16 +222,15 @@ def train_on_mixtures(world: World, weights, base: np.ndarray,
 
 def _mixture_artifacts(world: World, lams: list[np.ndarray], base: np.ndarray,
                        config: TrainConfig) -> Iterator[ExpertArtifact]:
-    digest = params_digest(base)
     full_batch = _use_full_batch(world, config)
     size = MIXTURE_BLOCK_ROWS if full_batch else 1
     for i in range(0, len(lams), size):
         block = lams[i : i + size]
         grad_fn = (_mixed_grad_fn(world, np.stack(block)) if full_batch
                    else _minibatch_grad_fn(world, block[0], config))
-        runs = _descend(world, grad_fn, base, len(block), config)
+        runs = _descend(grad_fn, base, len(block), config)
         for lam, (final, trajectory) in zip(block, runs):
-            yield ExpertArtifact("mixture", final, trajectory, config, digest,
+            yield ExpertArtifact("mixture", final, trajectory,
                                  mixture=tuple(lam.tolist()))
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, MergeMixError
+from .errors import DimensionError, MergeMixError, NumericError
 from .models import Quadratic, ToyNet, hvp_finite_difference
 from .params import as_params
 from .stats import NormContext
@@ -218,8 +218,12 @@ World = QuadraticWorld | RegressionWorld
 
 
 def raw_capability(world: World, k: int, theta: np.ndarray) -> float:
-    """Negative held-out loss; larger is better, 0 is the quadratic maximum."""
-    return -world.heldout_loss(k, as_params(theta))
+    """Negative held-out loss; larger is better, 0 is the quadratic maximum.
+    A loss that overflows, even at finite parameters, raises NumericError."""
+    loss = world.heldout_loss(k, as_params(theta))
+    if not np.isfinite(loss):
+        raise NumericError(f"held-out loss on domain {world.names[k]!r} is {loss}")
+    return -loss
 
 
 def raw_capabilities(world: World, theta: np.ndarray) -> list[float]:

@@ -461,6 +461,20 @@ class TestHierarchicalAndRecalibrateModes:
         assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 1
         assert not (out / "qw2" / "manifest.json").exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_run_exits_1_without_manifest(self, tmp_path, capsys):
+        """At lr 2.2 the parameters stay finite for 3000 steps, but their
+        held-out losses overflow; the run must not look complete."""
+        cfg_payload = dict(QW2_PIPELINE, design={"size": 10},
+                           search={"resolution": 0.25})
+        cfg_payload["train"] = {"learning_rate": 2.2, "steps": 3000,
+                                "checkpoint_interval": 3000}
+        cfg = write_config(tmp_path, cfg_payload)
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "held-out loss on domain 'd1'" in capsys.readouterr().err
+        assert not (out / "qw2" / "manifest.json").exists()
+
     def test_dataset_export_flag(self, tmp_path):
         cfg_payload = {
             "name": "reg",

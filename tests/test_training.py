@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from mergemix.errors import MergeMixError, SimplexError, TrainingDiverged
+import mergemix.worlds
+from mergemix.errors import MergeMixError, NumericError, SimplexError, TrainingDiverged
 from mergemix.seeding import rng_for, stable_seed
 from mergemix.simplex import dirichlet_points, normalize_simplex, simplex_lattice
 from mergemix.training import (
@@ -75,14 +76,17 @@ def reference_expert(world, k, base, config):
     return reference_descend(world, grad_fn, base, config)
 
 
-def assert_same_run(artifact, reference):
+def assert_same_run(world, artifact, reference):
+    """Same checkpoints and parameters, and the checkpoints score as the
+    reference's did while it trained."""
     final, trajectory = reference
     assert artifact.final.tobytes() == final.tobytes()
     assert len(artifact.trajectory) == len(trajectory)
     for point, (step, params, scores) in zip(artifact.trajectory, trajectory):
         assert point.step == step
         assert point.params.tobytes() == params.tobytes()
-        assert np.array(point.raw_scores).tobytes() == np.array(scores).tobytes()
+        got = raw_capabilities(world, point.params)
+        assert np.array(got).tobytes() == np.array(scores).tobytes()
 
 
 def assert_matches_reference(world, grid, config):
@@ -91,7 +95,7 @@ def assert_matches_reference(world, grid, config):
     assert len(artifacts) == len(grid)
     for lam, artifact in zip(grid, artifacts):
         assert artifact.mixture == tuple(normalize_simplex(lam).tolist())
-        assert_same_run(artifact, reference_mixture(world, lam, base, config))
+        assert_same_run(world, artifact, reference_mixture(world, lam, base, config))
 
 
 def closed_form_descent(minimizer, curvature, theta0, lr, steps):
@@ -156,13 +160,24 @@ class TestTrainExpert:
         assert np.array_equal(a.final, b.final)
         for pa, pb in zip(a.trajectory, b.trajectory):
             assert np.array_equal(pa.params, pb.params)
-            assert pa.raw_scores == pb.raw_scores
+            assert (np.array(raw_capabilities(qw2, pa.params)).tobytes()
+                    == np.array(raw_capabilities(qw2, pb.params)).tobytes())
 
     def test_divergence_reports_step(self, qw2):
         cfg = TrainConfig(learning_rate=3.0, steps=2000, checkpoint_interval=2000)
         with pytest.raises(TrainingDiverged) as err:
             train_expert(qw2, 0, qw2.base_params(), cfg)
         assert err.value.step > 0
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_final_fails_to_score(self, qw2):
+        """At lr 2.2 the parameters stay finite (about -3.5e237) but their
+        held-out loss overflows: scoring raises instead of returning -inf."""
+        cfg = TrainConfig(learning_rate=2.2, steps=3000, checkpoint_interval=3000)
+        art = train_expert(qw2, 0, qw2.base_params(), cfg)
+        assert np.isfinite(art.final).all()
+        with pytest.raises(NumericError, match="domain 'd1'"):
+            raw_capabilities(qw2, art.final)
 
     def test_minibatch_determinism(self, toy_world):
         cfg = TrainConfig(learning_rate=0.05, steps=12, batch_size=8,
@@ -268,7 +283,8 @@ class TestStackedMixturesMatchReference:
         for lam in (np.full(k, 1.0 / k), np.eye(k)[k - 1],
                     dirichlet_points(k, 1, rng_for(3, "one-row"))[0]):
             assert_matches_reference(world, [lam], cfg)
-            assert_same_run(train_on_mixture(world, lam, world.base_params(), cfg),
+            assert_same_run(world,
+                            train_on_mixture(world, lam, world.base_params(), cfg),
                             reference_mixture(world, lam, world.base_params(), cfg))
 
     def test_theory_sweep_horizon(self, qw4):
@@ -304,7 +320,7 @@ class TestStackedMixturesMatchReference:
         cfg = TrainConfig(learning_rate=0.05, steps=6, batch_size=batch,
                           checkpoint_interval=4, seed=17)
         for k in range(world.num_domains):
-            assert_same_run(train_expert(world, k, world.base_params(), cfg),
+            assert_same_run(world, train_expert(world, k, world.base_params(), cfg),
                             reference_expert(world, k, world.base_params(), cfg))
 
 
@@ -329,6 +345,35 @@ def test_skipped_mixture_terms_keep_signed_zeros():
                 want = want + lam[k] * grads[k]
         assert row.tobytes() == want.tobytes()
     assert np.signbit(got[0, 0])
+
+
+class TestTrainingNeverScores:
+    """Training reads a world only for gradients; scoring is the reader's."""
+
+    @pytest.fixture(autouse=True)
+    def scoring_raises(self, monkeypatch):
+        def refuse(world, k, theta):
+            raise AssertionError("training scored a checkpoint")
+        monkeypatch.setattr(mergemix.worlds, "raw_capability", refuse)
+
+    CFG = TrainConfig(learning_rate=0.05, steps=6, checkpoint_interval=2, seed=3)
+
+    def test_train_expert(self, qw2):
+        art = train_expert(qw2, 1, qw2.base_params(), self.CFG)
+        assert [p.step for p in art.trajectory] == [0, 2, 4, 6]
+
+    def test_train_on_mixture(self, qw2):
+        art = train_on_mixture(qw2, [0.3, 0.7], qw2.base_params(), self.CFG)
+        assert len(art.trajectory) == 4
+
+    @pytest.mark.parametrize("fixture,batch", [("qw4", "full"), ("toy_world", 8)])
+    def test_train_on_mixtures(self, request, fixture, batch):
+        world = request.getfixturevalue(fixture)
+        grid = simplex_lattice(world.num_domains, 2)
+        cfg = TrainConfig(learning_rate=0.05, steps=6, batch_size=batch,
+                          checkpoint_interval=2, seed=3)
+        artifacts = list(train_on_mixtures(world, grid, world.base_params(), cfg))
+        assert len(artifacts) == len(grid)
 
 
 class TestStackedDivergence:
