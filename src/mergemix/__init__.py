@@ -37,8 +37,9 @@ from .stats import (
     NormContext,
     UtilitySpec,
     cost_accounting,
-    normalize_scores,
+    normalize,
     spearman,
+    utilities,
     utility,
 )
 from .surface import (
@@ -71,12 +72,10 @@ from .training import (
     train_on_mixture,
 )
 from .worlds import (
-    CapabilityScore,
     Dataset,
     DomainSpec,
     QuadraticWorld,
     RegressionWorld,
-    evaluate_capability,
     fixture_by_name,
     generate_world,
     raw_capability,

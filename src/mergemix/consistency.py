@@ -20,9 +20,9 @@ from .stats import (
     CorrelationReport,
     NormContext,
     UtilitySpec,
-    normalize_row,
+    normalize,
     spearman,
-    utility,
+    utilities,
 )
 from .training import TrainConfig, expert_params, train_on_mixtures
 from .worlds import World, raw_capabilities
@@ -50,20 +50,17 @@ def rank_consistency(world: World, base: np.ndarray, experts,
         raise MergeMixError(f"need at least 3 ratios, got {len(ratios)}")
     spec = utility_spec or UtilitySpec()
     params = expert_params(experts)
-    merged_raw = [raw_capabilities(world, theta)
-                  for theta in merge_many(base, params, ratios)]
-    trained_raw = [raw_capabilities(world, artifact.final)
-                   for artifact in train_on_mixtures(world, ratios, base, train_config)]
+    merged_raw = raw_capabilities(world, merge_many(base, params, ratios))
+    trained = train_on_mixtures(world, ratios, base, train_config)
+    trained_raw = raw_capabilities(world, np.stack([a.final for a in trained]))
 
     # One normalization context per capability over both arms, so the two
     # score lists live in the same units and the offset is meaningful.
-    contexts = []
-    for m in range(world.num_domains):
-        pool = [row[m] for row in merged_raw] + [row[m] for row in trained_raw]
-        contexts.append(NormContext.from_samples(pool))
+    contexts = [NormContext.from_samples(column)
+                for column in np.vstack([merged_raw, trained_raw]).T]
 
-    merged_scores = [utility(normalize_row(row, contexts), spec) for row in merged_raw]
-    trained_scores = [utility(normalize_row(row, contexts), spec) for row in trained_raw]
+    merged_scores = utilities(normalize(merged_raw, contexts), spec).tolist()
+    trained_scores = utilities(normalize(trained_raw, contexts), spec).tolist()
     report = spearman(merged_scores, trained_scores)
 
     rows = []

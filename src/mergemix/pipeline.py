@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import HIERARCHICAL_MODES, RunConfig, THEORY_REPORT_SCHEMA
 from .consistency import rank_consistency
-from .errors import ConfigError, MergeMixError
+from .errors import ConfigError, MergeMixError, SimplexError
 from .hierarchy import HierarchyContext, MixtureNode, flatten_ratios, \
     optimize_bottom_up, optimize_top_down
 from .merging import merge
@@ -39,8 +39,8 @@ from .stats import (
     NormContext,
     cost_accounting,
     cost_entries_from_dicts,
-    normalize_row,
-    utility,
+    normalize,
+    utilities,
 )
 from .surface import (
     StageResult,
@@ -103,10 +103,10 @@ def _write_expert_artifacts(run_dir: Path, world: World,
         header = (["step"]
                   + [f"raw_{n}" for n in world.names]
                   + [f"norm_{n}" for n in world.names])
-        raws = [raw_capabilities(world, point.params) for point in artifact.trajectory]
-        contexts = [NormContext.from_samples(col) for col in zip(*raws)]
-        rows = [[point.step, *raw, *normalize_row(raw, contexts)]
-                for point, raw in zip(artifact.trajectory, raws)]
+        raws = raw_capabilities(world, np.stack([p.params for p in artifact.trajectory]))
+        contexts = [NormContext.from_samples(column) for column in raws.T]
+        scores = np.hstack([raws, normalize(raws, contexts)]).tolist()
+        rows = [[point.step, *row] for point, row in zip(artifact.trajectory, scores)]
         write_csv(run_dir / "experts" / f"{artifact.name}.trajectory.csv",
                   header, rows)
     return digests
@@ -169,15 +169,14 @@ def _hierarchy_report(cfg: RunConfig, world: World, base: np.ndarray,
                       weights: np.ndarray, contexts) -> dict:
     leaf_names, shares = flatten_ratios(tree)
     spec = cfg.utility_spec
-    baselines = baseline_utilities(world, base, experts, contexts, spec)
+    scores = merged_scores(world, base, experts, [weights], contexts)
     return {
         "tree": tree.to_dict(),
         "leaf_order": leaf_names,
         "leaf_ratios": shares.tolist(),
         "ratios_by_domain": dict(zip(world.names, weights.tolist())),
-        "actual_utility": utility(
-            merged_scores(world, base, experts, weights, contexts), spec),
-        "baseline_utilities": baselines,
+        "actual_utility": float(utilities(scores, spec)[0]),
+        "baseline_utilities": baseline_utilities(world, base, experts, contexts, spec),
     }
 
 
@@ -213,11 +212,9 @@ def _continuation_curves(cfg: RunConfig, world: World, midpoint: np.ndarray,
         run_cfg = replace(cfg.train_config(stable_seed(cfg.seed, seed_label)),
                           steps=remaining_steps)
         artifact = train_on_mixture(world, weights, midpoint, run_cfg)
-        curves[label] = {
-            point.step: utility(
-                normalize_row(raw_capabilities(world, point.params), contexts), spec)
-            for point in artifact.trajectory
-        }
+        raws = raw_capabilities(world, np.stack([p.params for p in artifact.trajectory]))
+        curves[label] = dict(zip([p.step for p in artifact.trajectory],
+                                 utilities(normalize(raws, contexts), spec).tolist()))
     steps = sorted(curves["static"])
     return [
         {"step": step,
@@ -450,16 +447,17 @@ def run_cost(entries_path: str | Path | None, out_dir: str | Path) -> tuple[Path
 def export_heatmap(surface_path: str | Path, capability: str,
                    resolution: float, out_path: str | Path,
                    top_percent: float | None = None) -> Path:
-    """Dump (weights, predicted value) over the simplex lattice as CSV."""
+    """Dump (weights, predicted value) over the simplex lattice as CSV.
+    Bad arguments fail before the surface is read or anything is predicted."""
+    if top_percent is not None and not 0 < top_percent <= 100:
+        raise ConfigError(f"top percentile must be in (0, 100], got {top_percent}")
+    try:
+        steps = lattice_steps(resolution)
+    except SimplexError as exc:
+        raise ConfigError(f"heatmap {exc}") from None
     model = SurfaceModel.from_dict(read_json(surface_path))
-    k = model.input_dim
-    grid = simplex_lattice(k, lattice_steps(resolution))
-    predictions = model.predict_batch(grid)
-
-    if capability == "utility":
-        values = np.asarray([utility(row, model.utility_spec)
-                             for row in predictions])
-    else:
+    index = None
+    if capability != "utility":
         if capability.isdigit():
             index = int(capability)
         elif capability in model.capabilities:
@@ -471,12 +469,15 @@ def export_heatmap(surface_path: str | Path, capability: str,
             )
         if not 0 <= index < model.num_capabilities:
             raise MergeMixError(f"capability index {index} out of range")
-        values = predictions[:, index]
+
+    k = model.input_dim
+    grid = simplex_lattice(k, steps)
+    predictions = model.predict_batch(grid)
+    values = (utilities(predictions, model.utility_spec) if index is None
+              else predictions[:, index])
 
     keep = np.arange(grid.shape[0])
     if top_percent is not None:
-        if not 0 < top_percent <= 100:
-            raise MergeMixError("top percentile must be in (0, 100]")
         n_keep = int(np.floor(grid.shape[0] * top_percent / 100.0))
         n_keep = max(1, n_keep)
         order = np.argsort(-values, kind="stable")

@@ -107,13 +107,24 @@ class NormContext:
         return min(1.0, max(0.0, (float(x) - self.lo) / (self.hi - self.lo)))
 
 
-def normalize_scores(raw: Sequence[float], context: NormContext) -> list[float]:
-    return [context.apply(x) for x in raw]
+def normalize(raw, contexts: Sequence[NormContext]) -> np.ndarray:
+    """Normalize the last axis of a (..., M) array, entry m in contexts[m].
 
-
-def normalize_row(raw: Sequence[float], contexts: Sequence[NormContext]) -> list[float]:
-    """One score per capability, each normalized in its own context."""
-    return [context.apply(x) for context, x in zip(contexts, raw)]
+    Every entry is bit-identical to `contexts[m].apply`: the clamps are
+    Python's `max(0.0, x)` and `min(1.0, x)`, so -0.0 and NaN become 0.0
+    where `np.clip` would keep them.
+    """
+    x = np.asarray(raw, dtype=np.float64)
+    if x.shape[-1:] != (len(contexts),):
+        raise DimensionError(f"{len(contexts)} contexts for scores of shape {x.shape}")
+    lo = np.array([c.lo for c in contexts], dtype=np.float64)
+    hi = np.array([c.hi for c in contexts], dtype=np.float64)
+    degenerate = np.array([c.degenerate for c in contexts], dtype=bool)
+    out = (x - lo) / np.where(degenerate, 1.0, hi - lo)
+    out = np.where(out > 0.0, out, 0.0)
+    out = np.where(out < 1.0, out, 1.0)
+    out[..., degenerate] = 0.5
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -164,20 +175,33 @@ class UtilitySpec:
         )
 
 
-def utility(scores: Sequence[float], spec: UtilitySpec) -> float:
-    y = np.asarray(scores, dtype=np.float64)
+def utilities(scores, spec: UtilitySpec) -> np.ndarray:
+    """The utility of every row of an (n, M) score matrix.
+
+    Row i is bit-identical to `y.mean()`, `w @ y` or `y[index]` on that row
+    alone: a row mean reduces the row as a vector does, and each matmul row
+    is one vector dot product.
+    """
+    s = np.ascontiguousarray(scores, dtype=np.float64)
+    if s.ndim != 2:
+        raise DimensionError(f"scores must be an (n, M) matrix, got shape {s.shape}")
     if spec.kind == "macro":
-        return float(y.mean())
+        return s.mean(axis=1)
     if spec.kind == "weighted":
         w = np.asarray(spec.weights, dtype=np.float64)
-        if w.shape != y.shape:
+        if w.shape[0] != s.shape[1]:
             raise DimensionError(
-                f"utility weights length {w.shape[0]} != scores length {y.shape[0]}"
+                f"utility weights length {w.shape[0]} != scores length {s.shape[1]}"
             )
-        return float(w @ y)
-    if spec.index >= y.shape[0] or spec.index < 0:
+        return np.matmul(s[:, None, :], w[:, None])[:, 0, 0]
+    if spec.index >= s.shape[1] or spec.index < 0:
         raise DimensionError(f"capability index {spec.index} out of range")
-    return float(y[spec.index])
+    return s[:, spec.index]
+
+
+def utility(scores: Sequence[float], spec: UtilitySpec) -> float:
+    """`utilities` of one score vector."""
+    return float(utilities(np.asarray(scores, dtype=np.float64)[None, :], spec)[0])
 
 
 # ---------------------------------------------------------------------------

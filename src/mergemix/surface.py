@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionError, MergeMixError
 from .gbt import BoostHyper, GradientBoostedRegressor
-from .merging import merge
+from .merging import merge, merge_many
 from .params import params_digest
 from .seeding import rng_for
 from .simplex import (
@@ -30,7 +30,7 @@ from .simplex import (
     simplex_lattice,
     uniform_weights,
 )
-from .stats import NormContext, UtilitySpec, normalize_row, utility
+from .stats import NormContext, UtilitySpec, normalize, utilities
 from .training import expert_params
 from .worlds import World, raw_capabilities
 
@@ -106,14 +106,10 @@ class SurfaceSample:
 
 
 def collect_raw_scores(world: World, base: np.ndarray, experts, configs):
-    """Merge at each config and score every capability; returns raws and digests."""
+    """Merge at each config and score every capability: (n, K) raws, digests."""
     params = expert_params(experts)
-    raws, digests = [], []
-    for weights in configs:
-        merged = merge(base, params, weights)
-        raws.append(raw_capabilities(world, merged))
-        digests.append(params_digest(merged))
-    return np.asarray(raws), digests
+    merged = np.stack([merge(base, params, weights) for weights in configs])
+    return raw_capabilities(world, merged), [params_digest(theta) for theta in merged]
 
 
 def collect_samples(world: World, base: np.ndarray, experts,
@@ -121,11 +117,10 @@ def collect_samples(world: World, base: np.ndarray, experts,
     """Evaluate the whole design; the design population is the normalization
     context for every capability."""
     raws, digests = collect_raw_scores(world, base, experts, design.configs)
-    contexts = [NormContext.from_samples(raws[:, m])
-                for m in range(world.num_domains)]
-    samples = [SurfaceSample(design.configs[i], tuple(normalize_row(raws[i], contexts)),
-                             digests[i])
-               for i in range(design.size)]
+    contexts = [NormContext.from_samples(column) for column in raws.T]
+    samples = [SurfaceSample(weights, tuple(scores), digest)
+               for weights, scores, digest
+               in zip(design.configs, normalize(raws, contexts).tolist(), digests)]
     return samples, contexts
 
 
@@ -273,19 +268,15 @@ def search_optimum(model, utility_spec: UtilitySpec | None = None,
         if k is None:
             raise MergeMixError("k is required when searching a bare predictor")
 
-    def values(points: np.ndarray) -> np.ndarray:
-        scores = predict_batch(points)
-        return np.asarray([utility(row, spec) for row in scores])
-
     steps = lattice_steps(resolution)
     coarse = simplex_lattice(k, steps, budget)
-    coarse_vals = values(coarse)
+    coarse_vals = utilities(predict_batch(coarse), spec)
     best = int(np.argmax(coarse_vals))  # first max = lex smallest tie
     evaluated = coarse.shape[0]
 
     fine = boxed_lattice(coarse[best], steps * 5, radius=REFINE_RADIUS,
                          budget=max(0, budget - evaluated))
-    fine_vals = values(fine)
+    fine_vals = utilities(predict_batch(fine), spec)
     best_fine = int(np.argmax(fine_vals))
     evaluated += fine.shape[0]
 
@@ -332,25 +323,21 @@ def run_search_stage(world: World, base: np.ndarray, experts, *,
 
 
 def merged_scores(world: World, base: np.ndarray, experts, weights,
-                  contexts) -> list[float]:
-    """Merge at `weights` and score every capability in the given units."""
-    merged = merge(base, expert_params(experts), weights)
-    return normalize_row(raw_capabilities(world, merged), contexts)
+                  contexts) -> np.ndarray:
+    """Merge at each weight row and score every capability in the given units."""
+    merged = merge_many(base, expert_params(experts), weights)
+    return normalize(raw_capabilities(world, merged), contexts)
 
 
 def baseline_utilities(world: World, base: np.ndarray, experts, contexts,
                        spec: UtilitySpec) -> dict:
     """Actual utility of the uniform mixture and of every corner."""
     k = len(experts)
-    baselines = {"uniform": utility(
-        merged_scores(world, base, experts, uniform_weights(k), contexts), spec)}
-    for i, expert in enumerate(experts):
-        corner = np.zeros(k)
-        corner[i] = 1.0
-        label = expert.name if hasattr(expert, "name") else str(i)
-        baselines[f"corner_{label}"] = utility(
-            merged_scores(world, base, experts, corner, contexts), spec)
-    return baselines
+    labels = ["uniform"] + [f"corner_{getattr(expert, 'name', i)}"
+                            for i, expert in enumerate(experts)]
+    weights = np.vstack([uniform_weights(k), np.eye(k)])
+    values = utilities(merged_scores(world, base, experts, weights, contexts), spec)
+    return dict(zip(labels, values.tolist()))
 
 
 def verify_optimum(world: World, base: np.ndarray, experts,
@@ -362,7 +349,8 @@ def verify_optimum(world: World, base: np.ndarray, experts,
     mixture actually beats the obvious baselines.
     """
     spec = model.utility_spec
-    actual = merged_scores(world, base, experts, result.weights, model.contexts)
+    scores = merged_scores(world, base, experts, [result.weights], model.contexts)
+    actual = scores[0].tolist()
     predicted = list(result.predicted_scores)
     gaps = [p - a for p, a in zip(predicted, actual)]
     baselines = baseline_utilities(world, base, experts, model.contexts, spec)
@@ -375,7 +363,7 @@ def verify_optimum(world: World, base: np.ndarray, experts,
         "per_capability_gap": gaps,
         "max_abs_gap": max(abs(g) for g in gaps),
         "predicted_utility": result.predicted_utility,
-        "actual_utility": utility(actual, spec),
+        "actual_utility": float(utilities(scores, spec)[0]),
         "baseline_utilities": baselines,
         "resolution": result.resolution,
         "evaluated_points": result.evaluated_points,

@@ -282,22 +282,19 @@ class CurvatureMatrix:
 
 def relative_curvature(world: World, theta0: np.ndarray,
                        step: float | None = None) -> CurvatureMatrix:
-    theta0 = as_params(theta0)
-    k = world.num_domains
-    grads = [world.grad(i, theta0) for i in range(k)]
-    norms = [float(np.linalg.norm(g)) for g in grads]
+    """|H_a g_b| / |g_b|, each row divided by its self-response, from a
+    TaylorContext's `curvature_responses`."""
+    ctx = TaylorContext.from_world(world, theta0, 1.0, step)
+    k = ctx.num_domains
+    norms = _row_norms(np.stack(ctx.grads))
     for name, n in zip(world.names, norms):
         if n == 0.0:
             raise DegenerateInputError(f"zero gradient for domain {name!r}")
-    response = np.empty((k, k))
-    for a in range(k):
-        for b in range(k):
-            response[a, b] = float(np.linalg.norm(world.hvp(a, theta0, grads[b], step)))
-            response[a, b] /= norms[b]
-        if response[a, a] == 0.0:
-            raise DegenerateInputError(
-                f"zero self curvature response for domain {world.names[a]!r}"
-            )
+    table = ctx.curvature_responses
+    response = _row_norms(table.reshape(k * k, -1)).reshape(k, k) / norms
+    for name, self_response in zip(world.names, np.diag(response)):
+        if self_response == 0.0:
+            raise DegenerateInputError(f"zero self curvature response for domain {name!r}")
     values = response / np.diag(response)[:, None]  # row / self-response; diagonal 1
     dominant = tuple(
         bool(np.all(np.delete(values[i], i) <= 1.0)) for i in range(k)

@@ -9,14 +9,13 @@ reference population.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, MergeMixError, NumericError
 from .models import Quadratic, ToyNet, hvp_finite_difference
 from .params import as_params
-from .stats import NormContext
 
 
 @dataclass(frozen=True)
@@ -71,13 +70,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
-
-
-@dataclass(frozen=True)
-class CapabilityScore:
-    domain: str
-    raw: float
-    normalized: float
 
 
 def generate_domain(spec: DomainSpec) -> tuple[Dataset, Dataset]:
@@ -226,15 +218,14 @@ def raw_capability(world: World, k: int, theta: np.ndarray) -> float:
     return -loss
 
 
-def raw_capabilities(world: World, theta: np.ndarray) -> list[float]:
-    """Raw capability on every domain, in domain order."""
-    return [raw_capability(world, k, theta) for k in range(world.num_domains)]
-
-
-def evaluate_capability(world: World, k: int, theta: np.ndarray,
-                        context: NormContext) -> CapabilityScore:
-    raw = raw_capability(world, k, theta)
-    return CapabilityScore(world.names[k], raw, context.apply(raw))
+def raw_capabilities(world: World, theta: np.ndarray) -> np.ndarray:
+    """Raw capability on every domain, in domain order: a (K,) vector for one
+    parameter vector, an (n, K) matrix for an (n, P) stack, row by row."""
+    theta = np.asarray(theta, dtype=np.float64)
+    rows = theta if theta.ndim == 2 else theta[None]
+    out = np.array([[raw_capability(world, k, row) for k in range(world.num_domains)]
+                    for row in rows]).reshape(len(rows), world.num_domains)
+    return out if theta.ndim == 2 else out[0]
 
 
 def _rotation(rng: np.random.Generator, dim: int) -> np.ndarray:

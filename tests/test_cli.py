@@ -135,6 +135,20 @@ class TestPipelineCommand:
         assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
         assert not (out / "qw2" / "experts").exists()
 
+    def test_refinement_over_budget_fails_after_training(self, tmp_path, capsys):
+        """27 points hold the coarse 2-way lattice plus the 6-point corner
+        box, so parsing passes; the box around the interior optimum has 11
+        points and the search fails once the experts are written."""
+        payload = dict(QW2_PIPELINE)
+        payload["search"] = {"resolution": 0.05, "budget": 27}
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 1
+        assert ("refinement lattice exceeds the budget of 6"
+                in capsys.readouterr().err)
+        assert (out / "qw2" / "experts").is_dir()
+        assert not (out / "qw2" / "manifest.json").exists()
+
     @pytest.mark.parametrize("prior,message", [
         ([float("nan"), 0.5], "non-finite"),
         ([0.5, 0.3], "sum to 0.8"),
@@ -393,6 +407,35 @@ class TestHeatmapCommand:
                      "--capability", "nonsense",
                      "--resolution", "0.25",
                      "--out", str(tmp_path / "x.csv")]) == 1
+
+    def test_unknown_capability_fails_before_predicting(self, pipeline_run,
+                                                         tmp_path, monkeypatch):
+        from mergemix.surface import SurfaceModel
+
+        def no_predict(self, configs):
+            raise AssertionError("predicted before resolving the capability")
+
+        monkeypatch.setattr(SurfaceModel, "predict_batch", no_predict)
+        assert main(["export-heatmap",
+                     "--surface", str(pipeline_run / "surface.model.json"),
+                     "--capability", "7",
+                     "--out", str(tmp_path / "x.csv")]) == 1
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--top-percent", "0"], "top percentile"),
+        (["--top-percent", "150"], "top percentile"),
+        (["--resolution", "0"], "resolution"),
+        (["--resolution", "2"], "resolution"),
+        (["--resolution", "-1"], "resolution"),
+    ])
+    def test_bad_flag_exits_2_before_reading_the_surface(self, tmp_path, capsys,
+                                                          flags, message):
+        out_csv = tmp_path / "x.csv"
+        assert main(["export-heatmap",
+                     "--surface", str(tmp_path / "missing.json"),
+                     *flags, "--out", str(out_csv)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out_csv.exists()
 
 
 class TestHierarchicalAndRecalibrateModes:

@@ -16,8 +16,9 @@ from mergemix.stats import (
     cost_accounting,
     cost_entries_from_dicts,
     format_relative,
-    normalize_scores,
+    normalize,
     spearman,
+    utilities,
     utility,
 )
 
@@ -78,11 +79,11 @@ class TestSpearman:
 class TestNormalization:
     def test_endpoints(self):
         ctx = NormContext(2.0, 4.0)
-        assert normalize_scores([2.0, 4.0], ctx) == [0.0, 1.0]
+        assert normalize([[2.0], [4.0]], [ctx])[:, 0].tolist() == [0.0, 1.0]
 
     def test_degenerate_maps_to_half(self):
         ctx = NormContext(3.0, 3.0)
-        assert normalize_scores([1.0, 3.0, 9.0], ctx) == [0.5, 0.5, 0.5]
+        assert normalize([[1.0], [3.0], [9.0]], [ctx])[:, 0].tolist() == [0.5, 0.5, 0.5]
 
     def test_clamping(self):
         ctx = NormContext(0.0, 1.0)
@@ -92,7 +93,7 @@ class TestNormalization:
     def test_monotone_in_raw(self):
         ctx = NormContext(-1.0, 1.0)
         values = np.linspace(-1, 1, 11)
-        normed = normalize_scores(values, ctx)
+        normed = normalize(values[:, None], [ctx])[:, 0].tolist()
         assert all(a <= b for a, b in zip(normed, normed[1:]))
 
     def test_from_samples(self):
@@ -131,6 +132,107 @@ class TestUtility:
             UtilitySpec(kind="weighted", weights=(-0.2, 1.2))
         with pytest.raises(MergeMixError, match="finite"):
             UtilitySpec(kind="weighted", weights=(float("nan"), 1.0))
+
+
+def normalize_reference(raw, contexts) -> np.ndarray:
+    """The per-row loop `normalize` replaced: `apply` on every entry."""
+    return np.array([[ctx.apply(x) for ctx, x in zip(contexts, row)] for row in raw])
+
+
+def utility_reference(scores, spec) -> float:
+    """The scalar utility `utilities` replaced, one score vector at a time."""
+    y = np.asarray(scores, dtype=np.float64)
+    if spec.kind == "macro":
+        return float(y.mean())
+    if spec.kind == "weighted":
+        return float(np.asarray(spec.weights, dtype=np.float64) @ y)
+    return float(y[spec.index])
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestNormalizeMatchesApply:
+    CONTEXTS = [NormContext(-2.0, 0.5), NormContext(3.0, 3.0),
+                NormContext(0.0, 1.0), NormContext(-1e-3, 7.25)]
+
+    def test_random_rows_bit_identical(self):
+        rng = np.random.default_rng(21)
+        raw = rng.uniform(-4.0, 9.0, size=(500, len(self.CONTEXTS)))
+        got = normalize(raw, self.CONTEXTS)
+        assert bits(got) == bits(normalize_reference(raw, self.CONTEXTS))
+
+    def test_clamps_degenerate_and_signed_zero(self):
+        raw = np.array([[-9.0, 1.0, -0.0, 8.0],   # below lo; -0.0 at lo = 0.0
+                        [9.0, 3.0, 0.0, -1e-3],    # above hi; exactly lo
+                        [0.5, -5.0, 1.0, 7.25],    # exactly hi
+                        [-2.0, 9.0, 2.0, -0.0]])
+        got = normalize(raw, self.CONTEXTS)
+        assert bits(got) == bits(normalize_reference(raw, self.CONTEXTS))
+        assert got[:, 0].tolist() == [0.0, 1.0, 1.0, 0.0]
+        assert got[:, 1].tolist() == [0.5] * 4
+        assert not np.signbit(got).any()
+
+    def test_nan_maps_to_zero_like_apply(self):
+        ctx = NormContext(0.0, 1.0)
+        assert ctx.apply(float("nan")) == 0.0
+        assert normalize([float("nan")], [ctx]).tolist() == [0.0]
+
+    def test_any_leading_shape(self):
+        rng = np.random.default_rng(22)
+        raw = rng.uniform(-4.0, 9.0, size=(3, 5, len(self.CONTEXTS)))
+        got = normalize(raw, self.CONTEXTS)
+        want = normalize_reference(raw.reshape(-1, len(self.CONTEXTS)), self.CONTEXTS)
+        assert got.shape == raw.shape
+        assert bits(got) == bits(want)
+        assert bits(normalize(raw[0, 0], self.CONTEXTS)) == bits(want[0])
+
+    def test_context_count_must_match(self):
+        with pytest.raises(DimensionError):
+            normalize(np.zeros((2, 3)), self.CONTEXTS)
+
+
+def _signed_scores(rng, n, m) -> np.ndarray:
+    """Scores in [-1, 1] with exact zeros of both signs mixed in."""
+    s = rng.uniform(-1.0, 1.0, size=(n, m))
+    s[rng.random((n, m)) < 0.1] = 0.0
+    s[rng.random((n, m)) < 0.1] = -0.0
+    s[0] = -0.0
+    return s
+
+
+class TestUtilitiesMatchUtility:
+    @pytest.mark.parametrize("m", range(2, 11))
+    def test_every_kind_bit_identical_per_row(self, m):
+        rng = np.random.default_rng(100 + m)
+        scores = _signed_scores(rng, 2000, m)
+        weights = rng.dirichlet(np.ones(m))
+        weights[1:][rng.random(m - 1) < 0.3] = 0.0  # 0 * y is -0.0 for y < 0
+        weights /= weights.sum()
+        specs = [UtilitySpec(), UtilitySpec(kind="weighted", weights=tuple(weights)),
+                 UtilitySpec(kind="single", index=m - 1)]
+        for spec in specs:
+            want = [utility_reference(row, spec) for row in scores]
+            assert bits(utilities(scores, spec)) == bits(want), spec.kind
+            assert bits([utility(row, spec) for row in scores]) == bits(want), spec.kind
+
+    def test_signed_zero_rows(self):
+        scores = np.array([[-0.0, -0.0], [0.0, -0.0], [-0.5, 0.0]])
+        spec = UtilitySpec(kind="weighted", weights=(0.0, 1.0))
+        for s in (UtilitySpec(), spec, UtilitySpec(kind="single", index=0)):
+            want = [utility_reference(row, s) for row in scores]
+            assert bits(utilities(scores, s)) == bits(want)
+
+    def test_shape_errors(self):
+        with pytest.raises(DimensionError):
+            utilities(np.zeros((4, 3)), UtilitySpec(kind="weighted", weights=(0.5, 0.5)))
+        with pytest.raises(DimensionError):
+            utilities(np.zeros((4, 3)), UtilitySpec(kind="single", index=3))
+        with pytest.raises(DimensionError):
+            utilities(np.zeros(3), UtilitySpec())
+        with pytest.raises(DimensionError):
+            utility([0.2, 0.8], UtilitySpec(kind="weighted", weights=(0.2, 0.3, 0.5)))
 
 
 REFERENCE_ROWS = [

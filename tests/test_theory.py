@@ -218,7 +218,43 @@ class TestHorizonScaling:
         assert 6.0 <= report["residual_ratio"] <= 10.0
 
 
+def reference_relative_curvature(world, theta0, step=None) -> np.ndarray:
+    """The K^2 loop of HVP norms that relative_curvature ran before it read
+    a TaylorContext's curvature responses."""
+    grads = [world.grad(i, theta0) for i in range(world.num_domains)]
+    norms = [float(np.linalg.norm(g)) for g in grads]
+    response = np.empty((world.num_domains, world.num_domains))
+    for a in range(world.num_domains):
+        for b in range(world.num_domains):
+            response[a, b] = float(np.linalg.norm(world.hvp(a, theta0, grads[b], step)))
+            response[a, b] /= norms[b]
+    return response / np.diag(response)[:, None]
+
+
 class TestCurvatureMatrix:
+    @pytest.mark.parametrize("name", ["QW-2", "QW-4", "QW-SEP", "TOY-2"])
+    @pytest.mark.parametrize("step", [None, 1e-4])
+    def test_bit_identical_to_per_entry_hvp_loop(self, name, step):
+        from mergemix.worlds import fixture_by_name
+
+        world = fixture_by_name(name)
+        rng = np.random.default_rng(8)
+        for theta0 in (world.base_params(),
+                       world.base_params() + 0.3 * rng.standard_normal(world.dim)):
+            got = relative_curvature(world, theta0, step).values
+            want = reference_relative_curvature(world, theta0, step)
+            assert got.tobytes() == want.tobytes()
+
+    def test_zero_gradient_rejected_before_any_hvp(self, monkeypatch):
+        world = fixture_qw2()
+
+        def no_hvp(*args, **kwargs):
+            raise AssertionError("HVP computed before the gradient check")
+
+        monkeypatch.setattr(world, "hvp", no_hvp)
+        with pytest.raises(DegenerateInputError, match="'d1'"):
+            relative_curvature(world, world.quadratics[0].minimizer)
+
     def test_qw2_analytic_values(self, qw2):
         mat = relative_curvature(qw2, qw2.base_params())
         np.testing.assert_allclose(mat.values, [[1.0, 1.0], [2.0, 1.0]],

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from mergemix.errors import MergeMixError
-from mergemix.merging import merge
-from mergemix.stats import NormContext
+import mergemix.worlds
+from mergemix.errors import MergeMixError, NumericError
+from mergemix.merging import merge_many
+from mergemix.stats import NormContext, normalize
 from mergemix.worlds import (
     DomainSpec,
-    evaluate_capability,
     fixture_by_name,
     fixture_qw2,
     generate_domain,
     generate_world,
+    raw_capabilities,
     raw_capability,
 )
 from tests.conftest import QW2_TRAIN
@@ -63,31 +64,27 @@ class TestCapability:
                     > raw_capability(qw2, k, base))
 
     def test_normalization_degenerate_range(self, qw2):
-        score = evaluate_capability(qw2, 0, qw2.base_params(),
-                                    NormContext(1.0, 1.0))
-        assert score.normalized == 0.5
+        raw = raw_capabilities(qw2, qw2.base_params())
+        assert normalize(raw, [NormContext(1.0, 1.0)] * 2).tolist() == [0.5, 0.5]
 
     def test_score_fields(self, qw2):
-        score = evaluate_capability(qw2, 1, qw2.base_params(),
-                                    NormContext(-2.0, 0.0))
-        assert score.domain == "d2"
-        assert 0.0 <= score.normalized <= 1.0
-        assert score.raw == -qw2.loss(1, qw2.base_params())
+        base = qw2.base_params()
+        raw = raw_capabilities(qw2, base)
+        assert raw.shape == (2,) and qw2.names[1] == "d2"
+        assert raw[1] == -qw2.loss(1, base)
+        assert 0.0 <= normalize(raw, [NormContext(-2.0, 0.0)] * 2)[1] <= 1.0
 
     def test_merged_score_continuous_in_weights(self, qw2, qw2_experts):
         """Nearby merge weights give nearby scores on the standard fixture."""
         base = qw2.base_params()
         experts = [e.final for e in qw2_experts]
-        context = NormContext(-1.0, 0.0)
+        contexts = [NormContext(-1.0, 0.0)] * 2
         rng = np.random.default_rng(17)
         for _ in range(25):
             a = rng.uniform(0.05, 0.95)
             da = rng.uniform(-1e-3, 1e-3)
-            s1 = evaluate_capability(
-                qw2, 0, merge(base, experts, [a, 1 - a]), context).normalized
-            s2 = evaluate_capability(
-                qw2, 0, merge(base, experts, [a + da, 1 - a - da]), context
-            ).normalized
+            merged = merge_many(base, experts, [[a, 1 - a], [a + da, 1 - a - da]])
+            s1, s2 = normalize(raw_capabilities(qw2, merged), contexts)[:, 0]
             assert abs(s1 - s2) <= 1e-2
 
     def test_fixture_qw2_layout(self):
@@ -95,6 +92,58 @@ class TestCapability:
         np.testing.assert_array_equal(w.quadratics[0].minimizer, [1.0, 0.0])
         np.testing.assert_array_equal(w.quadratics[1].curvature,
                                       np.diag([2.0, 1.0]))
+
+
+def raw_capabilities_reference(world, stack) -> np.ndarray:
+    """The per-row loop `raw_capabilities` replaced on stacks."""
+    return np.array([[raw_capability(world, k, theta) for k in range(world.num_domains)]
+                     for theta in stack])
+
+
+class TestRawCapabilitiesStack:
+    @pytest.fixture(params=["QW-4", "TOY-2"])
+    def world_and_stack(self, request):
+        world = fixture_by_name(request.param)
+        rng = np.random.default_rng(31)
+        base = world.base_params()
+        return world, base + rng.standard_normal((12, world.dim))
+
+    def test_stack_bit_identical_to_per_row_loop(self, world_and_stack):
+        world, stack = world_and_stack
+        got = raw_capabilities(world, stack)
+        assert got.shape == (12, world.num_domains)
+        assert got.tobytes() == raw_capabilities_reference(world, stack).tobytes()
+
+    def test_one_vector_is_one_row(self, world_and_stack):
+        world, stack = world_and_stack
+        one = raw_capabilities(world, stack[3])
+        assert one.shape == (world.num_domains,)
+        assert one.tobytes() == raw_capabilities(world, stack)[3].tobytes()
+
+    def test_empty_stack(self, world_and_stack):
+        world, stack = world_and_stack
+        assert raw_capabilities(world, stack[:0]).shape == (0, world.num_domains)
+
+    def test_scores_through_raw_capability(self, world_and_stack, monkeypatch):
+        """Each (row, domain) pair is one raw_capability call, so its checks
+        and call counts hold for stacks too."""
+        world, stack = world_and_stack
+        calls = []
+        original = mergemix.worlds.raw_capability
+
+        def counted(*args):
+            calls.append(args[1])
+            return original(*args)
+
+        monkeypatch.setattr(mergemix.worlds, "raw_capability", counted)
+        raw_capabilities(world, stack[:5])
+        assert calls == list(range(world.num_domains)) * 5
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_row_names_its_domain(self, qw2):
+        stack = np.array([[0.0, 0.0], [1e200, 0.0]])
+        with pytest.raises(NumericError, match="'d1'"):
+            raw_capabilities(qw2, stack)
 
 
 class TestOrthogonalTaskGeometry:
