@@ -2,7 +2,7 @@
 
 Subcommands: pipeline, theory, consistency, cost, export-heatmap. Exit
 codes: 0 success, 1 pipeline failure (partial artifacts kept, no
-manifest), 2 invalid configuration or usage.
+manifest), 2 invalid configuration, usage or surface file.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 
 from .config import RunConfig, load_config
-from .errors import ConfigError, MergeMixError
+from .errors import ConfigError, MergeMixError, SurfaceFileError
 
 
 def _common_flags(parser: argparse.ArgumentParser, need_config: bool) -> None:
@@ -121,6 +121,9 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except SurfaceFileError as exc:
+        print(f"surface error: {exc}", file=sys.stderr)
         return 2
     except MergeMixError as exc:
         print(f"error: {exc}", file=sys.stderr)

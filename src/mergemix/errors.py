@@ -39,3 +39,7 @@ class UndefinedCorrelationError(MergeMixError):
 
 class ConfigError(MergeMixError):
     """Run configuration failed validation."""
+
+
+class SurfaceFileError(MergeMixError):
+    """A saved surface model file is missing, unreadable or malformed."""

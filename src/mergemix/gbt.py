@@ -18,11 +18,19 @@ Predict works on blocks of PREDICT_BLOCK_ROWS rows, transposed so that each
 feature is one contiguous column. A tree is evaluated as nested `np.where`
 over one column comparison per internal node; the ensemble folds the
 learning rate into the leaf values and sums the trees in order. Both give
-the same floats as routing each row down the tree.
+the same floats as routing each row down the tree. An ensemble builds those
+routes once and reuses them until its trees change, so a small predict call
+costs little more than its `np.where` passes.
+
+A fit can hand back the boosting sum it accumulated at the training rows
+(`fit(x, y, out=...)`): the same comparisons and the same `lr * value` sum
+in the same order as predict, hence the same floats as `predict(x)`
+without a second pass over the trees.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,16 +46,63 @@ def _column_blocks(x: np.ndarray):
         yield start, np.ascontiguousarray(x[start:start + PREDICT_BLOCK_ROWS].T)
 
 
-def _evaluate(route, cols: np.ndarray):
-    """Value of a route (see RegressionTree._route) for every column of a block.
+class _Routes:
+    """Trees as one flat table of nodes, built from their arrays once.
 
-    A single-leaf route gives a float, which broadcasts.
+    Node j tests feature `features[j]` against `floats[j]` and goes on to
+    node `lefts[j]` or `rights[j]`; a leaf has feature -1 and its float is
+    `scale * value`. Like a row-by-row walk, a route stops max_depth + 1
+    levels down even if a stored tree goes deeper. `roots` lists each
+    tree's first node, in tree order. The arrays hold raw machine values,
+    so a cached table costs a few buffers, not a Python object per node.
     """
-    if isinstance(route, float):
-        return route
-    f, threshold, left, right = route
-    return np.where(cols[f] <= threshold, _evaluate(left, cols),
-                    _evaluate(right, cols))
+
+    def __init__(self, trees, scale: float = 1.0):
+        features, floats, lefts, rights, roots = [], [], [], [], []
+        for tree in trees:
+            feature, threshold, left, right, value = (
+                a.tolist() for a in (tree.features, tree.thresholds, tree.lefts,
+                                     tree.rights, tree.values))
+            roots.append(len(floats))
+            # (tree node, its depth, the parent's child list and slot)
+            pending = [(0, 0, None, 0)]
+            while pending:
+                node, depth, children, slot = pending.pop()
+                j = len(floats)
+                if children is not None:
+                    children[slot] = j
+                lefts.append(-1)
+                rights.append(-1)
+                if feature[node] < 0 or depth > tree.max_depth:
+                    features.append(-1)
+                    floats.append(scale * value[node])
+                    continue
+                features.append(feature[node])
+                floats.append(threshold[node])
+                pending.append((right[node], depth + 1, rights, j))
+                pending.append((left[node], depth + 1, lefts, j))
+        self.features = array("q", features)
+        self.floats = array("d", floats)
+        self.lefts = array("q", lefts)
+        self.rights = array("q", rights)
+        self.roots = array("q", roots)
+
+    def evaluate(self, node: int, cols: np.ndarray):
+        """Value of the route from `node` for every column of a block.
+
+        A leaf gives a float, which broadcasts.
+        """
+        return _evaluate(self.features, self.floats, self.lefts, self.rights,
+                         node, cols)
+
+
+def _evaluate(features, floats, lefts, rights, node, cols):
+    f = features[node]
+    if f < 0:
+        return floats[node]
+    return np.where(cols[f] <= floats[node],
+                    _evaluate(features, floats, lefts, rights, lefts[node], cols),
+                    _evaluate(features, floats, lefts, rights, rights[node], cols))
 
 
 @dataclass
@@ -61,31 +116,11 @@ class RegressionTree:
     values: np.ndarray
     max_depth: int
 
-    def _route(self, scale: float = 1.0):
-        """The tree as nested (feature, threshold, left, right) tuples.
-
-        Leaves become `scale * value`. Like a row-by-row walk, a route stops
-        max_depth + 1 levels down even if a stored tree goes deeper.
-        """
-        features = self.features.tolist()
-        thresholds = self.thresholds.tolist()
-        lefts = self.lefts.tolist()
-        rights = self.rights.tolist()
-        values = self.values.tolist()
-
-        def build(node: int, depth: int):
-            if features[node] < 0 or depth > self.max_depth:
-                return scale * values[node]
-            return (features[node], thresholds[node],
-                    build(lefts[node], depth + 1), build(rights[node], depth + 1))
-
-        return build(0, 0)
-
     def predict(self, x: np.ndarray) -> np.ndarray:
-        route = self._route()
+        routes = _Routes([self])
         out = np.empty(x.shape[0])
         for start, cols in _column_blocks(x):
-            out[start:start + cols.shape[1]] = _evaluate(route, cols)
+            out[start:start + cols.shape[1]] = routes.evaluate(0, cols)
         return out
 
     def to_dict(self) -> dict:
@@ -246,8 +281,13 @@ class GradientBoostedRegressor:
     hyper: BoostHyper
     init_value: float = 0.0
     trees: list[RegressionTree] = field(default_factory=list)
+    # (learning rate, trees, routes) of the last predict; see _routes.
+    _route_cache: tuple | None = field(default=None, init=False, repr=False,
+                                       compare=False)
 
-    def fit(self, x: np.ndarray, y: np.ndarray) -> "GradientBoostedRegressor":
+    def fit(self, x: np.ndarray, y: np.ndarray,
+            out: np.ndarray | None = None) -> "GradientBoostedRegressor":
+        """Boost on (x, y); `out`, if given, receives the in-sample values."""
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
@@ -266,17 +306,34 @@ class GradientBoostedRegressor:
                                       self.hyper.max_depth, self.hyper.min_leaf)
             current = current + self.hyper.learning_rate * fitted
             self.trees.append(tree)
+        if out is not None:
+            out[:] = current
         return self
+
+    def _routes(self) -> _Routes:
+        """Every tree's route with the learning rate folded into its leaves.
+
+        Rebuilt only when the learning rate or the tree objects differ from
+        the last call's; the cache holds those trees, so none of them can be
+        freed and its id reused by a new tree.
+        """
+        lr = self.hyper.learning_rate
+        cache = self._route_cache
+        if (cache is None or cache[0] != lr or len(cache[1]) != len(self.trees)
+                or any(a is not b for a, b in zip(cache[1], self.trees))):
+            # lr * leaf value is the same float as lr times the routed value.
+            cache = self._route_cache = (lr, tuple(self.trees),
+                                         _Routes(self.trees, lr))
+        return cache[2]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        # lr * leaf value is the same float as lr times the routed value.
-        routes = [tree._route(self.hyper.learning_rate) for tree in self.trees]
+        routes = self._routes()
         out = np.empty(x.shape[0])
         for start, cols in _column_blocks(x):
             acc = np.full(cols.shape[1], self.init_value)
-            for route in routes:
-                acc += _evaluate(route, cols)
+            for root in routes.roots:
+                acc += routes.evaluate(root, cols)
             out[start:start + cols.shape[1]] = acc
         return out
 

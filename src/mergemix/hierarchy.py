@@ -211,6 +211,50 @@ def _searched_weights(ctx: HierarchyContext, experts: list[np.ndarray],
     return ctx.stage(experts, labels, utility_spec).search.weights
 
 
+# The recursions are module functions, not closures: a closure that calls
+# itself is a reference cycle, and one holding `ctx` would keep every
+# stage's surface alive until the cyclic collector runs.
+
+def _snapshot(ctx: HierarchyContext, node: MixtureNode, frozen: dict) -> None:
+    """Uniform-internal consolidation of every subtree below node, by id."""
+    for child in node.children:
+        frozen[id(child)] = _consolidated_vector(ctx, child)
+        _snapshot(ctx, child, frozen)
+
+
+def _refine(ctx: HierarchyContext, frozen: dict, node: MixtureNode, mass: float,
+            rest: np.ndarray) -> None:
+    """Optimize node.weights; `rest` is the merged contribution of
+    everything outside this subtree, `mass` the subtree's total share.
+
+    The candidate model for within-weights w is
+    rest + mass * sum_i w_i (consolidated child_i - base),
+    an affine merge over virtual experts.
+    """
+    if node.is_leaf:
+        return
+    parts = [frozen[id(child)] for child in node.children]
+    virtual = [rest + mass * (p - ctx.base) for p in parts]
+    node.weights = _searched_weights(
+        ctx, virtual, ("design", node.name), ctx.cluster_utility(node))
+    _refine_children(ctx, frozen, node, mass, rest)
+
+
+def _refine_children(ctx: HierarchyContext, frozen: dict, node: MixtureNode,
+                     mass: float, rest: np.ndarray) -> None:
+    """Refine each child of a node whose weights are set, with its
+    siblings frozen at those weights."""
+    parts = [frozen[id(child)] for child in node.children]
+    for i, child in enumerate(node.children):
+        child_rest = rest.copy()
+        for j, pv in enumerate(parts):
+            if j != i:
+                child_rest = child_rest + mass * float(node.weights[j]) * (
+                    pv - ctx.base
+                )
+        _refine(ctx, frozen, child, mass * float(node.weights[i]), child_rest)
+
+
 def optimize_top_down(tree: MixtureNode, ctx: HierarchyContext) -> MixtureNode:
     """Coarse split first, then independent refinement inside each cluster.
 
@@ -222,66 +266,30 @@ def optimize_top_down(tree: MixtureNode, ctx: HierarchyContext) -> MixtureNode:
     tree.validate()
     # Uniform-internal consolidations, captured before any weights change.
     frozen: dict[int, np.ndarray] = {}
-
-    def snapshot(node: MixtureNode) -> None:
-        for child in node.children:
-            frozen[id(child)] = _consolidated_vector(ctx, child)
-            snapshot(child)
-
-    snapshot(tree)
+    _snapshot(ctx, tree, frozen)
     tree.weights = _searched_weights(
         ctx, [frozen[id(c)] for c in tree.children], ("design",), None)
-
-    def refine(node: MixtureNode, mass: float, rest: np.ndarray):
-        """Optimize node.weights; `rest` is the merged contribution of
-        everything outside this subtree, `mass` the subtree's total share.
-
-        The candidate model for within-weights w is
-        rest + mass * sum_i w_i (consolidated child_i - base),
-        an affine merge over virtual experts.
-        """
-        if node.is_leaf:
-            return
-        parts = [frozen[id(child)] for child in node.children]
-        virtual = [rest + mass * (p - ctx.base) for p in parts]
-        node.weights = _searched_weights(
-            ctx, virtual, ("design", node.name), ctx.cluster_utility(node))
-        refine_children(node, mass, rest)
-
-    def refine_children(node: MixtureNode, mass: float, rest: np.ndarray):
-        """Refine each child of a node whose weights are set, with its
-        siblings frozen at those weights."""
-        parts = [frozen[id(child)] for child in node.children]
-        for i, child in enumerate(node.children):
-            child_rest = rest.copy()
-            for j, pv in enumerate(parts):
-                if j != i:
-                    child_rest = child_rest + mass * float(node.weights[j]) * (
-                        pv - ctx.base
-                    )
-            refine(child, mass * float(node.weights[i]), child_rest)
-
-    refine_children(tree, 1.0, ctx.base)  # 1.0 * w is exactly w
+    _refine_children(ctx, frozen, tree, 1.0, ctx.base)  # 1.0 * w is exactly w
     tree.validate()
     return tree
+
+
+def _settle(ctx: HierarchyContext, node: MixtureNode) -> np.ndarray:
+    """Optimize within-cluster weights deepest-first; return the
+    consolidated vector."""
+    if node.is_leaf:
+        return ctx.expert_vector(node.domain)
+    parts = [_settle(ctx, child) for child in node.children]
+    node.weights = _searched_weights(
+        ctx, parts, ("design", node.name), ctx.cluster_utility(node))
+    return merge(ctx.base, parts, node.weights)
 
 
 def optimize_bottom_up(tree: MixtureNode, ctx: HierarchyContext) -> MixtureNode:
     """Local mixes first, then a global split across consolidated experts."""
     tree = tree.copy()
     tree.validate()
-
-    def settle(node: MixtureNode) -> np.ndarray:
-        """Optimize within-cluster weights deepest-first; return the
-        consolidated vector."""
-        if node.is_leaf:
-            return ctx.expert_vector(node.domain)
-        parts = [settle(child) for child in node.children]
-        node.weights = _searched_weights(
-            ctx, parts, ("design", node.name), ctx.cluster_utility(node))
-        return merge(ctx.base, parts, node.weights)
-
-    consolidated = [settle(child) for child in tree.children]
+    consolidated = [_settle(ctx, child) for child in tree.children]
     tree.weights = _searched_weights(ctx, consolidated, ("design",), None)
     tree.validate()
     return tree

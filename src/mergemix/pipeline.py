@@ -44,8 +44,8 @@ from .stats import (
 )
 from .surface import (
     StageResult,
-    SurfaceModel,
     baseline_utilities,
+    load_surface,
     merged_scores,
     run_search_stage,
     verify_optimum,
@@ -344,16 +344,18 @@ def run_theory(cfg: RunConfig, out_dir: str | Path) -> Path:
     weights = np.asarray(cfg.theory.get("weights", uniform_weights(k)))
     sweep_res = float(cfg.theory.get("sweep_resolution", 0.1))
 
-    scaling = horizon_scaling_check(world, weights, lr, steps, base)
+    # One context at base: its K x K curvature table serves the scaling
+    # check, the curvature matrix and the sweep.
+    ctx = TaylorContext.from_world(world, base, lr * steps)
+    scaling = horizon_scaling_check(world, weights, lr, steps, base, taylor=ctx)
 
     train_cfg = final_only(cfg.train_config(stable_seed(cfg.seed, "train")))
     experts = train_all_experts(world, base, train_cfg)
     params = expert_params(experts)
 
-    curvature = relative_curvature(world, base)
+    curvature = relative_curvature(world, base, taylor=ctx)
     cosines = task_vector_cosines(experts, base)
 
-    ctx = TaylorContext.from_world(world, base, lr * steps)
     grid = simplex_lattice(k, lattice_steps(sweep_res))
     norms = discrepancy_sweep(world, base, params, grid, ctx, train_cfg)
 
@@ -455,7 +457,7 @@ def export_heatmap(surface_path: str | Path, capability: str,
         steps = lattice_steps(resolution)
     except SimplexError as exc:
         raise ConfigError(f"heatmap {exc}") from None
-    model = SurfaceModel.from_dict(read_json(surface_path))
+    model = load_surface(surface_path)
     index = None
     if capability != "utility":
         if capability.isdigit():

@@ -199,6 +199,25 @@ def utilities(scores, spec: UtilitySpec) -> np.ndarray:
     return s[:, spec.index]
 
 
+def utility_columns(spec: UtilitySpec, m: int) -> list[int]:
+    """Indices of the capabilities, out of m, that `utilities` reads.
+
+    "macro" reads all m, "weighted" those with a non-zero weight, "single"
+    only its index. Raises what `utilities` raises on scores of width m.
+    """
+    if spec.kind == "macro":
+        return list(range(m))
+    if spec.kind == "weighted":
+        if len(spec.weights) != m:
+            raise DimensionError(
+                f"utility weights length {len(spec.weights)} != scores length {m}"
+            )
+        return [i for i, w in enumerate(spec.weights) if w != 0.0]
+    if spec.index >= m or spec.index < 0:
+        raise DimensionError(f"capability index {spec.index} out of range")
+    return [spec.index]
+
+
 def utility(scores: Sequence[float], spec: UtilitySpec) -> float:
     """`utilities` of one score vector."""
     return float(utilities(np.asarray(scores, dtype=np.float64)[None, :], spec)[0])

@@ -3,8 +3,9 @@
 Seed configurations (corners + coarse grid + priors + random fill) are
 merged and evaluated to produce training samples; one boosted-tree
 regressor per capability approximates the landscape; an exhaustive lattice
-sweep with one local refinement pass finds the utility optimum, which is
-then re-checked by actually merging and evaluating.
+sweep with one local refinement pass, predicting only the capabilities the
+utility reads, finds the utility optimum, which is then re-checked by
+actually merging and evaluating.
 """
 
 from __future__ import annotations
@@ -12,13 +13,15 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .errors import DimensionError, MergeMixError
+from .errors import DimensionError, MergeMixError, SurfaceFileError
 from .gbt import BoostHyper, GradientBoostedRegressor
 from .merging import merge, merge_many
 from .params import params_digest
+from .persist import read_json
 from .seeding import rng_for
 from .simplex import (
     DEFAULT_POINT_BUDGET,
@@ -30,7 +33,7 @@ from .simplex import (
     simplex_lattice,
     uniform_weights,
 )
-from .stats import NormContext, UtilitySpec, normalize, utilities
+from .stats import NormContext, UtilitySpec, normalize, utilities, utility_columns
 from .training import expert_params
 from .worlds import World, raw_capabilities
 
@@ -158,11 +161,15 @@ class SurfaceModel:
             )
         return self.predict_batch(w[None, :])[0]
 
-    def predict_batch(self, configs: np.ndarray) -> np.ndarray:
+    def predict_batch(self, configs: np.ndarray, columns=None) -> np.ndarray:
+        """(n, M) predicted scores; with `columns`, only those capabilities
+        are predicted and every other column is 0.0."""
         x = np.atleast_2d(np.asarray(configs, dtype=np.float64))
-        out = np.empty((x.shape[0], self.num_capabilities))
-        for m, reg in enumerate(self.regressors):
-            out[:, m] = reg.predict(x)
+        if columns is None:
+            columns = range(self.num_capabilities)
+        out = np.zeros((x.shape[0], self.num_capabilities))
+        for m in columns:
+            out[:, m] = self.regressors[m].predict(x)
         return out
 
     def to_dict(self) -> dict:
@@ -199,6 +206,23 @@ class SurfaceModel:
         )
 
 
+def load_surface(path) -> SurfaceModel:
+    """The SurfaceModel saved at `path`; SurfaceFileError if the file is
+    missing, is not JSON or does not hold a surface."""
+    try:
+        data = read_json(path)
+    except FileNotFoundError:
+        raise SurfaceFileError(f"surface file not found: {path}") from None
+    except (OSError, ValueError) as exc:
+        raise SurfaceFileError(f"cannot read surface file {path}: {exc}") from None
+    try:
+        return SurfaceModel.from_dict(data)
+    except KeyError as exc:
+        raise SurfaceFileError(f"surface file {path} has no field {exc}") from None
+    except (AttributeError, TypeError, ValueError, MergeMixError) as exc:
+        raise SurfaceFileError(f"malformed surface file {path}: {exc}") from None
+
+
 def fit_surface(samples: list[SurfaceSample], capabilities: list[str],
                 contexts: list[NormContext],
                 hyper: BoostHyper | None = None,
@@ -218,9 +242,9 @@ def fit_surface(samples: list[SurfaceSample], capabilities: list[str],
     train_error = []
     for m in range(len(capabilities)):
         y = np.asarray([s.scores[m] for s in samples])
-        reg = GradientBoostedRegressor(hyper).fit(x, y)
-        regressors.append(reg)
-        train_error.append(float(np.max(np.abs(reg.predict(x) - y))))
+        fitted = np.empty(y.shape[0])
+        regressors.append(GradientBoostedRegressor(hyper).fit(x, y, out=fitted))
+        train_error.append(float(np.max(np.abs(fitted - y))))
     return SurfaceModel(
         capabilities=list(capabilities),
         regressors=regressors,
@@ -252,40 +276,49 @@ def search_optimum(model, utility_spec: UtilitySpec | None = None,
     simplex points to an (n, M) score matrix. Ties resolve to the
     lexicographically smallest point because both sweeps enumerate points
     in ascending lexicographic order and keep the first maximum.
+
+    On a SurfaceModel both sweeps predict only the capabilities the utility
+    reads (`utility_columns`) and leave the others 0.0; a zero weight times
+    0.0 instead of a negative prediction can only turn a -0.0 utility into
+    0.0, which ties with it, so the argmax is the one a full prediction
+    gives. The winner then gets every capability predicted, and
+    `predicted_utility` is the utility of that full row.
     """
     if not 0 < resolution <= 0.25:
         raise MergeMixError(
             f"search resolution must be in (0, 0.25], got {resolution}"
         )
     if isinstance(model, SurfaceModel):
-        predict_batch = model.predict_batch
         spec = utility_spec or model.utility_spec
+        read = utility_columns(spec, model.num_capabilities)
+        predict_batch = model.predict_batch
+        sweep = partial(model.predict_batch, columns=read)
         if k is None:
             k = model.input_dim
     else:
-        predict_batch = model
+        predict_batch = sweep = model
         spec = utility_spec or UtilitySpec()
         if k is None:
             raise MergeMixError("k is required when searching a bare predictor")
 
     steps = lattice_steps(resolution)
     coarse = simplex_lattice(k, steps, budget)
-    coarse_vals = utilities(predict_batch(coarse), spec)
+    coarse_vals = utilities(sweep(coarse), spec)
     best = int(np.argmax(coarse_vals))  # first max = lex smallest tie
     evaluated = coarse.shape[0]
 
     fine = boxed_lattice(coarse[best], steps * 5, radius=REFINE_RADIUS,
                          budget=max(0, budget - evaluated))
-    fine_vals = utilities(predict_batch(fine), spec)
-    best_fine = int(np.argmax(fine_vals))
+    best_fine = int(np.argmax(utilities(sweep(fine), spec)))
     evaluated += fine.shape[0]
 
+    # The winning lattice point and its renormalized weights, fully predicted.
     weights = normalize_simplex(fine[best_fine])
-    scores = predict_batch(weights[None, :])[0]
+    scores = predict_batch(np.stack([fine[best_fine], weights]))
     return SearchResult(
         weights=weights,
-        predicted_utility=float(fine_vals[best_fine]),
-        predicted_scores=tuple(float(v) for v in scores),
+        predicted_utility=float(utilities(scores[:1], spec)[0]),
+        predicted_scores=tuple(float(v) for v in scores[1]),
         resolution=1.0 / steps,
         evaluated_points=evaluated,
     )

@@ -10,7 +10,7 @@ effective curvature matrix and task-vector cosines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import islice
 
@@ -65,6 +65,13 @@ class TaylorContext:
     @property
     def num_domains(self) -> int:
         return len(self.grads)
+
+    def with_horizon(self, horizon: float) -> "TaylorContext":
+        """This context at another horizon, sharing its curvature table,
+        which depends on the point and the Hessians but not the horizon."""
+        ctx = replace(self, horizon=float(horizon))
+        ctx.__dict__["curvature_responses"] = self.curvature_responses
+        return ctx
 
     @cached_property
     def curvature_responses(self) -> np.ndarray:
@@ -233,17 +240,28 @@ def _simulate_gap(world: World, weights, base: np.ndarray,
     return mixed - merged
 
 
+def _shared_context(taylor: TaylorContext | None, theta0: np.ndarray):
+    """`taylor`, after checking that it was built at theta0."""
+    if taylor is not None and not np.array_equal(taylor.theta0, theta0):
+        raise MergeMixError("the shared Taylor context is at another point")
+    return taylor
+
+
 def horizon_scaling_check(world: World, weights, learning_rate: float,
-                          steps: int, base: np.ndarray | None = None) -> dict:
+                          steps: int, base: np.ndarray | None = None,
+                          taylor: TaylorContext | None = None) -> dict:
     """How the simulated mix-vs-merge gap shrinks when the horizon halves.
 
     The half-horizon run doubles the step count and quarters the learning
     rate, so discretization error shrinks in lockstep with the horizon and
     the continuous-limit exponents are observable: the raw gap is quadratic
     in the horizon (ratio 4 per halving) and the gap left after subtracting
-    the predicted discrepancy is cubic (ratio 8 per halving).
+    the predicted discrepancy is cubic (ratio 8 per halving). `taylor`, a
+    context at `base`, lends its gradients and curvature table to both
+    horizons; without it each horizon builds its own.
     """
     base = world.base_params() if base is None else as_params(base)
+    taylor = _shared_context(taylor, base)
     lam = normalize_simplex(weights)
     horizon = learning_rate * steps
     gaps = {}
@@ -253,7 +271,8 @@ def horizon_scaling_check(world: World, weights, learning_rate: float,
         "half": (learning_rate / 4.0, 2 * steps),
     }.items():
         gap = _simulate_gap(world, lam, base, lr, t)
-        ctx = TaylorContext.from_world(world, base, lr * t)
+        ctx = (taylor.with_horizon(lr * t) if taylor is not None
+               else TaylorContext.from_world(world, base, lr * t))
         report = discrepancy(ctx, lam).with_observation(gap)
         gaps[label] = float(np.linalg.norm(gap))
         residuals[label] = report.residual_norm
@@ -281,10 +300,17 @@ class CurvatureMatrix:
 
 
 def relative_curvature(world: World, theta0: np.ndarray,
-                       step: float | None = None) -> CurvatureMatrix:
+                       step: float | None = None,
+                       taylor: TaylorContext | None = None) -> CurvatureMatrix:
     """|H_a g_b| / |g_b|, each row divided by its self-response, from a
-    TaylorContext's `curvature_responses`."""
-    ctx = TaylorContext.from_world(world, theta0, 1.0, step)
+    TaylorContext's `curvature_responses`.
+
+    `taylor`, a context at theta0, lends its table (and `step` is then the
+    one it was built with); without it a context at theta0 is built here.
+    """
+    ctx = _shared_context(taylor, as_params(theta0))
+    if ctx is None:
+        ctx = TaylorContext.from_world(world, theta0, 1.0, step)
     k = ctx.num_domains
     norms = _row_norms(np.stack(ctx.grads))
     for name, n in zip(world.names, norms):

@@ -421,6 +421,31 @@ class TestHeatmapCommand:
                      "--capability", "7",
                      "--out", str(tmp_path / "x.csv")]) == 1
 
+    @pytest.mark.parametrize("content,message", [
+        (None, "surface file not found"),
+        ("{not json", "cannot read surface file"),
+        (json.dumps({"format": "mm-surface-v0"}), "unsupported surface format"),
+    ], ids=["missing", "not-json", "wrong-format"])
+    def test_bad_surface_file_exits_2(self, tmp_path, capsys, content, message):
+        surface = tmp_path / "surface.model.json"
+        if content is not None:
+            surface.write_text(content)
+        out_csv = tmp_path / "x.csv"
+        assert main(["export-heatmap", "--surface", str(surface),
+                     "--out", str(out_csv)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("surface error: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out_csv.exists()
+
+    def test_surface_missing_a_field_exits_2(self, pipeline_run, tmp_path, capsys):
+        data = read_json(pipeline_run / "surface.model.json")
+        del data["regressors"]
+        surface = write_config(tmp_path, data, "surface.model.json")
+        assert main(["export-heatmap", "--surface", str(surface),
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert "surface error: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags,message", [
         (["--top-percent", "0"], "top percentile"),
         (["--top-percent", "150"], "top percentile"),

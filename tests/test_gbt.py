@@ -341,3 +341,104 @@ class TestKernelEquivalence:
         np.testing.assert_array_equal(
             model.predict(grid),
             reference_ensemble_predict(init_value, trees, hyper.learning_rate, grid))
+
+
+def fitted_and_predicted(hyper, x, y):
+    out = np.empty(y.shape[0])
+    model = GradientBoostedRegressor(hyper).fit(x, y, out=out)
+    return model, out, model.predict(x)
+
+
+class TestFitValuesAndCachedRoutes:
+    """Fits hand back their in-sample values; predict builds routes once per
+    model."""
+
+    @pytest.mark.parametrize("hyper", [
+        BoostHyper(n_trees=40),
+        BoostHyper(n_trees=25, max_depth=1, learning_rate=0.3, min_leaf=1),
+        BoostHyper(n_trees=15, max_depth=4, learning_rate=1.0, min_leaf=3),
+    ])
+    def test_fitted_values_are_predict_bit_for_bit(self, hyper):
+        for x, y in (coarse_data(13, 150, 4), coarse_data(14, 40, 3, levels=3)):
+            _, fitted, predicted = fitted_and_predicted(hyper, x, y)
+            assert fitted.tobytes() == predicted.tobytes()
+
+    @pytest.mark.parametrize("value", [0.25, -0.0, -3.5])
+    def test_constant_target_stops_early_with_predict_values(self, value):
+        x, _ = coarse_data(15, 30, 3)
+        model, fitted, predicted = fitted_and_predicted(BoostHyper(), x,
+                                                        np.full(30, value))
+        assert model.trees == []
+        assert fitted.tobytes() == predicted.tobytes()
+
+    def test_single_leaf_trees_fitted_values(self):
+        x = np.tile([0.3, 0.7], (10, 1))
+        model, fitted, predicted = fitted_and_predicted(
+            BoostHyper(n_trees=5), x, np.linspace(0.0, 1.0, 10))
+        assert [t.features.tolist() for t in model.trees] == [[-1]] * 5
+        assert fitted.tobytes() == predicted.tobytes()
+
+    def test_routes_built_once_per_model(self, monkeypatch):
+        import mergemix.gbt as gbt
+
+        x, y = coarse_data(16, 80, 3)
+        model = GradientBoostedRegressor(BoostHyper(n_trees=10)).fit(x, y)
+        built = []
+
+        class CountedRoutes(gbt._Routes):
+            def __init__(self, trees, scale=1.0):
+                built.append(len(trees))
+                super().__init__(trees, scale)
+
+        monkeypatch.setattr(gbt, "_Routes", CountedRoutes)
+        first = model.predict(x)
+        second = model.predict(x[:7])
+        assert built == [10]
+        np.testing.assert_array_equal(second, first[:7])
+
+    def test_cached_routes_after_from_dict_and_refit(self):
+        hyper = BoostHyper(n_trees=20)
+        x, y = coarse_data(17, 100, 4)
+        grid = np.random.default_rng(18).uniform(size=(50, 4))
+        model = GradientBoostedRegressor(hyper).fit(x, y)
+        before = model.predict(grid)
+        clone = GradientBoostedRegressor.from_dict(model.to_dict())
+        assert clone.predict(grid).tobytes() == before.tobytes()
+
+        x2, y2 = coarse_data(19, 90, 4)
+        fitted = np.empty(90)
+        model.fit(x2, y2, out=fitted)
+        fresh = GradientBoostedRegressor(hyper).fit(x2, y2)
+        assert model.predict(grid).tobytes() == fresh.predict(grid).tobytes()
+        assert model.predict(x2).tobytes() == fitted.tobytes()
+        np.testing.assert_array_equal(
+            model.predict(grid),
+            reference_ensemble_predict(model.init_value, model.trees,
+                                       hyper.learning_rate, grid))
+
+    def test_replaced_trees_rebuild_routes(self):
+        hyper = BoostHyper(n_trees=20, learning_rate=0.2)
+        x, y = coarse_data(20, 100, 4)
+        grid = np.random.default_rng(21).uniform(size=(30, 4))
+        model = GradientBoostedRegressor(hyper).fit(x, y)
+        model.predict(grid)
+        model.trees = model.trees[:5]
+        np.testing.assert_array_equal(
+            model.predict(grid),
+            reference_ensemble_predict(model.init_value, model.trees,
+                                       hyper.learning_rate, grid))
+
+    def test_stored_ensemble_deeper_than_max_depth(self):
+        """Cached routes stop after max_depth + 1 levels, as a walk does."""
+        x, y = coarse_data(22, 200, 3, levels=10)
+        model = GradientBoostedRegressor(BoostHyper(n_trees=8, max_depth=4,
+                                                    min_leaf=1)).fit(x, y)
+        data = model.to_dict()
+        for tree in data["trees"]:
+            tree["max_depth"] = 1
+        shallow = GradientBoostedRegressor.from_dict(data)
+        grid = np.random.default_rng(23).uniform(size=(300, 3))
+        np.testing.assert_array_equal(
+            shallow.predict(grid),
+            reference_ensemble_predict(shallow.init_value, shallow.trees,
+                                       shallow.hyper.learning_rate, grid))

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -121,6 +124,34 @@ class TestTreeValidation:
 def _ctx(world, experts, seed=RUN_SEED, **kw):
     return HierarchyContext(world=world, base=world.base_params(),
                             experts=experts, seed=seed, **kw)
+
+
+class TestNoReferenceCycles:
+    @pytest.mark.parametrize("optimize", [optimize_top_down, optimize_bottom_up])
+    def test_context_freed_without_the_cycle_collector(self, qw4, qw4_experts,
+                                                       optimize):
+        """Once the caller drops it, the context and every stage surface it
+        logged are freed at once, not when the cyclic collector runs."""
+        tree = MixtureNode.from_dict({
+            "name": "root",
+            "children": [
+                {"name": "a", "children": [{"name": "math", "domain": "math"},
+                                           {"name": "code", "domain": "code"}]},
+                {"name": "b", "children": [{"name": "sft", "domain": "sft"},
+                                           {"name": "web", "domain": "web"}]},
+            ],
+        })
+        gc.collect()
+        gc.disable()
+        try:
+            ctx = _ctx(qw4, qw4_experts, resolution=0.25)
+            optimize(tree, ctx)
+            assert len(ctx.stage_log) == 3
+            freed = weakref.ref(ctx)
+            del ctx
+            assert freed() is None
+        finally:
+            gc.enable()
 
 
 class TestDegenerateHierarchies:

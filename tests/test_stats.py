@@ -20,6 +20,7 @@ from mergemix.stats import (
     spearman,
     utilities,
     utility,
+    utility_columns,
 )
 
 
@@ -132,6 +133,36 @@ class TestUtility:
             UtilitySpec(kind="weighted", weights=(-0.2, 1.2))
         with pytest.raises(MergeMixError, match="finite"):
             UtilitySpec(kind="weighted", weights=(float("nan"), 1.0))
+
+
+class TestUtilityColumns:
+    def test_columns_read_per_kind(self):
+        assert utility_columns(UtilitySpec(), 4) == [0, 1, 2, 3]
+        spec = UtilitySpec(kind="weighted", weights=(0.0, 0.25, 0.0, 0.75))
+        assert utility_columns(spec, 4) == [1, 3]
+        assert utility_columns(UtilitySpec(kind="single", index=2), 4) == [2]
+
+    def test_unread_columns_do_not_change_the_utility(self):
+        rng = np.random.default_rng(5)
+        scores = rng.uniform(size=(20, 5))
+        for spec in (UtilitySpec(),
+                     UtilitySpec(kind="weighted", weights=(0.5, 0.0, 0.0, 0.5, 0.0)),
+                     UtilitySpec(kind="single", index=4)):
+            read = utility_columns(spec, 5)
+            zeroed = np.zeros_like(scores)
+            zeroed[:, read] = scores[:, read]
+            assert bits(utilities(zeroed, spec)) == bits(utilities(scores, spec))
+
+    @pytest.mark.parametrize("spec", [
+        UtilitySpec(kind="weighted", weights=(0.5, 0.5)),
+        UtilitySpec(kind="single", index=3),
+        UtilitySpec(kind="single", index=-1),
+    ])
+    def test_rejects_what_utilities_rejects(self, spec):
+        with pytest.raises(DimensionError):
+            utility_columns(spec, 3)
+        with pytest.raises(DimensionError):
+            utilities(np.zeros((1, 3)), spec)
 
 
 def normalize_reference(raw, contexts) -> np.ndarray:

@@ -4,12 +4,22 @@ import numpy as np
 import pytest
 
 from mergemix.errors import BudgetExceededError, MergeMixError
-from mergemix.gbt import BoostHyper
+from mergemix.gbt import BoostHyper, GradientBoostedRegressor
+from mergemix.hierarchy import HierarchyContext, MixtureNode
 from mergemix.seeding import rng_for, stable_seed
-from mergemix.simplex import dirichlet_points, normalize_simplex, simplex_lattice
-from mergemix.stats import NormContext, UtilitySpec, spearman
+from mergemix.simplex import (
+    DEFAULT_POINT_BUDGET,
+    REFINE_RADIUS,
+    boxed_lattice,
+    dirichlet_points,
+    lattice_steps,
+    normalize_simplex,
+    simplex_lattice,
+)
+from mergemix.stats import NormContext, UtilitySpec, spearman, utilities
 from mergemix.surface import (
     DUPLICATE_TOL,
+    SearchResult,
     SeedDesign,
     SurfaceModel,
     SurfaceSample,
@@ -21,6 +31,7 @@ from mergemix.surface import (
     search_optimum,
     verify_optimum,
 )
+from mergemix.training import TrainConfig, train_expert
 from tests.conftest import RUN_SEED
 
 
@@ -264,6 +275,128 @@ class TestSearch:
 
         ranks = [corner_rank(w) for w in (0.25, 0.4, 0.6, 0.8, 1.0)]
         assert all(a >= b for a, b in zip(ranks, ranks[1:]))
+
+
+def reference_search_optimum(model: SurfaceModel, spec: UtilitySpec,
+                             resolution: float,
+                             budget: int = DEFAULT_POINT_BUDGET) -> SearchResult:
+    """The search with every capability predicted at every lattice point and
+    the winner's sweep value as its predicted utility."""
+    steps = lattice_steps(resolution)
+    coarse = simplex_lattice(model.input_dim, steps, budget)
+    coarse_vals = utilities(model.predict_batch(coarse), spec)
+    best = int(np.argmax(coarse_vals))
+    fine = boxed_lattice(coarse[best], steps * 5, radius=REFINE_RADIUS,
+                         budget=max(0, budget - coarse.shape[0]))
+    fine_vals = utilities(model.predict_batch(fine), spec)
+    best_fine = int(np.argmax(fine_vals))
+    weights = normalize_simplex(fine[best_fine])
+    scores = model.predict_batch(weights[None, :])[0]
+    return SearchResult(weights, float(fine_vals[best_fine]),
+                        tuple(float(v) for v in scores), 1.0 / steps,
+                        coarse.shape[0] + fine.shape[0])
+
+
+def assert_same_search(actual: SearchResult, expected: SearchResult):
+    """Equal to the bit, signed zeros included."""
+    assert actual.weights.tobytes() == expected.weights.tobytes()
+    assert (np.float64(actual.predicted_utility).tobytes()
+            == np.float64(expected.predicted_utility).tobytes())
+    assert (np.asarray(actual.predicted_scores).tobytes()
+            == np.asarray(expected.predicted_scores).tobytes())
+    assert actual.resolution == expected.resolution
+    assert actual.evaluated_points == expected.evaluated_points
+
+
+def synthetic_surface(m: int, k: int = 3, n: int = 30) -> SurfaceModel:
+    """A small fitted surface with M = m capabilities, some of them negative."""
+    rng = np.random.default_rng(100 + m)
+    x = dirichlet_points(k, n, rng)
+    columns = [np.sin((j + 2) * x[:, j % k]) - 0.4 * (j % 2) for j in range(m)]
+    samples = [SurfaceSample(w, tuple(float(c[i]) for c in columns), "d")
+               for i, w in enumerate(x)]
+    return fit_surface(samples, [f"c{j}" for j in range(m)],
+                       [NormContext(0, 1)] * m,
+                       hyper=BoostHyper(n_trees=12, max_depth=2))
+
+
+def read_specs(m: int):
+    weights = [0.0] * m
+    weights[1] += 0.5
+    weights[-1] += 0.5  # [0, 1] when m == 2
+    return [UtilitySpec(),
+            UtilitySpec(kind="weighted", weights=tuple(weights)),
+            UtilitySpec(kind="single", index=m // 2)]
+
+
+def count_predicted_rows(model: SurfaceModel, monkeypatch) -> list[list[int]]:
+    """Rows passed to each capability's predict, call by call."""
+    calls = [[] for _ in model.regressors]
+    for m, reg in enumerate(model.regressors):
+        def predict(x, m=m, inner=reg.predict):
+            calls[m].append(len(x))
+            return inner(x)
+        monkeypatch.setattr(reg, "predict", predict)
+    return calls
+
+
+class TestReadColumnsSearch:
+    """The sweep predicts only the capabilities the utility reads and must
+    find what a sweep predicting all of them finds."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_matches_full_prediction(self, m):
+        model = synthetic_surface(m)
+        for spec in read_specs(m):
+            assert_same_search(search_optimum(model, spec, resolution=0.1),
+                               reference_search_optimum(model, spec, 0.1))
+
+    def test_unread_capabilities_predicted_for_the_winner_only(self, monkeypatch):
+        model = synthetic_surface(5)
+        spec = UtilitySpec(kind="weighted", weights=(0.0, 0.5, 0.0, 0.0, 0.5))
+        calls = count_predicted_rows(model, monkeypatch)
+        search_optimum(model, spec, resolution=0.1)
+        assert [len(c) for c in calls] == [1, 3, 1, 1, 3]
+        for m in (0, 2, 3):
+            assert calls[m] == [2]  # the winning lattice point and its weights
+
+    def test_negative_unread_columns_and_negative_zero_terms(self):
+        """Every read term is -0.0 and every unread column negative, so a zero
+        weight times an unread prediction is -0.0 where the sweep has 0.0."""
+        hyper = BoostHyper(n_trees=1)
+        constant = lambda value: GradientBoostedRegressor(hyper, init_value=value)
+        model = SurfaceModel(
+            capabilities=["a", "b", "c", "d"],
+            regressors=[constant(-1.0), constant(-0.0), constant(-0.0),
+                        constant(-2.5)],
+            contexts=[NormContext(0, 1)] * 4, hyper=hyper,
+            utility_spec=UtilitySpec(kind="weighted", weights=(0, 0.5, 0.5, 0)),
+            sample_digest="d", train_error=[0.0] * 4, num_samples=5, input_dim=3)
+        full = model.predict_batch(np.eye(3))
+        assert np.all(np.signbit(full)) and np.all(full[:, [0, 3]] < 0)
+        for spec in (model.utility_spec, UtilitySpec(kind="single", index=2)):
+            result = search_optimum(model, spec, resolution=0.25)
+            assert_same_search(result, reference_search_optimum(model, spec, 0.25))
+            assert result.predicted_utility == 0.0
+            np.testing.assert_array_equal(result.weights, [0.0, 0.0, 1.0])
+
+    def test_cluster_utility_stage_on_qw_sep(self, qw_sep):
+        base = qw_sep.base_params()
+        cfg = TrainConfig(learning_rate=0.1, steps=60, checkpoint_interval=60,
+                          seed=stable_seed(RUN_SEED, "train"))
+        experts = [train_expert(qw_sep, k, base, cfg) for k in range(4)]
+        ctx = HierarchyContext(world=qw_sep, base=base, experts=experts,
+                               seed=RUN_SEED)
+        cluster = MixtureNode.from_dict({
+            "name": "m", "children": [{"name": "m-a", "domain": "m-a"},
+                                      {"name": "m-b", "domain": "m-b"}]})
+        spec = ctx.cluster_utility(cluster)
+        assert spec.weights == (0.5, 0.5, 0.0, 0.0)
+        stage = run_search_stage(qw_sep, base, experts[:2], design_size=60,
+                                 seed=stable_seed(RUN_SEED, "design", "m"),
+                                 utility_spec=spec, resolution=0.1)
+        assert_same_search(stage.search,
+                           reference_search_optimum(stage.model, spec, 0.1))
 
 
 class TestVerify:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mergemix.errors import DegenerateInputError
+from mergemix.errors import DegenerateInputError, MergeMixError
 from mergemix.simplex import dirichlet_points, normalize_simplex, simplex_lattice
 from mergemix.theory import (
     TaylorContext,
@@ -310,6 +310,54 @@ class TestCurvatureMatrix:
                                   / np.linalg.norm(grads[b]))
             expected[a] /= expected[a, a]
         np.testing.assert_allclose(fd.values, expected, atol=1e-3)
+
+
+class TestSharedCurvatureTable:
+    def test_run_theory_computes_the_table_once(self, tmp_path, monkeypatch):
+        """The scaling check, the curvature matrix and the sweep share one
+        K x K table of HVPs at the base."""
+        from mergemix.config import parse_config
+        from mergemix.pipeline import run_theory
+        from mergemix.worlds import QuadraticWorld
+
+        calls = []
+        hvp = QuadraticWorld.hvp
+        monkeypatch.setattr(QuadraticWorld, "hvp",
+                            lambda self, *a, **kw: calls.append(1) or hvp(self, *a, **kw))
+        cfg = parse_config({
+            "name": "t4", "seed": 3, "world": {"fixture": "QW-4"},
+            "train": {"learning_rate": 0.05, "steps": 3},
+            "theory": {"learning_rate": 0.004, "steps": 20,
+                       "sweep_resolution": 0.25}})
+        run_theory(cfg, tmp_path)
+        assert len(calls) == 4 * 4
+
+    @pytest.mark.parametrize("step", [None, 1e-4])
+    def test_shared_context_gives_the_same_matrix(self, toy_world, step):
+        base = toy_world.base_params()
+        ctx = TaylorContext.from_world(toy_world, base, 0.3, step)
+        shared = relative_curvature(toy_world, base, taylor=ctx)
+        own = relative_curvature(toy_world, base, step)
+        assert shared.values.tobytes() == own.values.tobytes()
+        assert shared.row_dominant == own.row_dominant
+
+    def test_with_horizon_shares_the_table(self, qw4):
+        ctx = TaylorContext.from_world(qw4, qw4.base_params(), 0.2)
+        longer = ctx.with_horizon(0.4)
+        assert longer.horizon == 0.4 and ctx.horizon == 0.2
+        assert longer.curvature_responses is ctx.curvature_responses
+
+    def test_scaling_check_with_shared_context_is_identical(self, qw4):
+        base = qw4.base_params()
+        lam = [0.1, 0.2, 0.3, 0.4]
+        ctx = TaylorContext.from_world(qw4, base, 0.004 * 20)
+        assert (horizon_scaling_check(qw4, lam, 0.004, 20, base, taylor=ctx)
+                == horizon_scaling_check(qw4, lam, 0.004, 20, base))
+
+    def test_context_at_another_point_rejected(self, qw4):
+        ctx = TaylorContext.from_world(qw4, qw4.base_params() + 0.1, 1.0)
+        with pytest.raises(MergeMixError, match="another point"):
+            relative_curvature(qw4, qw4.base_params(), taylor=ctx)
 
 
 class TestTaskVectorCosines:
