@@ -30,7 +30,6 @@ without a second pass over the trees.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,63 +45,16 @@ def _column_blocks(x: np.ndarray):
         yield start, np.ascontiguousarray(x[start:start + PREDICT_BLOCK_ROWS].T)
 
 
-class _Routes:
-    """Trees as one flat table of nodes, built from their arrays once.
+def _evaluate(route, cols: np.ndarray):
+    """Value of a route (see RegressionTree._route) for every column of a block.
 
-    Node j tests feature `features[j]` against `floats[j]` and goes on to
-    node `lefts[j]` or `rights[j]`; a leaf has feature -1 and its float is
-    `scale * value`. Like a row-by-row walk, a route stops max_depth + 1
-    levels down even if a stored tree goes deeper. `roots` lists each
-    tree's first node, in tree order. The arrays hold raw machine values,
-    so a cached table costs a few buffers, not a Python object per node.
+    A single-leaf route gives a float, which broadcasts.
     """
-
-    def __init__(self, trees, scale: float = 1.0):
-        features, floats, lefts, rights, roots = [], [], [], [], []
-        for tree in trees:
-            feature, threshold, left, right, value = (
-                a.tolist() for a in (tree.features, tree.thresholds, tree.lefts,
-                                     tree.rights, tree.values))
-            roots.append(len(floats))
-            # (tree node, its depth, the parent's child list and slot)
-            pending = [(0, 0, None, 0)]
-            while pending:
-                node, depth, children, slot = pending.pop()
-                j = len(floats)
-                if children is not None:
-                    children[slot] = j
-                lefts.append(-1)
-                rights.append(-1)
-                if feature[node] < 0 or depth > tree.max_depth:
-                    features.append(-1)
-                    floats.append(scale * value[node])
-                    continue
-                features.append(feature[node])
-                floats.append(threshold[node])
-                pending.append((right[node], depth + 1, rights, j))
-                pending.append((left[node], depth + 1, lefts, j))
-        self.features = array("q", features)
-        self.floats = array("d", floats)
-        self.lefts = array("q", lefts)
-        self.rights = array("q", rights)
-        self.roots = array("q", roots)
-
-    def evaluate(self, node: int, cols: np.ndarray):
-        """Value of the route from `node` for every column of a block.
-
-        A leaf gives a float, which broadcasts.
-        """
-        return _evaluate(self.features, self.floats, self.lefts, self.rights,
-                         node, cols)
-
-
-def _evaluate(features, floats, lefts, rights, node, cols):
-    f = features[node]
-    if f < 0:
-        return floats[node]
-    return np.where(cols[f] <= floats[node],
-                    _evaluate(features, floats, lefts, rights, lefts[node], cols),
-                    _evaluate(features, floats, lefts, rights, rights[node], cols))
+    if isinstance(route, float):
+        return route
+    f, threshold, left, right = route
+    return np.where(cols[f] <= threshold, _evaluate(left, cols),
+                    _evaluate(right, cols))
 
 
 @dataclass
@@ -116,11 +68,31 @@ class RegressionTree:
     values: np.ndarray
     max_depth: int
 
+    def _route(self, scale: float = 1.0):
+        """The tree as nested (feature, threshold, left, right) tuples.
+
+        Leaves become `scale * value`. Like a row-by-row walk, a route stops
+        max_depth + 1 levels down even if a stored tree goes deeper.
+        """
+        features = self.features.tolist()
+        thresholds = self.thresholds.tolist()
+        lefts = self.lefts.tolist()
+        rights = self.rights.tolist()
+        values = self.values.tolist()
+
+        def build(node: int, depth: int):
+            if features[node] < 0 or depth > self.max_depth:
+                return scale * values[node]
+            return (features[node], thresholds[node],
+                    build(lefts[node], depth + 1), build(rights[node], depth + 1))
+
+        return build(0, 0)
+
     def predict(self, x: np.ndarray) -> np.ndarray:
-        routes = _Routes([self])
+        route = self._route()
         out = np.empty(x.shape[0])
         for start, cols in _column_blocks(x):
-            out[start:start + cols.shape[1]] = routes.evaluate(0, cols)
+            out[start:start + cols.shape[1]] = _evaluate(route, cols)
         return out
 
     def to_dict(self) -> dict:
@@ -310,7 +282,7 @@ class GradientBoostedRegressor:
             out[:] = current
         return self
 
-    def _routes(self) -> _Routes:
+    def _routes(self) -> list:
         """Every tree's route with the learning rate folded into its leaves.
 
         Rebuilt only when the learning rate or the tree objects differ from
@@ -323,7 +295,7 @@ class GradientBoostedRegressor:
                 or any(a is not b for a, b in zip(cache[1], self.trees))):
             # lr * leaf value is the same float as lr times the routed value.
             cache = self._route_cache = (lr, tuple(self.trees),
-                                         _Routes(self.trees, lr))
+                                         [tree._route(lr) for tree in self.trees])
         return cache[2]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -332,8 +304,8 @@ class GradientBoostedRegressor:
         out = np.empty(x.shape[0])
         for start, cols in _column_blocks(x):
             acc = np.full(cols.shape[1], self.init_value)
-            for root in routes.roots:
-                acc += routes.evaluate(root, cols)
+            for route in routes:
+                acc += _evaluate(route, cols)
             out[start:start + cols.shape[1]] = acc
         return out
 

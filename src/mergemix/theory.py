@@ -256,14 +256,15 @@ def horizon_scaling_check(world: World, weights, learning_rate: float,
     rate, so discretization error shrinks in lockstep with the horizon and
     the continuous-limit exponents are observable: the raw gap is quadratic
     in the horizon (ratio 4 per halving) and the gap left after subtracting
-    the predicted discrepancy is cubic (ratio 8 per halving). `taylor`, a
-    context at `base`, lends its gradients and curvature table to both
-    horizons; without it each horizon builds its own.
+    the predicted discrepancy is cubic (ratio 8 per halving). Both horizons
+    share one context at `base`: `taylor` if given, else one built here.
     """
     base = world.base_params() if base is None else as_params(base)
-    taylor = _shared_context(taylor, base)
     lam = normalize_simplex(weights)
     horizon = learning_rate * steps
+    taylor = _shared_context(taylor, base)
+    if taylor is None:
+        taylor = TaylorContext.from_world(world, base, horizon)
     gaps = {}
     residuals = {}
     for label, (lr, t) in {
@@ -271,9 +272,7 @@ def horizon_scaling_check(world: World, weights, learning_rate: float,
         "half": (learning_rate / 4.0, 2 * steps),
     }.items():
         gap = _simulate_gap(world, lam, base, lr, t)
-        ctx = (taylor.with_horizon(lr * t) if taylor is not None
-               else TaylorContext.from_world(world, base, lr * t))
-        report = discrepancy(ctx, lam).with_observation(gap)
+        report = discrepancy(taylor.with_horizon(lr * t), lam).with_observation(gap)
         gaps[label] = float(np.linalg.norm(gap))
         residuals[label] = report.residual_norm
     return {
@@ -305,9 +304,12 @@ def relative_curvature(world: World, theta0: np.ndarray,
     """|H_a g_b| / |g_b|, each row divided by its self-response, from a
     TaylorContext's `curvature_responses`.
 
-    `taylor`, a context at theta0, lends its table (and `step` is then the
-    one it was built with); without it a context at theta0 is built here.
+    `taylor`, a context at theta0, lends its table and carries the HVP
+    step it was built with, so it cannot be given together with `step`;
+    without it a context at theta0 is built here.
     """
+    if taylor is not None and step is not None:
+        raise MergeMixError("give the HVP step or a shared Taylor context, not both")
     ctx = _shared_context(taylor, as_params(theta0))
     if ctx is None:
         ctx = TaylorContext.from_world(world, theta0, 1.0, step)

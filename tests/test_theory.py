@@ -347,12 +347,42 @@ class TestSharedCurvatureTable:
         assert longer.horizon == 0.4 and ctx.horizon == 0.2
         assert longer.curvature_responses is ctx.curvature_responses
 
-    def test_scaling_check_with_shared_context_is_identical(self, qw4):
-        base = qw4.base_params()
-        lam = [0.1, 0.2, 0.3, 0.4]
-        ctx = TaylorContext.from_world(qw4, base, 0.004 * 20)
-        assert (horizon_scaling_check(qw4, lam, 0.004, 20, base, taylor=ctx)
-                == horizon_scaling_check(qw4, lam, 0.004, 20, base))
+    @pytest.mark.parametrize("name", ["QW-2", "QW-4"])
+    def test_scaling_check_matches_a_context_per_horizon(self, name):
+        """One table shared by both horizons gives the residuals that a
+        fresh context per horizon gave, bit for bit."""
+        from mergemix.theory import _simulate_gap
+        from mergemix.worlds import FIXTURES
+
+        world = FIXTURES[name]()
+        base = world.base_params()
+        k = world.num_domains
+        lam = normalize_simplex(np.arange(1.0, k + 1) / (k * (k + 1) / 2))
+        want = {}
+        for label, (lr, t) in {"full": (0.004, 20), "half": (0.001, 40)}.items():
+            gap = _simulate_gap(world, lam, base, lr, t)
+            ctx = TaylorContext.from_world(world, base, lr * t)
+            want[label] = discrepancy(ctx, lam).with_observation(gap).residual_norm
+        for taylor in (None, TaylorContext.from_world(world, base, 0.08)):
+            got = horizon_scaling_check(world, lam, 0.004, 20, base, taylor=taylor)
+            assert got["residual_norm_full"] == want["full"]
+            assert got["residual_norm_half"] == want["half"]
+
+    def test_scaling_check_computes_the_table_once(self, monkeypatch):
+        from mergemix.worlds import QuadraticWorld
+
+        calls = []
+        hvp = QuadraticWorld.hvp
+        monkeypatch.setattr(QuadraticWorld, "hvp",
+                            lambda self, *a, **kw: calls.append(1) or hvp(self, *a, **kw))
+        horizon_scaling_check(fixture_qw4(), [0.25] * 4, 0.004, 20)
+        assert len(calls) == 4 * 4
+
+    def test_step_and_shared_context_rejected_together(self, toy_world):
+        base = toy_world.base_params()
+        ctx = TaylorContext.from_world(toy_world, base, 1.0)
+        with pytest.raises(MergeMixError, match="not both"):
+            relative_curvature(toy_world, base, 1e-4, taylor=ctx)
 
     def test_context_at_another_point_rejected(self, qw4):
         ctx = TaylorContext.from_world(qw4, qw4.base_params() + 0.1, 1.0)
