@@ -29,7 +29,7 @@ from .hierarchy import (
 )
 from .merging import merge, select_top_checkpoints, simulate_anneal, soup
 from .models import Quadratic, ToyNet, hvp_finite_difference
-from .params import linear_combine, params_digest
+from .params import params_digest
 from .simplex import normalize_simplex, simplex_lattice, uniform_weights
 from .stats import (
     CorrelationReport,

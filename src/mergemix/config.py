@@ -145,7 +145,7 @@ def build_world(spec: dict) -> World:
         raise ConfigError(str(exc)) from exc
 
 
-def _validate_cross_fields(data: dict, cfg: RunConfig) -> None:
+def _validate_cross_fields(cfg: RunConfig) -> None:
     # The run directory is <out>/<name>, and a rerun replaces it.
     if cfg.name in (".", "..") or any(c in cfg.name for c in ("/", "\\", "\0")):
         raise ConfigError(
@@ -249,7 +249,7 @@ def parse_config(data: dict) -> RunConfig:
             theory=data.get("theory", {}),
             export_datasets=bool(data.get("export_datasets", False)),
         )
-        _validate_cross_fields(data, cfg)
+        _validate_cross_fields(cfg)
     except ConfigError:
         raise
     except MergeMixError as exc:

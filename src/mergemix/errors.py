@@ -20,9 +20,9 @@ class SimplexError(MergeMixError):
 class TrainingDiverged(MergeMixError):
     """Training produced non-finite parameters."""
 
-    def __init__(self, step: int, message: str = ""):
+    def __init__(self, step: int):
         self.step = step
-        super().__init__(message or f"non-finite parameters at step {step}")
+        super().__init__(f"non-finite parameters at step {step}")
 
 
 class DegenerateInputError(MergeMixError):

@@ -57,6 +57,20 @@ def _evaluate(route, cols: np.ndarray):
                     _evaluate(right, cols))
 
 
+# The recursions below are module functions, not closures: a closure that
+# calls itself is a reference cycle, which would keep every tree's node
+# lists alive until the cyclic collector runs.
+
+def _build_route(lists: tuple, node: int, depth: int, max_depth: int,
+                 scale: float):
+    features, thresholds, lefts, rights, values = lists
+    if features[node] < 0 or depth > max_depth:
+        return scale * values[node]
+    return (features[node], thresholds[node],
+            _build_route(lists, lefts[node], depth + 1, max_depth, scale),
+            _build_route(lists, rights[node], depth + 1, max_depth, scale))
+
+
 @dataclass
 class RegressionTree:
     """Flat-array binary tree; features[i] == -1 marks a leaf."""
@@ -74,19 +88,9 @@ class RegressionTree:
         Leaves become `scale * value`. Like a row-by-row walk, a route stops
         max_depth + 1 levels down even if a stored tree goes deeper.
         """
-        features = self.features.tolist()
-        thresholds = self.thresholds.tolist()
-        lefts = self.lefts.tolist()
-        rights = self.rights.tolist()
-        values = self.values.tolist()
-
-        def build(node: int, depth: int):
-            if features[node] < 0 or depth > self.max_depth:
-                return scale * values[node]
-            return (features[node], thresholds[node],
-                    build(lefts[node], depth + 1), build(rights[node], depth + 1))
-
-        return build(0, 0)
+        lists = (self.features.tolist(), self.thresholds.tolist(),
+                 self.lefts.tolist(), self.rights.tolist(), self.values.tolist())
+        return _build_route(lists, 0, 0, self.max_depth, scale)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         route = self._route()
@@ -159,49 +163,65 @@ def _best_split(xs: np.ndarray, ys: np.ndarray, total: float, total_sq: float,
     return f, 0.5 * (xs[f, split_at - 1] + xs[f, split_at])
 
 
+@dataclass
+class _Growth:
+    """One tree while it grows: the columns and targets it splits, its node
+    lists in preorder, and the value of the leaf each row reaches."""
+
+    cols: np.ndarray
+    y: np.ndarray
+    max_depth: int
+    min_leaf: int
+    fitted: np.ndarray
+    nodes: dict
+
+
+def _grow(g: _Growth, rows: np.ndarray, order: np.ndarray, xs: np.ndarray,
+          depth: int) -> int:
+    """Grow the subtree over `rows`; `order` and `xs` are its presorted view."""
+    nodes = g.nodes
+    index = len(nodes["features"])
+    for key in nodes:
+        nodes[key].append(None)
+    y_node = g.y[rows]
+    total = y_node.sum()
+    value = float(total / rows.shape[0])  # y_node.mean(); nan when empty
+    nodes["values"][index] = value
+    split = None
+    if depth < g.max_depth and rows.shape[0] >= 2 * g.min_leaf:
+        split = _best_split(xs, g.y[order], float(total),
+                            float((y_node * y_node).sum()), g.min_leaf)
+    if split is None:
+        nodes["features"][index] = -1
+        nodes["thresholds"][index] = 0.0
+        nodes["lefts"][index] = -1
+        nodes["rights"][index] = -1
+        g.fitted[rows] = value
+        return index
+    f, thr = split
+    go_left = g.cols[f] <= thr
+    sides = []
+    for side in (go_left, ~go_left):
+        side_rows = rows[side[rows]]
+        keep = side[order]
+        shape = (order.shape[0], side_rows.shape[0])
+        sides.append(_grow(g, side_rows, order[keep].reshape(shape),
+                           xs[keep].reshape(shape), depth + 1))
+    nodes["features"][index] = f
+    nodes["thresholds"][index] = float(thr)
+    nodes["lefts"][index], nodes["rights"][index] = sides
+    return index
+
+
 def _grow_tree(presorted, y: np.ndarray, max_depth: int,
                min_leaf: int) -> tuple[RegressionTree, np.ndarray]:
     """Fit one tree on _presort(x); also return its value at every row."""
     cols, order, xs = presorted
-    nodes = {"features": [], "thresholds": [], "lefts": [], "rights": [],
-             "values": []}
-    fitted = np.empty(y.shape[0])
-
-    def grow(rows: np.ndarray, order: np.ndarray, xs: np.ndarray,
-             depth: int) -> int:
-        index = len(nodes["features"])
-        for key in nodes:
-            nodes[key].append(None)
-        y_node = y[rows]
-        total = y_node.sum()
-        value = float(total / rows.shape[0])  # y_node.mean(); nan when empty
-        nodes["values"][index] = value
-        split = None
-        if depth < max_depth and rows.shape[0] >= 2 * min_leaf:
-            split = _best_split(xs, y[order], float(total),
-                                float((y_node * y_node).sum()), min_leaf)
-        if split is None:
-            nodes["features"][index] = -1
-            nodes["thresholds"][index] = 0.0
-            nodes["lefts"][index] = -1
-            nodes["rights"][index] = -1
-            fitted[rows] = value
-            return index
-        f, thr = split
-        go_left = cols[f] <= thr
-        sides = []
-        for side in (go_left, ~go_left):
-            side_rows = rows[side[rows]]
-            keep = side[order]
-            shape = (order.shape[0], side_rows.shape[0])
-            sides.append(grow(side_rows, order[keep].reshape(shape),
-                              xs[keep].reshape(shape), depth + 1))
-        nodes["features"][index] = f
-        nodes["thresholds"][index] = float(thr)
-        nodes["lefts"][index], nodes["rights"][index] = sides
-        return index
-
-    grow(np.arange(y.shape[0]), order, xs, 0)
+    g = _Growth(cols, y, max_depth, min_leaf, np.empty(y.shape[0]),
+                {"features": [], "thresholds": [], "lefts": [], "rights": [],
+                 "values": []})
+    _grow(g, np.arange(y.shape[0]), order, xs, 0)
+    nodes = g.nodes
     tree = RegressionTree(
         features=np.asarray(nodes["features"], dtype=np.int64),
         thresholds=np.asarray(nodes["thresholds"], dtype=np.float64),
@@ -210,7 +230,7 @@ def _grow_tree(presorted, y: np.ndarray, max_depth: int,
         values=np.asarray(nodes["values"], dtype=np.float64),
         max_depth=max_depth,
     )
-    return tree, fitted
+    return tree, g.fitted
 
 
 def fit_tree(x: np.ndarray, y: np.ndarray, max_depth: int,

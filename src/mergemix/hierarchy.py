@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, MergeMixError
+from .errors import DimensionError, MergeMixError, SimplexError
 from .gbt import BoostHyper
 from .merging import merge
 from .seeding import stable_seed
@@ -45,11 +45,16 @@ class MixtureNode:
             return
         if self.domain is not None:
             raise MergeMixError(f"internal node {self.name!r} cannot bind a domain")
-        if self.weights is not None and len(self.weights) != len(self.children):
-            raise DimensionError(
-                f"node {self.name!r} has {len(self.children)} children "
-                f"but {len(self.weights)} weights"
-            )
+        if self.weights is not None:
+            if len(self.weights) != len(self.children):
+                raise DimensionError(
+                    f"node {self.name!r} has {len(self.children)} children "
+                    f"but {len(self.weights)} weights"
+                )
+            try:
+                normalize_simplex(self.weights)
+            except SimplexError as exc:
+                raise SimplexError(f"node {self.name!r}: {exc}") from exc
         for child in self.children:
             child.validate()
         names = [leaf.name for leaf in self.iter_leaves()]

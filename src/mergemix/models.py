@@ -87,8 +87,8 @@ class ToyNet:
         h, i, o = self.hidden_dim, self.input_dim, self.output_dim
         return h * i + h + o * h + o
 
-    def init_params(self, rng: np.random.Generator, scale: float = 0.5) -> np.ndarray:
-        return scale * rng.standard_normal(self.num_params)
+    def init_params(self, rng: np.random.Generator) -> np.ndarray:
+        return 0.5 * rng.standard_normal(self.num_params)
 
     def unpack(self, theta: np.ndarray):
         theta = as_params(theta)
@@ -132,9 +132,9 @@ class ToyNet:
         return np.concatenate([d_w1.ravel(), d_b1, d_w2.ravel(), d_b2])
 
 
-def fd_step(theta: np.ndarray, base_step: float = 1e-4) -> float:
-    """Default central-difference step, scaled by the parameter magnitude."""
-    return base_step * (1.0 + float(np.max(np.abs(theta))))
+def fd_step(theta: np.ndarray) -> float:
+    """Default central-difference step, 1e-4 scaled by the parameter magnitude."""
+    return 1e-4 * (1.0 + float(np.max(np.abs(theta))))
 
 
 def hvp_finite_difference(grad_fn, theta: np.ndarray, direction: np.ndarray,

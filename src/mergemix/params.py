@@ -1,8 +1,11 @@
-"""Flat parameter vectors and the arithmetic shared by merging and theory probes.
+"""Flat parameter vectors: validation, decimal text and digests.
 
-Every model in this package is a single flat float64 vector. All operations
-validate dimensions and reject non-finite values, since downstream theory
-checks need clean 64-bit arithmetic.
+Every model in this package is a single flat float64 vector. `as_params`
+rejects anything else, including non-finite values, since downstream theory
+checks need clean 64-bit arithmetic, and `check_same_dim` checks that
+vectors line up. Checkpoints store each value as 17-significant-digit
+decimal text, which round-trips float64 exactly; `params_digest` hashes
+that text.
 """
 
 from __future__ import annotations
@@ -33,22 +36,6 @@ def check_same_dim(*vectors: np.ndarray) -> int:
     if len(sizes) != 1:
         raise DimensionError(f"mismatched parameter lengths: {sorted(sizes)}")
     return sizes.pop()
-
-
-def linear_combine(
-    base: np.ndarray, terms: Sequence[tuple[float, np.ndarray]]
-) -> np.ndarray:
-    """Return base + sum(c_i * v_i), the shared kernel of merging and Taylor sums."""
-    base = as_params(base)
-    out = base.copy()
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        for coeff, vec in terms:
-            vec = np.asarray(vec, dtype=np.float64)
-            check_same_dim(base, vec)
-            out += float(coeff) * vec
-    if not np.all(np.isfinite(out)):
-        raise NumericError("linear combination produced non-finite values")
-    return out
 
 
 def encode_value(x: float) -> str:

@@ -23,11 +23,11 @@ DEFAULT_POINT_BUDGET = 2_000_000
 REFINE_RADIUS = 5
 
 
-def normalize_simplex(weights, tol: float = SIMPLEX_TOL) -> np.ndarray:
+def normalize_simplex(weights) -> np.ndarray:
     """Validate weights against the simplex and renormalize the tolerated drift.
 
-    Inputs whose sum is within `tol` of 1 (e.g. after a decimal-text round
-    trip) are rescaled by their sum; anything worse is rejected.
+    Inputs whose sum is within SIMPLEX_TOL of 1 (e.g. after a decimal-text
+    round trip) are rescaled by their sum; anything worse is rejected.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.shape[0] < 1:
@@ -37,8 +37,8 @@ def normalize_simplex(weights, tol: float = SIMPLEX_TOL) -> np.ndarray:
     if np.any(w < 0):
         raise SimplexError(f"negative weight in {w.tolist()}")
     total = float(w.sum())
-    if abs(total - 1.0) > tol:
-        raise SimplexError(f"weights sum to {total}, not 1 within {tol}")
+    if abs(total - 1.0) > SIMPLEX_TOL:
+        raise SimplexError(f"weights sum to {total}, not 1 within {SIMPLEX_TOL}")
     if total != 1.0:
         w = w / total
     return w

@@ -52,12 +52,12 @@ class TaylorContext:
             raise DimensionError("need one gradient and one HVP closure per domain")
 
     @classmethod
-    def from_world(cls, world: World, theta0: np.ndarray, horizon: float,
-                   step: float | None = None) -> "TaylorContext":
+    def from_world(cls, world: World, theta0: np.ndarray,
+                   horizon: float) -> "TaylorContext":
         theta0 = as_params(theta0)
         grads = tuple(world.grad(k, theta0) for k in range(world.num_domains))
         hvp_fns = tuple(
-            (lambda k: lambda v: world.hvp(k, theta0, v, step))(k)
+            (lambda k: lambda v: world.hvp(k, theta0, v))(k)
             for k in range(world.num_domains)
         )
         return cls(theta0, grads, hvp_fns, float(horizon))
@@ -147,20 +147,6 @@ class DiscrepancyReport:
         residual = float(np.linalg.norm(observed - self.delta))
         return DiscrepancyReport(self.delta, self.cross_interference,
                                  self.self_scaling, observed, residual)
-
-    def to_dict(self) -> dict:
-        out = {
-            "delta": self.delta.tolist(),
-            "cross_interference": self.cross_interference.tolist(),
-            "self_scaling": self.self_scaling.tolist(),
-            "delta_norm": float(np.linalg.norm(self.delta)),
-            "cross_norm": float(np.linalg.norm(self.cross_interference)),
-            "self_norm": float(np.linalg.norm(self.self_scaling)),
-        }
-        if self.observed is not None:
-            out["observed"] = self.observed.tolist()
-            out["residual_norm"] = self.residual_norm
-        return out
 
 
 def _discrepancy_parts(ctx: TaylorContext, lams: np.ndarray):
@@ -298,21 +284,17 @@ class CurvatureMatrix:
     row_dominant: tuple[bool, ...]
 
 
-def relative_curvature(world: World, theta0: np.ndarray,
-                       step: float | None = None,
+def relative_curvature(world: World, theta0: np.ndarray, *,
                        taylor: TaylorContext | None = None) -> CurvatureMatrix:
     """|H_a g_b| / |g_b|, each row divided by its self-response, from a
     TaylorContext's `curvature_responses`.
 
-    `taylor`, a context at theta0, lends its table and carries the HVP
-    step it was built with, so it cannot be given together with `step`;
-    without it a context at theta0 is built here.
+    `taylor`, a context at theta0, lends its table; without it a context at
+    theta0 is built here.
     """
-    if taylor is not None and step is not None:
-        raise MergeMixError("give the HVP step or a shared Taylor context, not both")
     ctx = _shared_context(taylor, as_params(theta0))
     if ctx is None:
-        ctx = TaylorContext.from_world(world, theta0, 1.0, step)
+        ctx = TaylorContext.from_world(world, theta0, 1.0)
     k = ctx.num_domains
     norms = _row_norms(np.stack(ctx.grads))
     for name, n in zip(world.names, norms):

@@ -105,7 +105,7 @@ def _descend(grad_fn, base: np.ndarray, rows: int,
              config: TrainConfig) -> list[tuple[np.ndarray, tuple[TrajectoryPoint, ...]]]:
     """Descend `rows` runs from `base` in lockstep, one stack row per run.
 
-    `grad_fn(theta, step)` returns the gradients of the stack `theta`, which
+    `grad_fn(theta)` returns the gradients of the stack `theta`, which
     holds the first m <= rows runs. Once a row turns non-finite, the rows
     after it are dropped, and the step of the first diverged row in input
     order is raised when the descent ends.
@@ -115,7 +115,7 @@ def _descend(grad_fn, base: np.ndarray, rows: int,
     diverged_at = None
     for step in range(1, config.steps + 1):
         with np.errstate(over="ignore", invalid="ignore"):  # divergence is handled
-            theta = theta - config.learning_rate * grad_fn(theta, step)
+            theta = theta - config.learning_rate * grad_fn(theta)
         finite = np.isfinite(theta).all(axis=1)
         if not finite.all():
             diverged_at = step
@@ -152,11 +152,11 @@ def train_expert(world: World, domain_index: int, base: np.ndarray,
     base = _check_base(world, base)
     name = world.names[domain_index]
     if _use_full_batch(world, config):
-        grad_fn = lambda theta, step: world.grad(domain_index, theta)
+        grad_fn = lambda theta: world.grad(domain_index, theta)
     else:
         stream = _BatchStream(world.train_size(domain_index), int(config.batch_size),
                               rng_for(config.seed, "batches", name))
-        grad_fn = lambda theta, step: world.grad_on(
+        grad_fn = lambda theta: world.grad_on(
             domain_index, theta[0], stream.next_batch()
         )
     [(final, trajectory)] = _descend(grad_fn, base, 1, config)
@@ -170,7 +170,7 @@ def _mixed_grad_fn(world: World, lam: np.ndarray):
     added in domain order; the masked add leaves a skipped term out entirely,
     so signed zeros match a single run.
     """
-    def grad_fn(theta, step):
+    def grad_fn(theta):
         rows = lam[: theta.shape[0]]
         g = rows[:, :1] * world.grad(0, theta)
         for k in range(1, world.num_domains):
@@ -191,7 +191,7 @@ def _minibatch_grad_fn(world: World, lam: np.ndarray, config: TrainConfig):
     ]
     chooser = rng_for(config.seed, "mixture-choice")
 
-    def grad_fn(theta, step):
+    def grad_fn(theta):
         k = int(chooser.choice(world.num_domains, p=lam))
         return world.grad_on(k, theta[0], streams[k].next_batch())
     return grad_fn
@@ -245,23 +245,3 @@ def train_all_experts(world: World, base: np.ndarray,
                       config: TrainConfig) -> list[ExpertArtifact]:
     return [train_expert(world, k, base, config) for k in range(world.num_domains)]
 
-
-def suggest_steps(world: World, base: np.ndarray, learning_rate: float,
-                  fraction: float = 0.5) -> int:
-    """Largest horizon keeping experts in the local neighborhood of the base.
-
-    Chosen so steps * lr * max_k ||grad_k|| <= fraction * min_k
-    ||base - minimizer_k|| on quadratic worlds.
-    """
-    base = as_params(base)
-    grads = [np.linalg.norm(world.grad(k, base)) for k in range(world.num_domains)]
-    max_grad = max(grads)
-    if max_grad == 0:
-        return 1
-    if hasattr(world, "quadratics"):
-        span = min(
-            np.linalg.norm(base - q.minimizer) for q in world.quadratics
-        )
-    else:
-        span = 1.0
-    return max(1, int(fraction * span / (learning_rate * max_grad)))

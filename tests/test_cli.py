@@ -171,6 +171,20 @@ class TestPipelineCommand:
         assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_duplicate_quadratic_domain_names_exit_2_before_any_directory(
+            self, tmp_path, capsys):
+        """Experts, checkpoints and report entries are keyed by domain name,
+        so two domains named "a" would write one expert over the other."""
+        domain = {"name": "a", "kind": "quadratic", "minimizer": [1.0, 0.0],
+                  "curvature": [[1.0, 0.0], [0.0, 1.0]]}
+        payload = dict(QW2_PIPELINE, world={"domains": [
+            domain, dict(domain, minimizer=[0.0, 1.0])]})
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "duplicate domain names" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_failed_rerun_removes_stale_manifest(self, tmp_path):
         out = tmp_path / "out"
         good = write_config(tmp_path, QW2_PIPELINE, "good.json")
@@ -520,6 +534,19 @@ class TestHierarchicalAndRecalibrateModes:
         assert (report["optimum"]["weights"]
                 == report["hierarchy"]["tree"]["weights"])
 
+    def test_node_weights_off_the_simplex_exit_2_before_any_directory(
+            self, tmp_path, capsys):
+        payload = dict(QW2_PIPELINE, mode="hierarchical-top-down", hierarchy={
+            "name": "root", "weights": [0.7, 0.7],
+            "children": [{"name": "d1", "domain": "d1"},
+                         {"name": "d2", "domain": "d2"}],
+        })
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "node 'root': weights sum to 1.4" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_diverging_run_exits_1_without_manifest(self, tmp_path):
         cfg_payload = dict(QW2_PIPELINE)
         cfg_payload["train"] = {"learning_rate": 3.0, "steps": 2000,
@@ -529,10 +556,11 @@ class TestHierarchicalAndRecalibrateModes:
         assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 1
         assert not (out / "qw2" / "manifest.json").exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_run_exits_1_without_manifest(self, tmp_path, capsys):
         """At lr 2.2 the parameters stay finite for 3000 steps, but their
-        held-out losses overflow; the run must not look complete."""
+        held-out losses overflow; the run must not look complete. The error
+        line is all it prints: no numpy overflow warning comes first."""
         cfg_payload = dict(QW2_PIPELINE, design={"size": 10},
                            search={"resolution": 0.25})
         cfg_payload["train"] = {"learning_rate": 2.2, "steps": 3000,
@@ -540,7 +568,8 @@ class TestHierarchicalAndRecalibrateModes:
         cfg = write_config(tmp_path, cfg_payload)
         out = tmp_path / "out"
         assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 1
-        assert "held-out loss on domain 'd1'" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            "error: held-out loss on domain 'd1' is inf"]
         assert not (out / "qw2" / "manifest.json").exists()
 
     def test_dataset_export_flag(self, tmp_path):

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -442,3 +444,20 @@ class TestFitValuesAndCachedRoutes:
             shallow.predict(grid),
             reference_ensemble_predict(shallow.init_value, shallow.trees,
                                        shallow.hyper.learning_rate, grid))
+
+
+class TestNoReferenceCycles:
+    def test_fit_and_predict_leave_no_cyclic_garbage(self):
+        """Growing a tree and building its routes recurse without closures,
+        so a fit and a predict leave nothing for the cyclic collector."""
+        x, y = coarse_data(6, 120, 3)
+        gc.collect()
+        gc.disable()
+        try:
+            model = GradientBoostedRegressor(BoostHyper(n_trees=30)).fit(x, y)
+            model.predict(x)
+            model.trees[0].predict(x)
+            del model
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

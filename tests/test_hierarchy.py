@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from mergemix.errors import MergeMixError
+from mergemix.errors import MergeMixError, SimplexError
 from mergemix.hierarchy import (
     HierarchyContext,
     MixtureNode,
@@ -112,6 +112,23 @@ class TestTreeValidation:
                                                {"name": "b", "domain": "b"}]},
                     {"name": "c", "children": [{"name": "x", "domain": "x"},
                                                {"name": "y", "domain": "y"}]},
+                ],
+            })
+
+    @pytest.mark.parametrize("weights,message", [
+        ([0.7, 0.7], "weights sum to 1.4"),
+        ([1.5, -0.5], "negative weight"),
+        ([float("nan"), 1.0], "non-finite weight"),
+    ])
+    def test_node_weights_off_the_simplex_rejected(self, weights, message):
+        with pytest.raises(SimplexError, match=f"node 'c': {message}"):
+            MixtureNode.from_dict({
+                "name": "root",
+                "children": [
+                    {"name": "c", "weights": weights,
+                     "children": [{"name": "a", "domain": "a"},
+                                  {"name": "b", "domain": "b"}]},
+                    {"name": "x", "domain": "x"},
                 ],
             })
 

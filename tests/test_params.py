@@ -1,55 +1,11 @@
 import numpy as np
 import pytest
 
-from mergemix.errors import DimensionError, NumericError
-from mergemix.params import (
-    as_params,
-    decode_params,
-    encode_params,
-    linear_combine,
-    params_digest,
-)
+from mergemix.errors import NumericError
+from mergemix.params import as_params, decode_params, encode_params, params_digest
 
 
-class TestLinearCombine:
-    def test_identity_coefficient(self):
-        out = linear_combine(np.zeros(2), [(1.0, np.array([1.0, 2.0]))])
-        np.testing.assert_array_equal(out, [1.0, 2.0])
-
-    def test_empty_sum(self):
-        out = linear_combine(np.array([1.0, 1.0]), [])
-        np.testing.assert_array_equal(out, [1.0, 1.0])
-
-    def test_direct_arithmetic(self):
-        out = linear_combine(
-            np.zeros(2),
-            [(0.25, np.array([1.0, 0.0])), (0.75, np.array([0.0, 2.0]))],
-        )
-        np.testing.assert_array_equal(out, [0.25, 1.5])
-
-    def test_associative_over_concatenation(self):
-        rng = np.random.default_rng(42)
-        base = rng.standard_normal(6)
-        terms = [(float(rng.standard_normal()), rng.standard_normal(6))
-                 for _ in range(5)]
-        once = linear_combine(base, terms)
-        split = linear_combine(linear_combine(base, terms[:2]), terms[2:])
-        np.testing.assert_allclose(once, split, atol=1e-12)
-
-    def test_exact_for_unit_coefficients(self):
-        rng = np.random.default_rng(7)
-        base = rng.standard_normal(4)
-        v = rng.standard_normal(4)
-        np.testing.assert_array_equal(linear_combine(base, [(0.0, v)]), base)
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            linear_combine(np.zeros(2), [(1.0, np.zeros(3))])
-
-    def test_non_finite_result(self):
-        with pytest.raises(NumericError):
-            linear_combine(np.array([1e308]), [(1e8, np.array([1e308]))])
-
+class TestAsParams:
     def test_rejects_nan_input(self):
         with pytest.raises(NumericError):
             as_params([np.nan, 0.0])

@@ -218,7 +218,7 @@ class TestHorizonScaling:
         assert 6.0 <= report["residual_ratio"] <= 10.0
 
 
-def reference_relative_curvature(world, theta0, step=None) -> np.ndarray:
+def reference_relative_curvature(world, theta0) -> np.ndarray:
     """The K^2 loop of HVP norms that relative_curvature ran before it read
     a TaylorContext's curvature responses."""
     grads = [world.grad(i, theta0) for i in range(world.num_domains)]
@@ -226,23 +226,22 @@ def reference_relative_curvature(world, theta0, step=None) -> np.ndarray:
     response = np.empty((world.num_domains, world.num_domains))
     for a in range(world.num_domains):
         for b in range(world.num_domains):
-            response[a, b] = float(np.linalg.norm(world.hvp(a, theta0, grads[b], step)))
+            response[a, b] = float(np.linalg.norm(world.hvp(a, theta0, grads[b])))
             response[a, b] /= norms[b]
     return response / np.diag(response)[:, None]
 
 
 class TestCurvatureMatrix:
     @pytest.mark.parametrize("name", ["QW-2", "QW-4", "QW-SEP", "TOY-2"])
-    @pytest.mark.parametrize("step", [None, 1e-4])
-    def test_bit_identical_to_per_entry_hvp_loop(self, name, step):
+    def test_bit_identical_to_per_entry_hvp_loop(self, name):
         from mergemix.worlds import fixture_by_name
 
         world = fixture_by_name(name)
         rng = np.random.default_rng(8)
         for theta0 in (world.base_params(),
                        world.base_params() + 0.3 * rng.standard_normal(world.dim)):
-            got = relative_curvature(world, theta0, step).values
-            want = reference_relative_curvature(world, theta0, step)
+            got = relative_curvature(world, theta0).values
+            want = reference_relative_curvature(world, theta0)
             assert got.tobytes() == want.tobytes()
 
     def test_zero_gradient_rejected_before_any_hvp(self, monkeypatch):
@@ -332,12 +331,11 @@ class TestSharedCurvatureTable:
         run_theory(cfg, tmp_path)
         assert len(calls) == 4 * 4
 
-    @pytest.mark.parametrize("step", [None, 1e-4])
-    def test_shared_context_gives_the_same_matrix(self, toy_world, step):
+    def test_shared_context_gives_the_same_matrix(self, toy_world):
         base = toy_world.base_params()
-        ctx = TaylorContext.from_world(toy_world, base, 0.3, step)
+        ctx = TaylorContext.from_world(toy_world, base, 0.3)
         shared = relative_curvature(toy_world, base, taylor=ctx)
-        own = relative_curvature(toy_world, base, step)
+        own = relative_curvature(toy_world, base)
         assert shared.values.tobytes() == own.values.tobytes()
         assert shared.row_dominant == own.row_dominant
 
@@ -377,12 +375,6 @@ class TestSharedCurvatureTable:
                             lambda self, *a, **kw: calls.append(1) or hvp(self, *a, **kw))
         horizon_scaling_check(fixture_qw4(), [0.25] * 4, 0.004, 20)
         assert len(calls) == 4 * 4
-
-    def test_step_and_shared_context_rejected_together(self, toy_world):
-        base = toy_world.base_params()
-        ctx = TaylorContext.from_world(toy_world, base, 1.0)
-        with pytest.raises(MergeMixError, match="not both"):
-            relative_curvature(toy_world, base, 1e-4, taylor=ctx)
 
     def test_context_at_another_point_rejected(self, qw4):
         ctx = TaylorContext.from_world(qw4, qw4.base_params() + 0.1, 1.0)

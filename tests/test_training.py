@@ -10,7 +10,6 @@ from mergemix.training import (
     TrainConfig,
     _BatchStream,
     _mixed_grad_fn,
-    suggest_steps,
     train_expert,
     train_on_mixture,
     train_on_mixtures,
@@ -35,7 +34,7 @@ def reference_descend(world, grad_fn, base, config):
     trajectory = [(0, theta.copy(), tuple(raw_capabilities(world, theta)))]
     for step in range(1, config.steps + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            theta = theta - config.learning_rate * grad_fn(theta, step)
+            theta = theta - config.learning_rate * grad_fn(theta)
         if not np.all(np.isfinite(theta)):
             raise TrainingDiverged(step)
         if step % config.checkpoint_interval == 0 or step == config.steps:
@@ -48,7 +47,7 @@ def reference_mixture(world, weights, base, config):
     Mini-batch: per-run streams, one domain drawn by lambda per step."""
     lam = normalize_simplex(weights)
     if config.batch_size == "full" or world.train_size(0) == 0:
-        def grad_fn(theta, step):
+        def grad_fn(theta):
             g = lam[0] * reference_grad(world, 0, theta)
             for k in range(1, world.num_domains):
                 if lam[k] != 0.0:
@@ -60,7 +59,7 @@ def reference_mixture(world, weights, base, config):
                    for k in range(world.num_domains)]
         chooser = rng_for(config.seed, "mixture-choice")
 
-        def grad_fn(theta, step):
+        def grad_fn(theta):
             k = int(chooser.choice(world.num_domains, p=lam))
             return world.grad_on(k, theta, streams[k].next_batch())
     return reference_descend(world, grad_fn, base, config)
@@ -68,11 +67,11 @@ def reference_mixture(world, weights, base, config):
 
 def reference_expert(world, k, base, config):
     if config.batch_size == "full" or world.train_size(k) == 0:
-        grad_fn = lambda theta, step: reference_grad(world, k, theta)
+        grad_fn = lambda theta: reference_grad(world, k, theta)
     else:
         stream = _BatchStream(world.train_size(k), int(config.batch_size),
                               rng_for(config.seed, "batches", world.names[k]))
-        grad_fn = lambda theta, step: world.grad_on(k, theta, stream.next_batch())
+        grad_fn = lambda theta: world.grad_on(k, theta, stream.next_batch())
     return reference_descend(world, grad_fn, base, config)
 
 
@@ -169,7 +168,7 @@ class TestTrainExpert:
             train_expert(qw2, 0, qw2.base_params(), cfg)
         assert err.value.step > 0
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_final_fails_to_score(self, qw2):
         """At lr 2.2 the parameters stay finite (about -3.5e237) but their
         held-out loss overflows: scoring raises instead of returning -inf."""
@@ -249,17 +248,6 @@ class TestConfigAndDefaults:
         with pytest.raises(MergeMixError):
             TrainConfig(learning_rate=0.1, steps=-1)
 
-    def test_suggested_horizon_stays_local(self, qw4):
-        """The default horizon keeps lr * T * max grad within half the
-        distance from base to the nearest minimizer."""
-        base = qw4.base_params()
-        lr = 0.05
-        steps = suggest_steps(qw4, base, lr)
-        max_grad = max(np.linalg.norm(qw4.grad(k, base)) for k in range(4))
-        span = min(np.linalg.norm(base - q.minimizer) for q in qw4.quadratics)
-        assert steps >= 1
-        assert lr * steps * max_grad <= 0.5 * span + 1e-12
-
 
 class TestStackedMixturesMatchReference:
     @pytest.mark.parametrize("interval", [1, 3, 7])
@@ -337,7 +325,7 @@ def test_skipped_mixture_terms_keep_signed_zeros():
 
     lams = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0],
                      [0.5, 0.0, 0.5]])
-    got = _mixed_grad_fn(FixedGradWorld(), lams)(np.zeros((4, 2)), 1)
+    got = _mixed_grad_fn(FixedGradWorld(), lams)(np.zeros((4, 2)))
     for lam, row in zip(lams, got):
         want = lam[0] * grads[0]
         for k in (1, 2):

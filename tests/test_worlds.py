@@ -4,9 +4,11 @@ import pytest
 import mergemix.worlds
 from mergemix.errors import MergeMixError, NumericError
 from mergemix.merging import merge_many
+from mergemix.models import Quadratic
 from mergemix.stats import NormContext, normalize
 from mergemix.worlds import (
     DomainSpec,
+    QuadraticWorld,
     fixture_by_name,
     fixture_qw2,
     generate_domain,
@@ -46,6 +48,9 @@ class TestGeneration:
     def test_duplicate_names_rejected(self):
         with pytest.raises(MergeMixError):
             generate_world([_regression_spec(), _regression_spec()])
+        q = Quadratic(np.zeros(2), np.eye(2))
+        with pytest.raises(MergeMixError, match="duplicate domain names"):
+            QuadraticWorld(["a", "a"], [q, q])
 
     def test_unknown_fixture(self):
         with pytest.raises(MergeMixError):
@@ -139,7 +144,7 @@ class TestRawCapabilitiesStack:
         raw_capabilities(world, stack[:5])
         assert calls == list(range(world.num_domains)) * 5
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_row_names_its_domain(self, qw2):
         stack = np.array([[0.0, 0.0], [1e200, 0.0]])
         with pytest.raises(NumericError, match="'d1'"):
