@@ -119,19 +119,24 @@ def flatten_ratios(tree: MixtureNode) -> tuple[list[str], np.ndarray]:
     """Leaf domains and their shares: products of weights along each path."""
     names: list[str] = []
     shares: list[float] = []
-
-    def walk(node: MixtureNode, mass: float):
-        if node.is_leaf:
-            names.append(node.domain)
-            shares.append(mass)
-            return
-        if node.weights is None:
-            raise MergeMixError(f"node {node.name!r} has no weights to flatten")
-        for child, w in zip(node.children, node.weights):
-            walk(child, mass * float(w))
-
-    walk(tree, 1.0)
+    _collect_shares(tree, 1.0, names, shares)
     return names, normalize_simplex(np.asarray(shares))
+
+
+# The recursions are module functions, not closures: a closure that calls
+# itself is a reference cycle, and one holding `ctx` would keep every
+# stage's surface alive until the cyclic collector runs.
+
+def _collect_shares(node: MixtureNode, mass: float, names: list[str],
+                    shares: list[float]) -> None:
+    if node.is_leaf:
+        names.append(node.domain)
+        shares.append(mass)
+        return
+    if node.weights is None:
+        raise MergeMixError(f"node {node.name!r} has no weights to flatten")
+    for child, w in zip(node.children, node.weights):
+        _collect_shares(child, mass * float(w), names, shares)
 
 
 @dataclass(frozen=True)
@@ -141,7 +146,8 @@ class HierarchyContext:
     Each search pass is recorded in stage_log, keyed by its seed labels
     (("design",) for the global split, ("design", node name) for
     within-cluster splits), so callers can persist the surfaces that
-    produced the weights.
+    produced the weights. A within-cluster surface maps only the cluster's
+    capabilities.
     """
 
     world: World
@@ -167,22 +173,36 @@ class HierarchyContext:
         except ValueError:
             raise MergeMixError(f"unknown domain {domain!r}") from None
 
-    def cluster_utility(self, node: MixtureNode) -> UtilitySpec:
-        """Unweighted mean over the capabilities the cluster's leaves cover."""
+    def cluster_scope(self, node: MixtureNode) -> tuple[World, UtilitySpec]:
+        """The world over the cluster's domains, in world order, and the
+        unweighted mean over their capabilities.
+
+        The weights are the non-zero entries of the mean over the whole
+        world, so that a cluster stage scores, fits and searches only the
+        capabilities its utility reads and still picks what a stage over
+        the whole world with zero weights elsewhere would pick.
+        """
         idx = [self.domain_index(leaf.domain) for leaf in node.iter_leaves()]
         weights = np.zeros(self.world.num_domains)
         weights[idx] = 1.0 / len(idx)
         weights[idx[-1]] = 1.0 - float(weights.sum() - weights[idx[-1]])
-        return UtilitySpec(kind="weighted", weights=tuple(weights.tolist()))
+        keep = sorted(idx)
+        world = self.world.restrict([self.world.names[k] for k in keep])
+        spec = UtilitySpec(kind="weighted", weights=tuple(weights[keep].tolist()))
+        return world, spec
 
     def stage(self, experts, seed_labels: tuple[str, ...],
-              utility_spec: UtilitySpec | None) -> StageResult:
+              cluster: MixtureNode | None) -> StageResult:
+        """One surface pass: over the whole world with the run's utility,
+        or with `cluster`, over that cluster's `cluster_scope`."""
+        world, spec = ((self.world, self.utility_spec) if cluster is None
+                       else self.cluster_scope(cluster))
         result = run_search_stage(
-            self.world, self.base, experts,
+            world, self.base, experts,
             design_size=self.design_size,
             seed=stable_seed(self.seed, *seed_labels),
             hyper=self.hyper,
-            utility_spec=utility_spec or self.utility_spec,
+            utility_spec=spec,
             resolution=self.resolution,
             budget=self.budget,
         )
@@ -206,19 +226,15 @@ def _identical_vectors(parts: list[np.ndarray]) -> bool:
 
 def _searched_weights(ctx: HierarchyContext, experts: list[np.ndarray],
                       labels: tuple[str, ...],
-                      utility_spec: UtilitySpec | None) -> np.ndarray:
+                      cluster: MixtureNode | None) -> np.ndarray:
     if len(experts) == 1:
         return np.array([1.0])
     if _identical_vectors(experts):
         # Any split of identical experts merges to the same model; the
         # canonical answer is the uniform one.
         return uniform_weights(len(experts))
-    return ctx.stage(experts, labels, utility_spec).search.weights
+    return ctx.stage(experts, labels, cluster).search.weights
 
-
-# The recursions are module functions, not closures: a closure that calls
-# itself is a reference cycle, and one holding `ctx` would keep every
-# stage's surface alive until the cyclic collector runs.
 
 def _snapshot(ctx: HierarchyContext, node: MixtureNode, frozen: dict) -> None:
     """Uniform-internal consolidation of every subtree below node, by id."""
@@ -241,7 +257,7 @@ def _refine(ctx: HierarchyContext, frozen: dict, node: MixtureNode, mass: float,
     parts = [frozen[id(child)] for child in node.children]
     virtual = [rest + mass * (p - ctx.base) for p in parts]
     node.weights = _searched_weights(
-        ctx, virtual, ("design", node.name), ctx.cluster_utility(node))
+        ctx, virtual, ("design", node.name), node)
     _refine_children(ctx, frozen, node, mass, rest)
 
 
@@ -286,7 +302,7 @@ def _settle(ctx: HierarchyContext, node: MixtureNode) -> np.ndarray:
         return ctx.expert_vector(node.domain)
     parts = [_settle(ctx, child) for child in node.children]
     node.weights = _searched_weights(
-        ctx, parts, ("design", node.name), ctx.cluster_utility(node))
+        ctx, parts, ("design", node.name), node)
     return merge(ctx.base, parts, node.weights)
 
 

@@ -19,7 +19,9 @@ import numpy as np
 
 from .errors import DimensionError, MergeMixError, SurfaceFileError
 from .gbt import BoostHyper, GradientBoostedRegressor
-from .merging import merge, merge_many
+# `merge` is not called here; `mergemix.surface.merge` stays importable
+# because perfbench/test_perfbench.py reads it.
+from .merging import merge, merge_many  # noqa: F401
 from .params import params_digest
 from .persist import read_json
 from .seeding import rng_for
@@ -110,8 +112,7 @@ class SurfaceSample:
 
 def collect_raw_scores(world: World, base: np.ndarray, experts, configs):
     """Merge at each config and score every capability: (n, K) raws, digests."""
-    params = expert_params(experts)
-    merged = np.stack([merge(base, params, weights) for weights in configs])
+    merged = merge_many(base, expert_params(experts), configs)
     return raw_capabilities(world, merged), [params_digest(theta) for theta in merged]
 
 

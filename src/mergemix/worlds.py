@@ -9,6 +9,7 @@ reference population.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +106,22 @@ def generate_world(specs: list[DomainSpec]) -> list[tuple[Dataset, Dataset]]:
     return [generate_domain(s) for s in specs]
 
 
+def _restricted(world, names, per_domain: tuple[str, ...]):
+    """A shallow copy of `world` whose per-domain lists keep only the named
+    domains, in the world's own order; everything else is shared."""
+    wanted = _unique_names(names)
+    if not wanted:
+        raise MergeMixError("cannot restrict a world to no domains")
+    unknown = [name for name in wanted if name not in world.names]
+    if unknown:
+        raise MergeMixError(f"unknown domains {unknown}; the world has {world.names}")
+    keep = [k for k, name in enumerate(world.names) if name in wanted]
+    out = copy.copy(world)
+    for attr in ("names", *per_domain):
+        setattr(out, attr, [getattr(world, attr)[k] for k in keep])
+    return out
+
+
 class QuadraticWorld:
     """K analytic quadratic domains over a shared parameter space."""
 
@@ -139,6 +156,11 @@ class QuadraticWorld:
 
     def heldout_loss(self, k: int, theta: np.ndarray) -> float:
         return self.loss(k, theta)
+
+    def restrict(self, names) -> "QuadraticWorld":
+        """The world over the named domains only, in this world's order,
+        sharing their quadratics."""
+        return _restricted(self, names, ("quadratics",))
 
     def train_size(self, k: int) -> int:
         return 0
@@ -195,6 +217,11 @@ class RegressionWorld:
     def heldout_loss(self, k: int, theta: np.ndarray) -> float:
         d = self.heldout[k]
         return self.net.loss(theta, d.inputs, d.targets)
+
+    def restrict(self, names) -> "RegressionWorld":
+        """The world over the named domains only, in this world's order,
+        sharing the net and the generated datasets."""
+        return _restricted(self, names, ("specs", "train", "heldout"))
 
     def train_size(self, k: int) -> int:
         return len(self.train[k])

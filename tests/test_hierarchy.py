@@ -4,7 +4,8 @@ import weakref
 import numpy as np
 import pytest
 
-from mergemix.errors import MergeMixError, SimplexError
+from mergemix.errors import MergeMixError, NumericError, SimplexError
+from mergemix.gbt import BoostHyper
 from mergemix.hierarchy import (
     HierarchyContext,
     MixtureNode,
@@ -13,11 +14,12 @@ from mergemix.hierarchy import (
     optimize_top_down,
 )
 from mergemix.merging import merge
+from mergemix.models import Quadratic
 from mergemix.seeding import stable_seed
 from mergemix.stats import UtilitySpec, utility
 from mergemix.surface import run_search_stage
 from mergemix.training import TrainConfig, train_expert
-from mergemix.worlds import raw_capability
+from mergemix.worlds import QuadraticWorld, raw_capability
 from tests.conftest import RUN_SEED
 
 
@@ -92,6 +94,24 @@ class TestFlattenRatios:
         tree = depth_one_tree(["a", "b"])
         with pytest.raises(MergeMixError):
             flatten_ratios(tree)
+
+    def test_leaves_no_reference_cycles(self):
+        tree = MixtureNode.from_dict({
+            "name": "root", "weights": [0.5, 0.5],
+            "children": [
+                {"name": "a", "weights": [0.25, 0.75],
+                 "children": [{"name": "a1", "domain": "a1"},
+                              {"name": "a2", "domain": "a2"}]},
+                {"name": "b", "domain": "b"},
+            ],
+        })
+        gc.collect()
+        gc.disable()
+        try:
+            flatten_ratios(tree)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestTreeValidation:
@@ -261,3 +281,96 @@ class TestSeparableFixtureAgreement:
         for a, b in pairs:
             assert np.max(np.abs(lam[a] - lam[b])) <= self.RESOLUTION, (a, b)
             assert abs(utilities[a] - utilities[b]) <= 0.05, (a, b)
+
+
+class FullWorldClusterContext(HierarchyContext):
+    """Cluster stages as they ran over the whole world: every capability
+    scored, fitted and searched, those outside the cluster at weight 0."""
+
+    def cluster_scope(self, node):
+        idx = [self.domain_index(leaf.domain) for leaf in node.iter_leaves()]
+        weights = np.zeros(self.world.num_domains)
+        weights[idx] = 1.0 / len(idx)
+        weights[idx[-1]] = 1.0 - float(weights.sum() - weights[idx[-1]])
+        return self.world, UtilitySpec(kind="weighted", weights=tuple(weights.tolist()))
+
+
+def qw4_three_leaf_tree():
+    """A 3-leaf cluster whose leaves are listed out of world order."""
+    return MixtureNode.from_dict({
+        "name": "root",
+        "children": [
+            {"name": "trio", "children": [{"name": "web", "domain": "web"},
+                                          {"name": "math", "domain": "math"},
+                                          {"name": "sft", "domain": "sft"}]},
+            {"name": "code", "domain": "code"},
+        ],
+    })
+
+
+SMALL_HYPER = BoostHyper(n_trees=50)
+
+
+def _internal_weights(tree):
+    return {node.name: node.weights.tobytes() for node in tree.iter_internal()}
+
+
+class TestClusterStagesOverTheirDomains:
+    @pytest.fixture(params=["qw-sep", "qw4-trio"])
+    def case(self, request, qw_sep, sep_setup, qw4, qw4_experts):
+        if request.param == "qw-sep":
+            return qw_sep, sep_setup[1], two_level_tree, {"m": ["m-a", "m-b"],
+                                                          "c": ["c-a", "c-b"]}
+        return qw4, qw4_experts, qw4_three_leaf_tree, {"trio": ["math", "sft", "web"]}
+
+    @pytest.mark.parametrize("optimize", [optimize_top_down, optimize_bottom_up])
+    def test_node_weights_bit_identical_to_full_world_stages(self, case, optimize):
+        world, experts, make_tree, _ = case
+        kw = dict(design_size=40, resolution=0.1, hyper=SMALL_HYPER)
+        got = optimize(make_tree(), _ctx(world, experts, **kw))
+        ref = optimize(make_tree(), FullWorldClusterContext(
+            world=world, base=world.base_params(), experts=experts,
+            seed=RUN_SEED, **kw))
+        assert _internal_weights(got) == _internal_weights(ref)
+
+    @pytest.mark.parametrize("optimize", [optimize_top_down, optimize_bottom_up])
+    def test_cluster_surfaces_map_only_their_capabilities(self, case, optimize):
+        world, experts, make_tree, clusters = case
+        ctx = _ctx(world, experts, design_size=40, resolution=0.1,
+                   hyper=SMALL_HYPER)
+        optimize(make_tree(), ctx)
+        assert ctx.stage_log[("design",)]["stage"].model.capabilities == world.names
+        for name, capabilities in clusters.items():
+            stage = ctx.stage_log[("design", name)]["stage"]
+            assert stage.model.capabilities == capabilities
+            assert len(stage.samples[0].scores) == len(capabilities)
+            assert len(stage.model.utility_spec.weights) == len(capabilities)
+
+
+class Unscorable(Quadratic):
+    """A domain that trains normally but whose loss is never finite."""
+
+    def loss(self, theta):
+        return float("inf")
+
+
+def test_unscorable_domain_fails_only_the_stages_that_score_it():
+    good = Quadratic(np.array([1.0, 0.0]), np.eye(2))
+    other = Quadratic(np.array([0.0, 1.0]), np.diag([2.0, 1.0]))
+    bad = Unscorable(np.array([-0.5, 0.5]), np.eye(2))
+    world = QuadraticWorld(["a", "b", "bad"], [good, other, bad])
+    cfg = TrainConfig(learning_rate=0.05, steps=10, checkpoint_interval=5,
+                      seed=stable_seed(RUN_SEED, "train"))
+    experts = [train_expert(world, k, world.base_params(), cfg) for k in range(3)]
+    tree = MixtureNode.from_dict({
+        "name": "root",
+        "children": [
+            {"name": "ab", "children": [{"name": "a", "domain": "a"},
+                                        {"name": "b", "domain": "b"}]},
+            {"name": "bad", "domain": "bad"},
+        ],
+    })
+    ctx = _ctx(world, experts, design_size=12, resolution=0.25)
+    with pytest.raises(NumericError, match="'bad'"):
+        optimize_bottom_up(tree, ctx)
+    assert list(ctx.stage_log) == [("design", "ab")]

@@ -6,6 +6,8 @@ import pytest
 from mergemix.errors import BudgetExceededError, MergeMixError
 from mergemix.gbt import BoostHyper, GradientBoostedRegressor
 from mergemix.hierarchy import HierarchyContext, MixtureNode
+from mergemix.merging import merge
+from mergemix.params import params_digest
 from mergemix.seeding import rng_for, stable_seed
 from mergemix.simplex import (
     DEFAULT_POINT_BUDGET,
@@ -31,7 +33,8 @@ from mergemix.surface import (
     search_optimum,
     verify_optimum,
 )
-from mergemix.training import TrainConfig, train_expert
+from mergemix.training import TrainConfig, expert_params, train_expert
+from mergemix.worlds import raw_capabilities
 from tests.conftest import RUN_SEED
 
 
@@ -126,7 +129,28 @@ class TestSeedDesign:
         assert design.provenance == expected.provenance
 
 
+def reference_raw_scores(world, base, experts, configs):
+    """`collect_raw_scores` with one merge and one scoring per design row."""
+    merged = [merge(base, expert_params(experts), weights) for weights in configs]
+    raws = np.stack([raw_capabilities(world, theta) for theta in merged])
+    return raws, [params_digest(theta) for theta in merged]
+
+
 class TestCollectSamples:
+    def test_rows_match_per_row_merge_and_score(self, qw4, qw4_experts,
+                                                toy_world):
+        rng = np.random.default_rng(12)
+        toy_experts = [toy_world.base_params() + rng.standard_normal(toy_world.dim)
+                       for _ in range(3)]
+        for world, experts in ((qw4, qw4_experts), (toy_world, toy_experts)):
+            design = sample_seed_configs(len(experts), 30, seed=5)
+            base = world.base_params()
+            raws, digests = collect_raw_scores(world, base, experts, design.configs)
+            ref_raws, ref_digests = reference_raw_scores(world, base, experts,
+                                                         design.configs)
+            assert raws.tobytes() == ref_raws.tobytes()
+            assert digests == ref_digests
+
     def test_sample_count_and_range(self, qw4, qw4_experts, qw4_stage):
         assert len(qw4_stage.samples) == 40
         for sample in qw4_stage.samples:
@@ -390,11 +414,13 @@ class TestReadColumnsSearch:
         cluster = MixtureNode.from_dict({
             "name": "m", "children": [{"name": "m-a", "domain": "m-a"},
                                       {"name": "m-b", "domain": "m-b"}]})
-        spec = ctx.cluster_utility(cluster)
-        assert spec.weights == (0.5, 0.5, 0.0, 0.0)
-        stage = run_search_stage(qw_sep, base, experts[:2], design_size=60,
+        world, spec = ctx.cluster_scope(cluster)
+        assert world.names == ["m-a", "m-b"]
+        assert spec.weights == (0.5, 0.5)
+        stage = run_search_stage(world, base, experts[:2], design_size=60,
                                  seed=stable_seed(RUN_SEED, "design", "m"),
                                  utility_spec=spec, resolution=0.1)
+        assert stage.model.capabilities == ["m-a", "m-b"]
         assert_same_search(stage.search,
                            reference_search_optimum(stage.model, spec, 0.1))
 

@@ -151,6 +151,56 @@ class TestRawCapabilitiesStack:
             raw_capabilities(qw2, stack)
 
 
+class TestRestrict:
+    @pytest.fixture(params=["QW-4", "TOY-2"])
+    def world(self, request):
+        return fixture_by_name(request.param)
+
+    def test_kept_heldout_losses_bit_identical(self, world):
+        rng = np.random.default_rng(8)
+        stack = world.base_params() + rng.standard_normal((6, world.dim))
+        full = raw_capabilities(world, stack)
+        for kept in ([world.names[-1]], world.names[::2], list(world.names)):
+            sub = world.restrict(kept)
+            idx = [world.names.index(name) for name in sub.names]
+            assert sub.dim == world.dim
+            assert sub.base_params().tobytes() == world.base_params().tobytes()
+            for theta in stack:
+                for j, k in enumerate(idx):
+                    assert (np.float64(sub.heldout_loss(j, theta)).tobytes()
+                            == np.float64(world.heldout_loss(k, theta)).tobytes())
+            assert raw_capabilities(sub, stack).tobytes() == full[:, idx].tobytes()
+
+    def test_names_in_world_order(self, world):
+        reverse = world.restrict(world.names[::-1])
+        assert reverse.names == world.names
+        assert reverse.num_domains == world.num_domains
+        last_first = [world.names[-1], world.names[0]]
+        assert world.restrict(last_first).names == [world.names[0], world.names[-1]]
+        assert world.model_descriptor()["domains"] == world.names
+
+    def test_shares_the_parent_domains(self, world):
+        sub = world.restrict([world.names[-1]])
+        if isinstance(world, QuadraticWorld):
+            assert sub.quadratics[0] is world.quadratics[-1]
+        else:
+            assert sub.net is world.net and sub.specs[0] is world.specs[-1]
+            assert sub.train[0] is world.train[-1]
+            assert sub.heldout[0] is world.heldout[-1]
+
+    @pytest.mark.parametrize("names,message", [
+        (["nowhere"], "unknown domains"),
+        ([], "no domains"),
+    ])
+    def test_bad_name_lists_rejected(self, world, names, message):
+        with pytest.raises(MergeMixError, match=message):
+            world.restrict(names)
+
+    def test_duplicate_names_rejected(self, world):
+        with pytest.raises(MergeMixError, match="duplicate domain names"):
+            world.restrict([world.names[0], world.names[0]])
+
+
 class TestOrthogonalTaskGeometry:
     def test_orthogonal_targets_give_low_task_vector_cosine(self, toy_world):
         from mergemix.theory import task_vector_cosines
