@@ -19,9 +19,7 @@ import numpy as np
 
 from .errors import DimensionError, MergeMixError, SurfaceFileError
 from .gbt import BoostHyper, GradientBoostedRegressor
-# `merge` is not called here; `mergemix.surface.merge` stays importable
-# because perfbench/test_perfbench.py reads it.
-from .merging import merge, merge_many  # noqa: F401
+from .merging import merge, merge_many
 from .params import params_digest
 from .persist import read_json
 from .seeding import rng_for
@@ -112,7 +110,8 @@ class SurfaceSample:
 
 def collect_raw_scores(world: World, base: np.ndarray, experts, configs):
     """Merge at each config and score every capability: (n, K) raws, digests."""
-    merged = merge_many(base, expert_params(experts), configs)
+    params = expert_params(experts)
+    merged = np.stack([merge(base, params, weights) for weights in configs])
     return raw_capabilities(world, merged), [params_digest(theta) for theta in merged]
 
 

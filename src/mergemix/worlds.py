@@ -106,20 +106,15 @@ def generate_world(specs: list[DomainSpec]) -> list[tuple[Dataset, Dataset]]:
     return [generate_domain(s) for s in specs]
 
 
-def _restricted(world, names, per_domain: tuple[str, ...]):
-    """A shallow copy of `world` whose per-domain lists keep only the named
-    domains, in the world's own order; everything else is shared."""
+def _kept_indices(world_names: list[str], names) -> list[int]:
+    """Indices of the named domains in the world's own order."""
     wanted = _unique_names(names)
     if not wanted:
         raise MergeMixError("cannot restrict a world to no domains")
-    unknown = [name for name in wanted if name not in world.names]
+    unknown = [name for name in wanted if name not in world_names]
     if unknown:
-        raise MergeMixError(f"unknown domains {unknown}; the world has {world.names}")
-    keep = [k for k, name in enumerate(world.names) if name in wanted]
-    out = copy.copy(world)
-    for attr in ("names", *per_domain):
-        setattr(out, attr, [getattr(world, attr)[k] for k in keep])
-    return out
+        raise MergeMixError(f"unknown domains {unknown}; the world has {world_names}")
+    return [k for k, name in enumerate(world_names) if name in wanted]
 
 
 class QuadraticWorld:
@@ -160,7 +155,9 @@ class QuadraticWorld:
     def restrict(self, names) -> "QuadraticWorld":
         """The world over the named domains only, in this world's order,
         sharing their quadratics."""
-        return _restricted(self, names, ("quadratics",))
+        keep = _kept_indices(self.names, names)
+        return QuadraticWorld([self.names[k] for k in keep],
+                              [self.quadratics[k] for k in keep])
 
     def train_size(self, k: int) -> int:
         return 0
@@ -220,8 +217,15 @@ class RegressionWorld:
 
     def restrict(self, names) -> "RegressionWorld":
         """The world over the named domains only, in this world's order,
-        sharing the net and the generated datasets."""
-        return _restricted(self, names, ("specs", "train", "heldout"))
+        sharing the net and the generated datasets (a shallow copy, so the
+        data is not generated again)."""
+        keep = _kept_indices(self.names, names)
+        out = copy.copy(self)
+        out.specs = [self.specs[k] for k in keep]
+        out.names = [self.names[k] for k in keep]
+        out.train = [self.train[k] for k in keep]
+        out.heldout = [self.heldout[k] for k in keep]
+        return out
 
     def train_size(self, k: int) -> int:
         return len(self.train[k])

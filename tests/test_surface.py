@@ -6,8 +6,6 @@ import pytest
 from mergemix.errors import BudgetExceededError, MergeMixError
 from mergemix.gbt import BoostHyper, GradientBoostedRegressor
 from mergemix.hierarchy import HierarchyContext, MixtureNode
-from mergemix.merging import merge
-from mergemix.params import params_digest
 from mergemix.seeding import rng_for, stable_seed
 from mergemix.simplex import (
     DEFAULT_POINT_BUDGET,
@@ -33,8 +31,7 @@ from mergemix.surface import (
     search_optimum,
     verify_optimum,
 )
-from mergemix.training import TrainConfig, expert_params, train_expert
-from mergemix.worlds import raw_capabilities
+from mergemix.training import TrainConfig, train_expert
 from tests.conftest import RUN_SEED
 
 
@@ -129,28 +126,7 @@ class TestSeedDesign:
         assert design.provenance == expected.provenance
 
 
-def reference_raw_scores(world, base, experts, configs):
-    """`collect_raw_scores` with one merge and one scoring per design row."""
-    merged = [merge(base, expert_params(experts), weights) for weights in configs]
-    raws = np.stack([raw_capabilities(world, theta) for theta in merged])
-    return raws, [params_digest(theta) for theta in merged]
-
-
 class TestCollectSamples:
-    def test_rows_match_per_row_merge_and_score(self, qw4, qw4_experts,
-                                                toy_world):
-        rng = np.random.default_rng(12)
-        toy_experts = [toy_world.base_params() + rng.standard_normal(toy_world.dim)
-                       for _ in range(3)]
-        for world, experts in ((qw4, qw4_experts), (toy_world, toy_experts)):
-            design = sample_seed_configs(len(experts), 30, seed=5)
-            base = world.base_params()
-            raws, digests = collect_raw_scores(world, base, experts, design.configs)
-            ref_raws, ref_digests = reference_raw_scores(world, base, experts,
-                                                         design.configs)
-            assert raws.tobytes() == ref_raws.tobytes()
-            assert digests == ref_digests
-
     def test_sample_count_and_range(self, qw4, qw4_experts, qw4_stage):
         assert len(qw4_stage.samples) == 40
         for sample in qw4_stage.samples:
