@@ -27,7 +27,7 @@ from .hierarchy import (
     optimize_bottom_up,
     optimize_top_down,
 )
-from .merging import merge, select_top_checkpoints, simulate_anneal, soup
+from .merging import merge, soup
 from .models import Quadratic, ToyNet, hvp_finite_difference
 from .params import params_digest
 from .simplex import normalize_simplex, simplex_lattice, uniform_weights

@@ -26,6 +26,15 @@ A fit can hand back the boosting sum it accumulated at the training rows
 (`fit(x, y, out=...)`): the same comparisons and the same `lr * value` sum
 in the same order as predict, hence the same floats as `predict(x)`
 without a second pass over the trees.
+
+On a simplex lattice {c/steps} an ensemble can also bound itself
+(`lattice_bound`): each leaf of the cached routes is an axis-aligned box,
+so the largest leaf value per tree that an integer box meets, summed as
+predict sums, bounds the prediction over the box (Misic, "Optimization of
+Tree Ensembles", Operations Research 2020). Leaves are kept eight to a
+uint8 mask, for any tree depth; a group's leaves are stored in descending
+value order, so one 256-entry lowest-set-bit table, shared by all groups,
+finds the largest leaf in a mask.
 """
 
 from __future__ import annotations
@@ -35,8 +44,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, MergeMixError
+from .simplex import _expand
 
 PREDICT_BLOCK_ROWS = 4096
+LEAF_GROUP = 8  # leaves per uint8 mask in lattice bounds
 
 
 def _column_blocks(x: np.ndarray):
@@ -69,6 +80,105 @@ def _build_route(lists: tuple, node: int, depth: int, max_depth: int,
     return (features[node], thresholds[node],
             _build_route(lists, lefts[node], depth + 1, max_depth, scale),
             _build_route(lists, rights[node], depth + 1, max_depth, scale))
+
+
+def _route_leaves(route, values: list, splits: list) -> None:
+    """Append a route's leaf values to `values`, left to right, and one
+    (feature, threshold, first, middle, end) per split: leaves first ..
+    middle - 1 lie left of it (x <= threshold), middle .. end - 1 right."""
+    if isinstance(route, float):
+        values.append(route)
+        return
+    f, threshold, left, right = route
+    first = len(values)
+    _route_leaves(left, values, splits)
+    middle = len(values)
+    _route_leaves(right, values, splits)
+    splits.append((f, threshold, first, middle, len(values)))
+
+
+# Lowest set bit of every uint8 mask, LEAF_GROUP for the empty mask.
+_LOWEST_BIT = np.array([LEAF_GROUP] + [(m & -m).bit_length() - 1
+                                       for m in range(1, 256)], dtype=np.uint8)
+
+
+@dataclass(frozen=True)
+class _LeafBoxes:
+    """Every leaf of an ensemble as a box, LEAF_GROUP leaves to a group.
+
+    A leaf is reached by the x with `above[leaf, f] < x[f] <= below[leaf, f]`
+    for every feature f. Each tree's leaves fill whole groups, padded with
+    -inf values, and bit j of a group's mask stands for its slot j. A
+    group's slots hold its leaves in descending value order, so the largest
+    value among the leaves in a mask is that of its lowest set bit.
+    """
+
+    above: np.ndarray  # (slots, features)
+    below: np.ndarray  # (slots, features)
+    # Flat (groups * (LEAF_GROUP + 1),): each group's leaf values by slot,
+    # then -inf, the largest value of the empty mask.
+    values: np.ndarray
+    offsets: np.ndarray  # g * (LEAF_GROUP + 1) per group
+    starts: np.ndarray | None  # each tree's first group; None if one each
+
+    @classmethod
+    def from_routes(cls, routes: list) -> "_LeafBoxes":
+        values, splits, starts = [], [], []
+        for route in routes:
+            starts.append(len(values) // LEAF_GROUP)
+            _route_leaves(route, values, splits)
+            values.extend([-np.inf] * (-len(values) % LEAF_GROUP))
+        slots = np.asarray(values, dtype=np.float64)
+        groups = slots.shape[0] // LEAF_GROUP
+        split = np.asarray(splits, dtype=np.float64).reshape(-1, 5)
+        feature, threshold = split[:, 0].astype(np.int64), split[:, 1]
+        first, middle, end = split[:, 2:].astype(np.int64).T
+        width = int(feature.max()) + 1 if splits else 0
+        above = np.full((slots.shape[0], width), -np.inf)
+        below = np.full((slots.shape[0], width), np.inf)
+        leaf, owner = _expand(first, middle - first)  # x <= threshold
+        np.minimum.at(below, (leaf, feature[owner]), threshold[owner])
+        leaf, owner = _expand(middle, end - middle)  # x > threshold
+        np.maximum.at(above, (leaf, feature[owner]), threshold[owner])
+        # Sort each group's slots by descending value; padding goes last.
+        order = np.argsort(-slots.reshape(groups, LEAF_GROUP), axis=1,
+                           kind="stable")
+        order = (order + LEAF_GROUP * np.arange(groups)[:, None]).ravel()
+        slots = slots[order].reshape(groups, LEAF_GROUP)
+        return cls(above[order], below[order],
+                   np.column_stack((slots, np.full(groups, -np.inf))).ravel(),
+                   np.arange(groups) * (LEAF_GROUP + 1),
+                   None if groups == len(starts) else np.asarray(starts))
+
+    def masks(self, steps: int) -> tuple[np.ndarray, np.ndarray]:
+        """(reach_up, reach_down), each (features, steps + 1, groups) uint8.
+
+        On the lattice {c/steps}, reach_up[f, v] marks the leaves reached at
+        some c[f] >= v and reach_down[f, v] those reached at some c[f] <= v;
+        a box lo <= c <= hi meets the leaves in reach_up[f, lo[f]] &
+        reach_down[f, hi[f]] for every f. The lattice's own floats go
+        through the comparison predict makes, x <= threshold.
+        """
+        grid = np.arange(steps + 1) / steps
+        # searchsorted "right" counts the grid values <= a threshold, so a
+        # leaf's lattice values on f run from `first` to `last`; an
+        # unreached leaf has first = steps + 1 or last = -1.
+        first = np.searchsorted(grid, self.above, side="right")
+        last = np.searchsorted(grid, self.below, side="right") - 1
+        features, groups = self.above.shape[1], self.offsets.shape[0]
+        slot = np.arange(self.above.shape[0])
+        bit = np.left_shift(1, slot % LEAF_GROUP).astype(np.uint8)
+        f = np.arange(features)[None, :]
+        g = (slot // LEAF_GROUP)[:, None]
+        # Each leaf's bit lands at its first (last) value and is then
+        # carried to every larger (smaller) value; row steps + 1 takes the
+        # unreached leaves and is dropped.
+        down = np.zeros((features, steps + 2, groups), dtype=np.uint8)
+        np.bitwise_or.at(down, (f, first, g), bit[:, None])
+        up = np.zeros((features, steps + 2, groups), dtype=np.uint8)
+        np.bitwise_or.at(up, (f, steps - last, g), bit[:, None])
+        return (np.bitwise_or.accumulate(up, axis=1)[:, steps::-1],
+                np.bitwise_or.accumulate(down, axis=1)[:, :steps + 1])
 
 
 @dataclass
@@ -233,13 +343,6 @@ def _grow_tree(presorted, y: np.ndarray, max_depth: int,
     return tree, g.fitted
 
 
-def fit_tree(x: np.ndarray, y: np.ndarray, max_depth: int,
-             min_leaf: int) -> RegressionTree:
-    tree, _ = _grow_tree(_presort(np.asarray(x)), np.asarray(y),
-                         max_depth, min_leaf)
-    return tree
-
-
 @dataclass(frozen=True)
 class BoostHyper:
     """Ensemble settings; the defaults are small-sample-sane."""
@@ -275,6 +378,9 @@ class GradientBoostedRegressor:
     trees: list[RegressionTree] = field(default_factory=list)
     # (learning rate, trees, routes) of the last predict; see _routes.
     _route_cache: tuple | None = field(default=None, init=False, repr=False,
+                                       compare=False)
+    # (routes, leaf boxes, masks per lattice steps); see _bound_tables.
+    _bound_cache: tuple | None = field(default=None, init=False, repr=False,
                                        compare=False)
 
     def fit(self, x: np.ndarray, y: np.ndarray,
@@ -327,6 +433,48 @@ class GradientBoostedRegressor:
             for route in routes:
                 acc += _evaluate(route, cols)
             out[start:start + cols.shape[1]] = acc
+        return out
+
+    def _bound_tables(self, steps: int) -> tuple:
+        """(leaf boxes, lattice masks at `steps`), rebuilt with the routes."""
+        routes = self._routes()
+        cache = self._bound_cache
+        if cache is None or cache[0] is not routes:
+            cache = self._bound_cache = (routes, _LeafBoxes.from_routes(routes),
+                                         {})
+        masks = cache[2].get(steps)
+        if masks is None:
+            masks = cache[2][steps] = cache[1].masks(steps)
+        return cache[1], masks
+
+    def lattice_bound(self, lo: np.ndarray, hi: np.ndarray,
+                      steps: int) -> np.ndarray:
+        """Upper bound of the prediction over each integer box `lo <= c <= hi`
+        (rows of (n, features) arrays) of the lattice {c/steps}.
+
+        The bound is `init_value` plus, tree by tree in predict order, the
+        largest leaf value the box meets. A single point meets exactly the
+        leaf it reaches, so its bound is bit-identical to `predict` at
+        c/steps; round-to-nearest addition is monotone, so no float bound is
+        below a float prediction in its box.
+        """
+        boxes, (reach_up, reach_down) = self._bound_tables(steps)
+        out = np.empty(lo.shape[0])
+        for start in range(0, lo.shape[0], PREDICT_BLOCK_ROWS):
+            rows = slice(start, start + PREDICT_BLOCK_ROWS)
+            mask = np.full((lo[rows].shape[0], boxes.offsets.shape[0]), 255,
+                           dtype=np.uint8)
+            for f in range(boxes.above.shape[1]):
+                mask &= reach_up[f][lo[rows, f]]
+                mask &= reach_down[f][hi[rows, f]]
+            best = boxes.values[_LOWEST_BIT[mask] + boxes.offsets]
+            if boxes.starts is not None:
+                best = np.maximum.reduceat(best, boxes.starts, axis=1)
+            # Summed tree by tree from init_value, as predict sums.
+            acc = np.full(best.shape[0], self.init_value)
+            for tree in best.T:
+                acc += tree
+            out[rows] = acc
         return out
 
     def to_dict(self) -> dict:

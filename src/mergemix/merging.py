@@ -6,7 +6,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, MergeMixError
+from .errors import DimensionError
 from .params import as_params, check_same_dim
 from .simplex import is_one_hot, normalize_simplex, uniform_weights
 
@@ -59,42 +59,3 @@ def soup(checkpoints: Sequence[np.ndarray]) -> np.ndarray:
         raise DimensionError("soup requires at least one checkpoint")
     dim = as_params(checkpoints[0]).shape[0]
     return merge(np.zeros(dim), checkpoints, uniform_weights(len(checkpoints)))
-
-
-def select_top_checkpoints(trajectory: Sequence, scores: Sequence[float],
-                           n: int) -> list:
-    """The n best-scoring trajectory entries, returned in trajectory order.
-
-    Ties go to the earlier step.
-    """
-    if len(trajectory) != len(scores):
-        raise DimensionError("one score per trajectory entry required")
-    if not 1 <= n <= len(trajectory):
-        raise MergeMixError(
-            f"n={n} out of range for a trajectory of {len(trajectory)}"
-        )
-    order = sorted(range(len(trajectory)), key=lambda i: (-float(scores[i]), i))
-    keep = sorted(order[:n])
-    return [trajectory[i] for i in keep]
-
-
-def simulate_anneal(artifact, window: int | None = None,
-                    top_n: int | None = None, scorer=None) -> np.ndarray:
-    """Stand-in for learning-rate annealing: a soup over trajectory checkpoints.
-
-    Either the trailing `window` checkpoints or the `top_n` best according
-    to `scorer(point) -> float`.
-    """
-    points = list(artifact.trajectory)
-    if (window is None) == (top_n is None):
-        raise MergeMixError("pass exactly one of window= or top_n=")
-    if window is not None:
-        if not 1 <= window <= len(points):
-            raise MergeMixError(f"window={window} out of range")
-        chosen = points[-window:]
-    else:
-        if scorer is None:
-            raise MergeMixError("top_n selection requires a scorer")
-        scores = [float(scorer(p)) for p in points]
-        chosen = select_top_checkpoints(points, scores, top_n)
-    return soup([p.params for p in chosen])

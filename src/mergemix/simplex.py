@@ -1,14 +1,18 @@
-"""Probability-simplex utilities: validation, lattice enumeration, sampling.
+"""Probability-simplex utilities: validation, lattices, sampling.
 
-Both lattices the search sweeps, the full simplex lattice and the box
-around a coarse optimum, come from one non-recursive enumerator, `_lattice`:
-it builds the points coordinate by coordinate with `np.repeat`, checks the
-budget before building anything larger, and writes the rows in ascending
-lexicographic order into one preallocated array.
+The full simplex lattice and the box around a coarse optimum come from one
+non-recursive enumerator, `_lattice`: it builds the points coordinate by
+coordinate with `np.repeat`, checks the budget before building anything
+larger, and writes the rows in ascending lexicographic order into one
+preallocated array. The search builds neither: `box_size` counts a
+lattice's points, and `lattice_argmax` branches on the same per-coordinate
+ranges (`_level`, `_expand`), keeping only the prefixes whose bound can
+still reach the best value.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb
 
 import numpy as np
@@ -81,57 +85,92 @@ def lattice_size(k: int, steps: int) -> int:
     return comb(steps + k - 1, k - 1)
 
 
+def _over_budget(n: int, budget: int, label: str) -> None:
+    if n > budget:
+        raise BudgetExceededError(f"{label} exceeds the budget of {budget}")
+
+
+def _tails(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fewest and most units that coordinates pos.. can hold; 0 past the end."""
+    return (np.append(np.cumsum(lo[::-1])[::-1], 0),
+            np.append(np.cumsum(hi[::-1])[::-1], 0))
+
+
+def _level(lo: np.ndarray, hi: np.ndarray, tails, pos: int,
+           rest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First value and value count of coordinate `pos` for each prefix.
+
+    A prefix with `rest` units left takes every value that leaves the
+    coordinates after it a total they can hold, so each child completes to
+    at least one point.
+    """
+    tail_lo, tail_hi = tails
+    first = np.maximum(lo[pos], rest - tail_hi[pos + 1])
+    last = np.minimum(hi[pos], rest - tail_lo[pos + 1])
+    return first, np.maximum(last - first + 1, 0)
+
+
+def _expand(first: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(value, parent prefix index) of every child, parents in order and each
+    parent's children ascending, so a level stays lexicographic."""
+    parent = np.repeat(np.arange(counts.shape[0]), counts)
+    # The j-th child of a prefix takes first + j.
+    value = np.arange(parent.shape[0])
+    value += (first - (np.cumsum(counts) - counts))[parent]
+    return value, parent
+
+
 def _lattice(lo: np.ndarray, hi: np.ndarray, steps: int, budget: int,
              label: str) -> np.ndarray:
-    """Integer points `lo <= c <= hi` with `sum(c) == steps`, divided by
-    `steps`, in ascending lexicographic order.
+    """Integer points `lo <= c <= hi` with `sum(c) == steps`, in ascending
+    lexicographic order.
 
-    Coordinates are chosen left to right. At coordinate `pos` a prefix with
-    `rest` units left takes, in ascending order, every value that leaves the
-    coordinates after it a total they can hold; its children are contiguous,
-    so each level lists its prefixes lexicographically. Every such prefix
-    completes to at least one point, so no level is larger than the result,
-    and checking each level against the budget raises before any array
-    larger than the budget is built. Each level keeps one (value, parent)
-    pair of index arrays; the rows are then written, last coordinate first,
-    into one preallocated array, releasing each level once it is written.
+    Coordinates are chosen left to right (`_level`); each prefix's children
+    are contiguous, so each level lists its prefixes lexicographically.
+    Every prefix completes to at least one point, so no level is larger than
+    the result, and checking each level against the budget raises before
+    any array larger than the budget is built. Each level keeps one (value,
+    parent) pair of index arrays; the rows are then written, last coordinate
+    first, into one preallocated array, releasing each level once it is
+    written.
     """
     k = lo.shape[0]
-    # Fewest and most units that coordinates pos.. can hold; 0 past the end.
-    tail_lo = np.append(np.cumsum(lo[::-1])[::-1], 0)
-    tail_hi = np.append(np.cumsum(hi[::-1])[::-1], 0)
+    tails = _tails(lo, hi)
     rest = np.array([steps])
     levels = []  # (value, parent prefix index) per coordinate
     for pos in range(k):
-        first = np.maximum(lo[pos], rest - tail_hi[pos + 1])
-        last = np.minimum(hi[pos], rest - tail_lo[pos + 1])
-        counts = np.maximum(last - first + 1, 0)
-        n = int(counts.sum())
-        if n > budget:
-            raise BudgetExceededError(f"{label} exceeds the budget of {budget}")
-        parent = np.repeat(np.arange(rest.shape[0]), counts)
-        # The j-th child of a prefix takes first + j.
-        value = np.arange(n)
-        value += (first - (np.cumsum(counts) - counts))[parent]
+        first, counts = _level(lo, hi, tails, pos, rest)
+        _over_budget(int(counts.sum()), budget, label)
+        value, parent = _expand(first, counts)
         rest = rest[parent]
         rest -= value
         levels.append((value, parent))
-    out = np.empty((rest.shape[0], k), dtype=np.float64)
+    out = np.empty((rest.shape[0], k), dtype=np.int64)
     del rest
     row = None  # each output row's index into the current level
     for pos in range(k - 1, -1, -1):
         value, parent = levels.pop()
         out[:, pos] = value if row is None else value[row]
         row = parent if row is None else parent[row]
-    out /= steps  # the same correctly rounded quotient as int c / steps
     return out
 
 
 def simplex_lattice(k: int, steps: int,
                     budget: int = DEFAULT_POINT_BUDGET) -> np.ndarray:
     """All points of the simplex lattice {c/steps}, lexicographically ascending."""
+    # The same correctly rounded quotient as int c / steps.
     return _lattice(np.zeros(k, dtype=np.int64), np.full(k, steps, dtype=np.int64),
-                    steps, budget, "simplex lattice")
+                    steps, budget, "simplex lattice") / steps
+
+
+def box_limits(center: np.ndarray, steps: int,
+               radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer limits of the lattice box at `1/steps` within `radius` steps
+    (L-inf) of `center`, clipped to [0, steps]; `center` must lie on the
+    lattice."""
+    center_units = np.rint(center * steps).astype(np.int64)
+    return (np.maximum(center_units - radius, 0),
+            np.minimum(center_units + radius, steps))
 
 
 def boxed_lattice(center: np.ndarray, steps: int, radius: int,
@@ -141,10 +180,79 @@ def boxed_lattice(center: np.ndarray, steps: int, radius: int,
     Used for the local refinement pass around a coarse optimum; `center`
     must itself lie on the lattice.
     """
-    center_units = np.rint(center * steps).astype(np.int64)
-    lo = np.maximum(center_units - radius, 0)
-    hi = np.minimum(center_units + radius, steps)
-    return _lattice(lo, hi, steps, budget, "refinement lattice")
+    lo, hi = box_limits(center, steps, radius)
+    return _lattice(lo, hi, steps, budget, "refinement lattice") / steps
+
+
+def box_size(lo: np.ndarray, hi: np.ndarray, steps: int, budget: int,
+             label: str) -> int:
+    """How many rows `_lattice(lo, hi, steps, ...)` has, without building
+    any; raises its BudgetExceededError when they exceed `budget`."""
+    ways = [1] + [0] * steps  # ways[s]: prefixes summing to s
+    for a, b in zip(lo.tolist(), hi.tolist()):
+        below = list(accumulate(ways, initial=0))  # below[s] = sum(ways[:s])
+        # A prefix sums to s with c in [a, b] from prefixes at s - b .. s - a.
+        ways = [below[max(s - a + 1, 0)] - below[max(s - b, 0)]
+                for s in range(steps + 1)]
+    _over_budget(ways[steps], budget, label)
+    return ways[steps]
+
+
+def incumbent_seeds(k: int, steps: int) -> np.ndarray:
+    """Integer points of the lattice {c/steps} to start a search from: its
+    quarter sub-lattice (corners included) when that lies on it, else its
+    corners."""
+    if steps % 4:
+        return np.eye(k, dtype=np.int64) * steps
+    return _lattice(np.zeros(k, dtype=np.int64), np.full(k, 4), 4,
+                    DEFAULT_POINT_BUDGET, "seed lattice") * (steps // 4)
+
+
+def lattice_argmax(lo: np.ndarray, hi: np.ndarray, steps: int, bound,
+                   seeds: np.ndarray) -> np.ndarray:
+    """The lexicographically first maximizer of a value over the integer
+    points `lo <= c <= hi` with `sum(c) == steps`, by branch and bound.
+
+    `bound(box_lo, box_hi)` maps (n, k) integer boxes to an upper bound of
+    the value over each box; on a single point (`box_lo == box_hi`) it must
+    be the value itself. The best of the `seeds`, (m, k) points of the
+    lattice, is the first incumbent. Coordinates are branched one at a
+    time, in `_lattice`'s level order, largest incumbent coordinate first
+    (ties by index); each prefix is bounded over the box its free
+    coordinates can still reach and dropped when its bound is strictly below
+    the best point value seen. At the last level every box is a point, so
+    the survivors are exactly the points that tie the maximum, and the
+    first of them in ascending lexicographic order is the first maximum an
+    exhaustive sweep finds.
+    """
+    k = lo.shape[0]
+    seed_values = bound(seeds, seeds)
+    incumbent = int(np.argmax(seed_values))
+    best = seed_values[incumbent]
+    order = np.lexsort((np.arange(k), -seeds[incumbent]))
+    unorder = np.argsort(order)
+    lo, hi = lo[order], hi[order]
+    tails = tail_lo, tail_hi = _tails(lo, hi)
+    rest = np.array([steps])
+    fixed = np.empty((1, 0), dtype=np.int64)  # chosen coordinates, in order
+    for pos in range(k - 1):
+        value, parent = _expand(*_level(lo, hi, tails, pos, rest))
+        fixed = np.column_stack((fixed[parent], value))
+        rest = rest[parent] - value
+        # A free coordinate holds at least what the other free ones cannot
+        # take, and at most what they leave.
+        free_lo, free_hi = lo[pos + 1:], hi[pos + 1:]
+        box_lo = np.maximum(free_lo, rest[:, None] - (tail_hi[pos + 1] - free_hi))
+        box_hi = np.minimum(free_hi, rest[:, None] - (tail_lo[pos + 1] - free_lo))
+        bounds = bound(np.column_stack((fixed, box_lo))[:, unorder],
+                       np.column_stack((fixed, box_hi))[:, unorder])
+        if pos == k - 2:  # one free coordinate left: every box is a point
+            best = max(best, bounds.max())
+        keep = ~(bounds < best)
+        fixed, rest = fixed[keep], rest[keep]
+    # Every survivor is a point whose value is the maximum.
+    points = np.column_stack((fixed, rest))[:, unorder]
+    return points[np.lexsort(points.T[::-1])[0]]
 
 
 def dirichlet_points(k: int, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -2,10 +2,12 @@
 
 Seed configurations (corners + coarse grid + priors + random fill) are
 merged and evaluated to produce training samples; one boosted-tree
-regressor per capability approximates the landscape; an exhaustive lattice
-sweep with one local refinement pass, predicting only the capabilities the
-utility reads, finds the utility optimum, which is then re-checked by
-actually merging and evaluating.
+regressor per capability approximates the landscape; a lattice search with
+one local refinement pass finds the utility optimum, which is then
+re-checked by actually merging and evaluating. The search is exact branch
+and bound over the trees' leaf boxes: it bounds boxes of lattice points,
+scores only the points it cannot rule out, and picks what an exhaustive
+sweep of the same lattices picks.
 """
 
 from __future__ import annotations
@@ -26,8 +28,11 @@ from .seeding import rng_for
 from .simplex import (
     DEFAULT_POINT_BUDGET,
     REFINE_RADIUS,
-    boxed_lattice,
+    box_limits,
+    box_size,
     dirichlet_points,
+    incumbent_seeds,
+    lattice_argmax,
     lattice_steps,
     normalize_simplex,
     simplex_lattice,
@@ -267,19 +272,36 @@ class SearchResult:
     evaluated_points: int
 
 
-def search_optimum(model, utility_spec: UtilitySpec | None = None,
-                   k: int | None = None, resolution: float = 0.05,
+def _utility_bound(model: SurfaceModel, spec: UtilitySpec, read: list[int],
+                   steps: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Upper bound of the utility over each integer box of the lattice
+    {c/steps}: `utilities` of the read capabilities' bounds, every other
+    column 0.0 as in a read-columns sweep. Utilities are nondecreasing in
+    every score (weights are >= 0), so this bounds the sweep's values, and
+    on a single point it is the sweep's value."""
+    scores = np.zeros((lo.shape[0], model.num_capabilities))
+    for m in read:
+        scores[:, m] = model.regressors[m].lattice_bound(lo, hi, steps)
+    return utilities(scores, spec)
+
+
+def search_optimum(model: SurfaceModel, utility_spec: UtilitySpec | None = None,
+                   resolution: float = 0.05,
                    budget: int = DEFAULT_POINT_BUDGET) -> SearchResult:
-    """Exhaustive lattice sweep plus one refinement pass at resolution/5.
+    """The utility's lattice optimum, refined once at resolution/5.
 
-    `model` is a SurfaceModel or any callable mapping an (n, k) array of
-    simplex points to an (n, M) score matrix. Ties resolve to the
-    lexicographically smallest point because both sweeps enumerate points
-    in ascending lexicographic order and keep the first maximum.
+    Finds what an exhaustive sweep of the coarse lattice and then of the
+    refinement box around its optimum finds, ties going to the
+    lexicographically smallest point, without predicting either: both are
+    searched by branch and bound (`simplex.lattice_argmax`) over the
+    surrogate's tree leaves (`GradientBoostedRegressor.lattice_bound`).
+    The coarse search starts from the best corner or quarter-lattice point,
+    the box search from the coarse optimum. `evaluated_points` and the
+    budget still count every point of the coarse lattice and of the box.
 
-    On a SurfaceModel both sweeps predict only the capabilities the utility
-    reads (`utility_columns`) and leave the others 0.0; a zero weight times
-    0.0 instead of a negative prediction can only turn a -0.0 utility into
+    Bounds and values use only the capabilities the utility reads
+    (`utility_columns`) and leave the others 0.0; a zero weight times 0.0
+    instead of a negative prediction can only turn a -0.0 utility into
     0.0, which ties with it, so the argmax is the one a full prediction
     gives. The winner then gets every capability predicted, and
     `predicted_utility` is the utility of that full row.
@@ -288,33 +310,27 @@ def search_optimum(model, utility_spec: UtilitySpec | None = None,
         raise MergeMixError(
             f"search resolution must be in (0, 0.25], got {resolution}"
         )
-    if isinstance(model, SurfaceModel):
-        spec = utility_spec or model.utility_spec
-        read = utility_columns(spec, model.num_capabilities)
-        predict_batch = model.predict_batch
-        sweep = partial(model.predict_batch, columns=read)
-        if k is None:
-            k = model.input_dim
-    else:
-        predict_batch = sweep = model
-        spec = utility_spec or UtilitySpec()
-        if k is None:
-            raise MergeMixError("k is required when searching a bare predictor")
-
+    spec = utility_spec or model.utility_spec
+    read = utility_columns(spec, model.num_capabilities)
+    k = model.input_dim
     steps = lattice_steps(resolution)
-    coarse = simplex_lattice(k, steps, budget)
-    coarse_vals = utilities(sweep(coarse), spec)
-    best = int(np.argmax(coarse_vals))  # first max = lex smallest tie
-    evaluated = coarse.shape[0]
+    lo, hi = np.zeros(k, dtype=np.int64), np.full(k, steps, dtype=np.int64)
+    evaluated = box_size(lo, hi, steps, budget, "simplex lattice")
+    coarse = lattice_argmax(lo, hi, steps,
+                            partial(_utility_bound, model, spec, read, steps),
+                            incumbent_seeds(k, steps))
 
-    fine = boxed_lattice(coarse[best], steps * 5, radius=REFINE_RADIUS,
-                         budget=max(0, budget - evaluated))
-    best_fine = int(np.argmax(utilities(sweep(fine), spec)))
-    evaluated += fine.shape[0]
+    fine_steps = steps * 5
+    lo, hi = box_limits(coarse / steps, fine_steps, REFINE_RADIUS)
+    evaluated += box_size(lo, hi, fine_steps, max(0, budget - evaluated),
+                          "refinement lattice")
+    fine = lattice_argmax(lo, hi, fine_steps,
+                          partial(_utility_bound, model, spec, read, fine_steps),
+                          coarse[None, :] * 5) / fine_steps
 
     # The winning lattice point and its renormalized weights, fully predicted.
-    weights = normalize_simplex(fine[best_fine])
-    scores = predict_batch(np.stack([fine[best_fine], weights]))
+    weights = normalize_simplex(fine)
+    scores = model.predict_batch(np.stack([fine, weights]))
     return SearchResult(
         weights=weights,
         predicted_utility=float(utilities(scores[:1], spec)[0]),

@@ -44,7 +44,13 @@ from mergemix.theory import (
 )
 from mergemix.training import TrainConfig, train_expert
 from mergemix.worlds import fixture_qw2, fixture_qw4, fixture_toy
-from tests.conftest import QW2_TRAIN, RUN_SEED
+from tests.conftest import (
+    QW2_TRAIN,
+    RUN_SEED,
+    constant_regressor,
+    staircase_regressor,
+    surface_of,
+)
 
 
 def verdict(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -149,17 +155,18 @@ class TestAcceptance:
                 "rho = " + ", ".join(f"{r:.3f}" for r in rhos))
 
     def test_07_search_correctness(self):
-        def parabola(points):
-            return (1.0 - (points[:, 0] - 0.3) ** 2)[:, None]
-
+        # Tree surfaces equal to 1 - (x0 - 0.3)^2 and to 0.5 at every point
+        # the search visits.
+        parabola = surface_of(2, staircase_regressor(
+            (0, lambda x: 1.0 - (x - 0.3) ** 2)))
         res = search_optimum(parabola, UtilitySpec(kind="single", index=0),
-                             k=2, resolution=0.05)
+                             resolution=0.05)
         refined_step = 0.05 / 5
         parabola_ok = abs(res.weights[0] - 0.3) <= refined_step + 1e-12
 
-        const = lambda pts: np.full((pts.shape[0], 1), 0.5)
+        const = surface_of(3, constant_regressor(0.5))
         res_c = search_optimum(const, UtilitySpec(kind="single", index=0),
-                               k=3, resolution=0.25)
+                               resolution=0.25)
         tie_ok = np.array_equal(res_c.weights, [0.0, 0.0, 1.0])
         verdict(7, "lattice search localizes the parabola peak and "
                    "tie-breaks lexicographically",

@@ -3,15 +3,32 @@ import gc
 import numpy as np
 import pytest
 
-from mergemix.errors import MergeMixError
+from mergemix.errors import BudgetExceededError, MergeMixError
 from mergemix.gbt import (
     PREDICT_BLOCK_ROWS,
     BoostHyper,
     GradientBoostedRegressor,
     RegressionTree,
-    fit_tree,
+    _grow_tree,
+    _presort,
+)
+from mergemix.simplex import (
+    DEFAULT_POINT_BUDGET,
+    box_limits,
+    box_size,
+    boxed_lattice,
+    dirichlet_points,
+    simplex_lattice,
 )
 from mergemix.stats import spearman
+
+
+def fit_tree(x, y, max_depth: int, min_leaf: int) -> RegressionTree:
+    """One tree from the package's presorted grower, as a boosting round
+    grows it."""
+    tree, _ = _grow_tree(_presort(np.asarray(x)), np.asarray(y),
+                         max_depth, min_leaf)
+    return tree
 
 
 # Reference kernels: the straightforward per-level predict, per-feature
@@ -446,6 +463,97 @@ class TestFitValuesAndCachedRoutes:
                                        shallow.hyper.learning_rate, grid))
 
 
+def lattice_units(k: int, steps: int) -> np.ndarray:
+    """Every point of the lattice {c/steps} as integer c."""
+    return np.rint(simplex_lattice(k, steps) * steps).astype(np.int64)
+
+
+BOUND_HYPERS = [BoostHyper(n_trees=30, max_depth=depth, learning_rate=lr,
+                           min_leaf=1)
+                for depth in (1, 3, 5) for lr in (0.05, 0.8)]
+
+
+def bound_models(k: int = 4) -> list[GradientBoostedRegressor]:
+    """Ensembles fitted to random data, with 1 to 32 leaves per tree (up to
+    four leaf groups), plus one fitted to a constant target: no trees."""
+    rng = np.random.default_rng(30)
+    x = dirichlet_points(k, 80, rng)
+    y = rng.standard_normal(80)
+    return ([GradientBoostedRegressor(hyper).fit(x, y) for hyper in BOUND_HYPERS]
+            + [GradientBoostedRegressor(BoostHyper()).fit(x, np.full(80, 0.3))])
+
+
+class TestLatticeBound:
+    """`lattice_bound` bounds the prediction over integer boxes of a lattice,
+    and is the prediction itself on a single point."""
+
+    @pytest.mark.parametrize("steps", [20, 100])
+    def test_bound_covers_every_point_of_random_boxes(self, steps):
+        rng = np.random.default_rng(steps)
+        points = lattice_units(4, steps)
+        # Boxes around random lattice points, reaching up to half the axis
+        # each way and clipped to it; the first ten are single points.
+        centers = points[rng.choice(len(points), 60)]
+        reach = rng.integers(0, steps // 2 + 1, size=(2, 60, 4))
+        reach[:, :10] = 0
+        lo = np.maximum(centers - reach[0], 0)
+        hi = np.minimum(centers + reach[1], steps)
+        inside = [np.flatnonzero(np.all((points >= a) & (points <= b), axis=1))
+                  for a, b in zip(lo, hi)]
+        for model in bound_models():
+            predicted = model.predict(points / steps)
+            bounds = model.lattice_bound(lo, hi, steps)
+            for bound, members in zip(bounds, inside):
+                assert np.all(bound >= predicted[members])
+
+    @pytest.mark.parametrize("k,steps", [(4, 20), (3, 100)])
+    def test_single_point_bound_is_predict_bit_for_bit(self, k, steps):
+        points = lattice_units(k, steps)
+        for model in bound_models(k):
+            assert (model.lattice_bound(points, points, steps).tobytes()
+                    == model.predict(points / steps).tobytes())
+
+    def test_stored_tree_deeper_than_max_depth(self):
+        """Leaves come from the truncated routes predict walks."""
+        x, y = coarse_data(24, 200, 4, levels=10)
+        model = GradientBoostedRegressor(BoostHyper(n_trees=8, max_depth=5,
+                                                    min_leaf=1)).fit(x, y)
+        data = model.to_dict()
+        for tree in data["trees"]:
+            tree["max_depth"] = 1
+        shallow = GradientBoostedRegressor.from_dict(data)
+        points = lattice_units(4, 20)
+        truncated = reference_ensemble_predict(
+            shallow.init_value, shallow.trees, shallow.hyper.learning_rate,
+            points / 20)
+        assert truncated.tobytes() != model.predict(points / 20).tobytes()
+        assert (shallow.lattice_bound(points, points, 20).tobytes()
+                == truncated.tobytes())
+        lo = np.maximum(points - 2, 0)
+        hi = np.minimum(points + 2, 20)
+        bounds = shallow.lattice_bound(lo, hi, 20)
+        for i, (a, b) in enumerate(zip(lo, hi)):
+            inside = np.all((points >= a) & (points <= b), axis=1)
+            assert np.all(bounds[i] >= truncated[inside])
+
+    def test_box_size_counts_the_boxed_lattice(self):
+        steps = 50
+        for k in (2, 3, 4):
+            for center in simplex_lattice(k, 5):  # corners, faces, interior
+                for radius in (0, 1, 5, 12):
+                    lo, hi = box_limits(center, steps, radius)
+                    n = boxed_lattice(center, steps, radius).shape[0]
+                    assert box_size(lo, hi, steps, DEFAULT_POINT_BUDGET,
+                                    "box") == n
+                    with pytest.raises(BudgetExceededError,
+                                       match=f"^box exceeds the budget of {n - 1}$"):
+                        box_size(lo, hi, steps, n - 1, "box")
+        lo, hi = box_limits(np.full(3, 1 / 3), 30, 5)
+        assert np.all(lo > 0) and np.all(hi < 30)  # unclipped
+        lo, hi = box_limits(np.array([0.0, 0.5, 0.5]), 30, 5)
+        assert lo[0] == 0 and hi[0] == 5  # clipped at the face
+
+
 class TestNoReferenceCycles:
     def test_fit_and_predict_leave_no_cyclic_garbage(self):
         """Growing a tree and building its routes recurse without closures,
@@ -457,6 +565,8 @@ class TestNoReferenceCycles:
             model = GradientBoostedRegressor(BoostHyper(n_trees=30)).fit(x, y)
             model.predict(x)
             model.trees[0].predict(x)
+            units = np.rint(x * 10).astype(np.int64)
+            model.lattice_bound(units, units, 10)
             del model
             assert gc.collect() == 0
         finally:

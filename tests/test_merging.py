@@ -1,19 +1,8 @@
 import numpy as np
 import pytest
 
-from mergemix.errors import (
-    BudgetExceededError,
-    DimensionError,
-    MergeMixError,
-    SimplexError,
-)
-from mergemix.merging import (
-    merge,
-    merge_many,
-    select_top_checkpoints,
-    simulate_anneal,
-    soup,
-)
+from mergemix.errors import BudgetExceededError, DimensionError, SimplexError
+from mergemix.merging import merge, merge_many, soup
 from mergemix.simplex import (
     REFINE_RADIUS,
     boxed_lattice,
@@ -23,10 +12,6 @@ from mergemix.simplex import (
     simplex_lattice,
     uniform_weights,
 )
-from mergemix.training import TrainConfig, train_expert
-from mergemix.worlds import DomainSpec, RegressionWorld
-from mergemix.models import ToyNet
-from mergemix.seeding import stable_seed
 
 
 # Test-only reference kernels: the recursive enumerators the array-built
@@ -307,85 +292,3 @@ class TestSoup:
     def test_empty_rejected(self):
         with pytest.raises(DimensionError):
             soup([])
-
-
-class _Point:
-    def __init__(self, step, params):
-        self.step = step
-        self.params = params
-
-
-class _Artifact:
-    def __init__(self, points):
-        self.trajectory = points
-
-
-class TestCheckpointSelection:
-    def test_all_checkpoints(self):
-        traj = [_Point(i, np.array([float(i)])) for i in range(4)]
-        out = select_top_checkpoints(traj, [0.1, 0.2, 0.3, 0.4], 4)
-        assert [p.step for p in out] == [0, 1, 2, 3]
-
-    def test_strictly_increasing_scores(self):
-        traj = [_Point(i, np.array([float(i)])) for i in range(5)]
-        out = select_top_checkpoints(traj, [1, 2, 3, 4, 5], 1)
-        assert out[0].step == 4
-
-    def test_tie_goes_to_earlier_step(self):
-        traj = [_Point(s, np.array([0.0])) for s in (0, 10, 20)]
-        out = select_top_checkpoints(traj, [0.1, 0.9, 0.9], 1)
-        assert out[0].step == 10
-
-    def test_returns_in_trajectory_order(self):
-        traj = [_Point(i, np.array([float(i)])) for i in range(5)]
-        out = select_top_checkpoints(traj, [5, 1, 4, 2, 3], 3)
-        assert [p.step for p in out] == [0, 2, 4]
-
-    def test_out_of_range(self):
-        traj = [_Point(0, np.zeros(1))]
-        with pytest.raises(MergeMixError):
-            select_top_checkpoints(traj, [1.0], 2)
-
-
-class TestSimulateAnneal:
-    def test_window_one_is_final_checkpoint(self):
-        traj = [_Point(i, np.array([float(i), -float(i)])) for i in range(4)]
-        out = simulate_anneal(_Artifact(traj), window=1)
-        assert np.array_equal(out, traj[-1].params)
-
-    def test_constant_trajectory_any_window(self):
-        x = np.array([1.5, -2.25])
-        traj = [_Point(i, x.copy()) for i in range(4)]
-        for win in (1, 2, 4):
-            np.testing.assert_array_equal(
-                simulate_anneal(_Artifact(traj), window=win), x)
-
-    def test_top_n_uses_scorer(self):
-        traj = [_Point(i, np.array([float(i)])) for i in range(4)]
-        out = simulate_anneal(_Artifact(traj), top_n=1,
-                              scorer=lambda p: -p.step)
-        assert np.array_equal(out, traj[0].params)
-
-    def test_requires_exactly_one_mode(self):
-        traj = [_Point(0, np.zeros(1))]
-        with pytest.raises(MergeMixError):
-            simulate_anneal(_Artifact(traj))
-        with pytest.raises(MergeMixError):
-            simulate_anneal(_Artifact(traj), window=1, top_n=1)
-
-    def test_trailing_soup_smooths_noisy_training(self):
-        """Constant-LR SGD bounces at its noise floor; a soup over spaced
-        trailing checkpoints cancels that noise and beats the last iterate."""
-        world = RegressionWorld(
-            ToyNet(3, 4, 2),
-            [DomainSpec("noisy", "regression",
-                        target_weight=np.array([[1.0, 0, 0], [0, 1.0, 0]]),
-                        noise=0.5, input_dim=3, train_size=48,
-                        heldout_size=64, seed=123)],
-            init_seed=9,
-        )
-        cfg = TrainConfig(learning_rate=0.2, steps=400, batch_size=2,
-                          checkpoint_interval=10, seed=stable_seed(4, "train"))
-        artifact = train_expert(world, 0, world.base_params(), cfg)
-        souped = simulate_anneal(artifact, window=5)
-        assert world.heldout_loss(0, souped) <= world.heldout_loss(0, artifact.final)

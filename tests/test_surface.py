@@ -5,13 +5,16 @@ import pytest
 
 from mergemix.errors import BudgetExceededError, MergeMixError
 from mergemix.gbt import BoostHyper, GradientBoostedRegressor
-from mergemix.hierarchy import HierarchyContext, MixtureNode
+from mergemix.hierarchy import HierarchyContext, MixtureNode, optimize_top_down
+from mergemix.models import Quadratic
 from mergemix.seeding import rng_for, stable_seed
 from mergemix.simplex import (
     DEFAULT_POINT_BUDGET,
     REFINE_RADIUS,
+    box_limits,
     boxed_lattice,
     dirichlet_points,
+    lattice_size,
     lattice_steps,
     normalize_simplex,
     simplex_lattice,
@@ -32,7 +35,13 @@ from mergemix.surface import (
     verify_optimum,
 )
 from mergemix.training import TrainConfig, train_expert
-from tests.conftest import RUN_SEED
+from mergemix.worlds import QuadraticWorld
+from tests.conftest import (
+    RUN_SEED,
+    constant_regressor,
+    staircase_regressor,
+    surface_of,
+)
 
 
 def reference_seed_configs(k, n, priors=(), seed=0) -> SeedDesign:
@@ -195,17 +204,16 @@ class TestFitAndPredict:
 
 class TestSearch:
     def test_analytic_parabola(self):
-        def surface(points):
-            return (1.0 - (points[:, 0] - 0.3) ** 2)[:, None]
-
+        surface = surface_of(2, staircase_regressor(
+            (0, lambda x: 1.0 - (x - 0.3) ** 2)))
         res = search_optimum(surface, UtilitySpec(kind="single", index=0),
-                             k=2, resolution=0.05)
+                             resolution=0.05)
         np.testing.assert_allclose(res.weights, [0.3, 0.7], atol=1e-12)
 
     def test_constant_surface_lexicographic_tie_break(self):
-        const = lambda pts: np.full((pts.shape[0], 1), 0.7)
+        const = surface_of(3, constant_regressor(0.7))
         res = search_optimum(const, UtilitySpec(kind="single", index=0),
-                             k=3, resolution=0.25)
+                             resolution=0.25)
         np.testing.assert_array_equal(res.weights, [0.0, 0.0, 1.0])
 
     def test_surrogate_fit_localizes_parabola_peak(self):
@@ -218,9 +226,9 @@ class TestSearch:
         assert abs(res.weights[0] - 0.3) <= 0.05 / 5 + 1e-12
 
     def test_linear_surface_corner_optimal(self):
-        linear = lambda pts: pts[:, 1][:, None]
+        linear = surface_of(4, staircase_regressor((1, lambda x: x)))
         res = search_optimum(linear, UtilitySpec(kind="single", index=0),
-                             k=4, resolution=0.05)
+                             resolution=0.05)
         np.testing.assert_array_equal(res.weights, [0.0, 1.0, 0.0, 0.0])
 
     def test_corner_dominant_capability_on_qw4(self, qw4, qw4_experts):
@@ -244,16 +252,16 @@ class TestSearch:
         assert qw4_stage.search.predicted_utility >= max(values) - 1e-12
 
     def test_budget_error(self):
-        const = lambda pts: np.zeros((pts.shape[0], 1))
+        const = surface_of(10, constant_regressor(0.0))
         with pytest.raises(BudgetExceededError):
             search_optimum(const, UtilitySpec(kind="single", index=0),
-                           k=10, resolution=0.05, budget=1000)
+                           resolution=0.05, budget=1000)
 
     def test_resolution_validation(self):
-        const = lambda pts: np.zeros((pts.shape[0], 1))
+        const = surface_of(2, constant_regressor(0.0))
         with pytest.raises(MergeMixError):
             search_optimum(const, UtilitySpec(kind="single", index=0),
-                           k=2, resolution=0.5)
+                           resolution=0.5)
 
     def test_weighted_utility_tilts_toward_upweighted_corner(self, qw4_stage):
         """Raising one capability's weight never demotes that capability's
@@ -295,6 +303,12 @@ def reference_search_optimum(model: SurfaceModel, spec: UtilitySpec,
     return SearchResult(weights, float(fine_vals[best_fine]),
                         tuple(float(v) for v in scores), 1.0 / steps,
                         coarse.shape[0] + fine.shape[0])
+
+
+def reference_coarse_optimum(model: SurfaceModel, spec: UtilitySpec,
+                             resolution: float) -> np.ndarray:
+    coarse = simplex_lattice(model.input_dim, lattice_steps(resolution))
+    return coarse[int(np.argmax(utilities(model.predict_batch(coarse), spec)))]
 
 
 def assert_same_search(actual: SearchResult, expected: SearchResult):
@@ -352,13 +366,14 @@ class TestReadColumnsSearch:
                                reference_search_optimum(model, spec, 0.1))
 
     def test_unread_capabilities_predicted_for_the_winner_only(self, monkeypatch):
+        """No lattice point goes through predict: every capability, read or
+        not, is predicted once, at the winning lattice point and its
+        weights."""
         model = synthetic_surface(5)
         spec = UtilitySpec(kind="weighted", weights=(0.0, 0.5, 0.0, 0.0, 0.5))
         calls = count_predicted_rows(model, monkeypatch)
         search_optimum(model, spec, resolution=0.1)
-        assert [len(c) for c in calls] == [1, 3, 1, 1, 3]
-        for m in (0, 2, 3):
-            assert calls[m] == [2]  # the winning lattice point and its weights
+        assert calls == [[2]] * 5
 
     def test_negative_unread_columns_and_negative_zero_terms(self):
         """Every read term is -0.0 and every unread column negative, so a zero
@@ -399,6 +414,107 @@ class TestReadColumnsSearch:
         assert stage.model.capabilities == ["m-a", "m-b"]
         assert_same_search(stage.search,
                            reference_search_optimum(stage.model, spec, 0.1))
+
+    def test_every_stage_of_a_qw_sep_top_down_run(self, qw_sep):
+        base = qw_sep.base_params()
+        cfg = TrainConfig(learning_rate=0.1, steps=60, checkpoint_interval=60,
+                          seed=stable_seed(RUN_SEED, "train"))
+        experts = [train_expert(qw_sep, k, base, cfg) for k in range(4)]
+        ctx = HierarchyContext(world=qw_sep, base=base, experts=experts,
+                               design_size=120, resolution=0.1, seed=RUN_SEED)
+        tree = MixtureNode.from_dict({"name": "root", "children": [
+            {"name": c, "children": [{"name": f"{c}-{x}", "domain": f"{c}-{x}"}
+                                     for x in "ab"]} for c in "mc"]})
+        optimize_top_down(tree, ctx)
+        assert len(ctx.stage_log) == 3
+        for entry in ctx.stage_log.values():
+            model = entry["stage"].model
+            assert_same_search(entry["stage"].search, reference_search_optimum(
+                model, model.utility_spec, 0.1))
+
+    def test_qw4_stage(self, qw4_stage):
+        for spec in read_specs(4):
+            assert_same_search(search_optimum(qw4_stage.model, spec),
+                               reference_search_optimum(qw4_stage.model, spec,
+                                                        0.05))
+
+    def test_k8_quadratic_world(self):
+        """19,448 coarse points; the utility reads the last two domains."""
+        rng = np.random.default_rng(88)
+        quadratics = []
+        for _ in range(8):
+            a = rng.standard_normal((8, 8))
+            quadratics.append(Quadratic(rng.standard_normal(8),
+                                        a @ a.T / 8 + 0.5 * np.eye(8)))
+        world = QuadraticWorld([f"d{i}" for i in range(8)], quadratics)
+        base = world.base_params()
+        cfg = TrainConfig(learning_rate=0.1, steps=20, checkpoint_interval=20)
+        experts = [train_expert(world, k, base, cfg) for k in range(8)]
+        spec = UtilitySpec(kind="weighted", weights=(0,) * 6 + (0.5, 0.5))
+        stage = run_search_stage(world, base, experts, design_size=80, seed=8,
+                                 hyper=BoostHyper(n_trees=40),
+                                 utility_spec=spec, resolution=0.1)
+        assert lattice_size(8, 10) == 19448
+        assert_same_search(stage.search,
+                           reference_search_optimum(stage.model, spec, 0.1))
+
+    def test_all_ties_pick_the_lexicographically_first_point(self):
+        model = surface_of(5, constant_regressor(0.25), constant_regressor(-0.5),
+                           spec=UtilitySpec())
+        for spec in read_specs(2):
+            result = search_optimum(model, spec, resolution=0.1)
+            assert_same_search(result, reference_search_optimum(model, spec, 0.1))
+            np.testing.assert_array_equal(result.weights, [0, 0, 0, 0, 1])
+
+    def test_optimum_on_a_face_clips_the_refinement_box(self):
+        """Falling in x0 and peaked at x1 = 0.38: the coarse optimum has
+        x0 = 0, so its refinement box is cut off at that face."""
+        model = surface_of(3, staircase_regressor(
+            (0, lambda x: -x), (1, lambda x: -(x - 0.38) ** 2)))
+        spec = model.utility_spec
+        result = search_optimum(model, spec, resolution=0.1)
+        assert_same_search(result, reference_search_optimum(model, spec, 0.1))
+        np.testing.assert_allclose(result.weights, [0.0, 0.38, 0.62],
+                                   atol=1e-12)
+        coarse = reference_coarse_optimum(model, spec, 0.1)
+        lo, hi = box_limits(coarse, 50, REFINE_RADIUS)
+        assert coarse[0] == 0.0 and lo[0] == 0 and hi[0] == REFINE_RADIUS
+
+    def test_coarse_lattice_over_budget_raises_before_any_bound(
+            self, monkeypatch):
+        model = synthetic_surface(3, k=6)
+        bounded = []
+        monkeypatch.setattr(GradientBoostedRegressor, "lattice_bound",
+                            lambda *args: bounded.append(1))
+        budget = lattice_size(6, 10) - 1
+        with pytest.raises(BudgetExceededError,
+                           match=f"^simplex lattice exceeds the budget of {budget}$"):
+            search_optimum(model, resolution=0.1, budget=budget)
+        assert bounded == []
+
+    def test_refinement_box_over_budget_raises_after_the_coarse_search(
+            self, monkeypatch):
+        model = synthetic_surface(3, k=4)
+        spec = model.utility_spec
+        full = reference_search_optimum(model, spec, 0.1).evaluated_points
+        budget = full - 1
+        with pytest.raises(BudgetExceededError) as expected:
+            reference_search_optimum(model, spec, 0.1, budget)
+        assert str(expected.value).startswith("refinement lattice exceeds")
+        bounded = []
+        inner = GradientBoostedRegressor.lattice_bound
+
+        def counted(reg, lo, hi, steps):
+            bounded.append(steps)
+            return inner(reg, lo, hi, steps)
+
+        monkeypatch.setattr(GradientBoostedRegressor, "lattice_bound", counted)
+        with pytest.raises(BudgetExceededError) as actual:
+            search_optimum(model, spec, resolution=0.1, budget=budget)
+        assert str(actual.value) == str(expected.value)
+        assert bounded and set(bounded) == {10}  # the coarse search, no box
+        assert search_optimum(model, spec, resolution=0.1,
+                              budget=full).evaluated_points == full
 
 
 class TestVerify:
