@@ -8,17 +8,17 @@ touches the filesystem until the config is fully valid.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
-from .errors import ConfigError, MergeMixError, SimplexError
+from .errors import ConfigError, MergeMixError, SchemaViolation, SimplexError
 from .gbt import BoostHyper
 from .hierarchy import MixtureNode
 from .models import ToyNet
+from .schema import validate
 from .simplex import (
     DEFAULT_POINT_BUDGET,
     REFINE_RADIUS,
@@ -152,6 +152,15 @@ def _validate_cross_fields(cfg: RunConfig) -> None:
             f"run name {cfg.name!r} must be a single path component: "
             "no '/', '\\' or NUL, and not '.' or '..'"
         )
+    # JSON's NaN and Infinity pass the schema's exclusiveMinimum; TrainConfig
+    # rejects them here rather than as a diverged run after the run directory
+    # exists.
+    train = cfg.train_config(cfg.seed)
+    if "learning_rate" in cfg.theory:
+        try:
+            replace(train, learning_rate=float(cfg.theory["learning_rate"]))
+        except MergeMixError as exc:
+            raise ConfigError(f"theory {exc}") from exc
     world = cfg.build_world()  # resolves fixture names and domain specs
     k = world.num_domains
     if cfg.design_size < k + 1:
@@ -207,10 +216,9 @@ def _validate_cross_fields(cfg: RunConfig) -> None:
 
 def parse_config(data: dict) -> RunConfig:
     try:
-        jsonschema.validate(data, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = ".".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {path}: {exc.message}") from exc
+        validate(data, CONFIG_SCHEMA, "config")
+    except SchemaViolation as exc:
+        raise ConfigError(str(exc)) from exc
 
     design = data.get("design", {})
     surface = data.get("surface", {})

@@ -37,6 +37,15 @@ class UndefinedCorrelationError(MergeMixError):
     """Rank correlation is undefined (zero rank variance)."""
 
 
+class SchemaViolation(MergeMixError):
+    """A document does not match its published JSON schema."""
+
+    def __init__(self, label: str, path: tuple, message: str):
+        self.path = path
+        where = ".".join(str(p) for p in path) or "<root>"
+        super().__init__(f"{label} invalid at {where}: {message}")
+
+
 class ConfigError(MergeMixError):
     """Run configuration failed validation."""
 

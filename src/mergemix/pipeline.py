@@ -15,7 +15,6 @@ from dataclasses import fields, replace
 from importlib import resources
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .config import HIERARCHICAL_MODES, RunConfig, THEORY_REPORT_SCHEMA
@@ -33,6 +32,7 @@ from .persist import (
     write_csv,
     write_json,
 )
+from .schema import validate
 from .seeding import stable_seed
 from .simplex import lattice_steps, simplex_lattice, uniform_weights
 from .stats import (
@@ -388,7 +388,7 @@ def run_theory(cfg: RunConfig, out_dir: str | Path) -> Path:
             "max_residual_norm": max(0.0, *norms[:, 4].tolist()),
         },
     }
-    jsonschema.validate(report, THEORY_REPORT_SCHEMA)
+    validate(report, THEORY_REPORT_SCHEMA, "theory report")
     write_json(run_dir / "theory_report.json", report)
     return run_dir
 

@@ -44,8 +44,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise MergeMixError(f"learning rate must be > 0, got {self.learning_rate}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise MergeMixError(
+                f"learning rate must be finite and > 0, got {self.learning_rate}")
         if self.steps < 0:
             raise MergeMixError(f"steps must be >= 0, got {self.steps}")
         if self.checkpoint_interval < 1:

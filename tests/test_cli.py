@@ -162,6 +162,19 @@ class TestPipelineCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_learning_rate_exits_2_before_any_directory(
+            self, tmp_path, capsys, rate):
+        """JSON's NaN and Infinity pass the schema; before the parse-time
+        check the run trained, diverged and exited 1."""
+        payload = dict(QW2_PIPELINE, train=dict(QW2_PIPELINE["train"],
+                                                learning_rate=rate))
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "learning rate must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_utility_weights_exit_2_before_any_directory(
             self, tmp_path):
         payload = dict(QW2_PIPELINE, utility={"kind": "weighted",
@@ -305,6 +318,28 @@ class TestTheoryCommand:
         assert main(["theory", "--config", str(cfg), "--out", str(out)]) == 2
         assert "does not have 4 entries" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_theory_learning_rate_exits_2_before_any_directory(
+            self, tmp_path, capsys, rate):
+        payload = dict(QW2_THEORY, theory=dict(QW2_THEORY["theory"],
+                                               learning_rate=rate))
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["theory", "--config", str(cfg), "--out", str(out)]) == 2
+        assert ("theory learning rate must be finite"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_report_failing_its_schema_exits_1_without_report(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("mergemix.pipeline.THEORY_FORMAT", "mm-theory-v0")
+        cfg = write_config(tmp_path, QW2_THEORY)
+        out = tmp_path / "out"
+        assert main(["theory", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: theory report invalid at format: 'mm-theory-v1' was expected"]
+        assert not (out / "qw2-theory" / "theory_report.json").exists()
 
 
 class TestConsistencyCommand:
