@@ -161,6 +161,12 @@ def _validate_cross_fields(cfg: RunConfig) -> None:
             replace(train, learning_rate=float(cfg.theory["learning_rate"]))
         except MergeMixError as exc:
             raise ConfigError(f"theory {exc}") from exc
+    # JSON's NaN passes the schema's bounds too.
+    if "sweep_resolution" in cfg.theory:
+        try:
+            lattice_steps(float(cfg.theory["sweep_resolution"]))
+        except SimplexError as exc:
+            raise ConfigError(f"theory sweep {exc}") from exc
     world = cfg.build_world()  # resolves fixture names and domain specs
     k = world.num_domains
     if cfg.design_size < k + 1:

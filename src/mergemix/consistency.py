@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import MergeMixError
 from .merging import merge_many
-from .simplex import normalize_simplex
+from .simplex import normalize_simplex_rows
 from .stats import (
     CorrelationReport,
     NormContext,
@@ -45,9 +45,9 @@ class RankConsistencyResult:
 def rank_consistency(world: World, base: np.ndarray, experts,
                      ratios, train_config: TrainConfig,
                      utility_spec: UtilitySpec | None = None) -> RankConsistencyResult:
-    ratios = [normalize_simplex(r) for r in ratios]
-    if len(ratios) < 3:
-        raise MergeMixError(f"need at least 3 ratios, got {len(ratios)}")
+    ratios = normalize_simplex_rows(ratios)
+    if ratios.shape[0] < 3:
+        raise MergeMixError(f"need at least 3 ratios, got {ratios.shape[0]}")
     spec = utility_spec or UtilitySpec()
     params = expert_params(experts)
     merged_raw = raw_capabilities(world, merge_many(base, params, ratios))
@@ -64,8 +64,8 @@ def rank_consistency(world: World, base: np.ndarray, experts,
     report = spearman(merged_scores, trained_scores)
 
     rows = []
-    for i, lam in enumerate(ratios):
-        row = {f"lambda_{k + 1}": float(lam[k]) for k in range(lam.shape[0])}
+    for i, lam in enumerate(ratios.tolist()):
+        row = {f"lambda_{k + 1}": x for k, x in enumerate(lam)}
         row["merged_score"] = merged_scores[i]
         row["trained_score"] = trained_scores[i]
         row["merged_rank"] = report.x_ranks[i]

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .params import as_params, check_same_dim
-from .simplex import is_one_hot, normalize_simplex, uniform_weights
+from .simplex import normalize_simplex_rows, uniform_weights
 
 
 def merge(base: np.ndarray, experts: Sequence[np.ndarray],
@@ -29,23 +29,29 @@ def merge_many(base: np.ndarray, experts: Sequence[np.ndarray],
     `w @ (stack - base)`, so row i is bit-identical to merging at weights[i]
     alone.
     """
-    base = as_params(base)
     if len(experts) == 0:
         raise DimensionError("merge requires at least one expert")
-    rows = [normalize_simplex(row) for row in weights]
-    for row in rows:
-        if row.shape[0] != len(experts):
-            raise DimensionError(
-                f"{len(experts)} experts but {row.shape[0]} weights"
-            )
-    w = np.reshape(rows, (len(rows), len(experts)))
+    return merge_rows(base, experts, normalize_simplex_rows(weights, len(experts)))
+
+
+def merge_rows(base: np.ndarray, experts: Sequence[np.ndarray],
+               w: np.ndarray) -> np.ndarray:
+    """`merge_many` at an (n, len(experts)) stack that `normalize_simplex_rows`
+    returned, used as it is: validating it again would renormalize it a
+    second time."""
+    base = as_params(base)
     stack = np.stack([as_params(e) for e in experts])
     check_same_dim(base, stack[0])
+    if w.shape[1] != stack.shape[0]:
+        raise DimensionError(f"{stack.shape[0]} experts but {w.shape[1]} weights")
+    # A valid row is one-hot (one entry == 1.0 and every other == 0.0 or
+    # -0.0) exactly when it has one nonzero entry x, which is x / x == 1.0.
+    if np.count_nonzero(w) == w.shape[0]:  # every row has one
+        return stack[w.argmax(axis=1)]
     merged = base + np.matmul(w[:, None, :], stack - base)[:, 0, :]
-    for i, row in enumerate(w):
-        hot = is_one_hot(row)
-        if hot is not None:
-            merged[i] = stack[hot]
+    if (w == 1.0).any():
+        hot = np.count_nonzero(w, axis=1) == 1
+        merged[hot] = stack[w[hot].argmax(axis=1)]
     return merged
 
 

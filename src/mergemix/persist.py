@@ -77,7 +77,9 @@ def read_json(path: str | Path):
 def write_csv(path: str | Path, header: list[str], rows) -> Path:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(format_cell(c) for c in row))
+        # A plain float is most cells; repr is what format_cell gives it.
+        lines.append(",".join(repr(c) if type(c) is float else format_cell(c)
+                              for c in row))
     return atomic_write_text(path, "\n".join(lines) + "\n")
 
 

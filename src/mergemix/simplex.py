@@ -17,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import BudgetExceededError, SimplexError
+from .errors import BudgetExceededError, DimensionError, SimplexError
 
 SIMPLEX_TOL = 1e-9
 DEFAULT_POINT_BUDGET = 2_000_000
@@ -31,21 +31,69 @@ def normalize_simplex(weights) -> np.ndarray:
     """Validate weights against the simplex and renormalize the tolerated drift.
 
     Inputs whose sum is within SIMPLEX_TOL of 1 (e.g. after a decimal-text
-    round trip) are rescaled by their sum; anything worse is rejected.
+    round trip) are rescaled by their sum; anything worse is rejected. This
+    is the one-row case of `normalize_simplex_rows`.
+
+    Renormalizing is not idempotent: a normalized row can sum to 1 +- 1 ulp,
+    and dividing it by that sum again changes its last bits. A path that
+    normalizes a row twice gives different weights from one that normalizes
+    it once.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.shape[0] < 1:
         raise SimplexError(f"weights must be a 1-D vector, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise SimplexError(f"non-finite weight in {w.tolist()}")
-    if np.any(w < 0):
-        raise SimplexError(f"negative weight in {w.tolist()}")
-    total = float(w.sum())
-    if abs(total - 1.0) > SIMPLEX_TOL:
-        raise SimplexError(f"weights sum to {total}, not 1 within {SIMPLEX_TOL}")
-    if total != 1.0:
-        w = w / total
-    return w
+    return normalize_simplex_rows(w[None])[0]
+
+
+def normalize_simplex_rows(weights, width: int | None = None) -> np.ndarray:
+    """`normalize_simplex` of every weight row, as one (n, k) stack.
+
+    Row i is bit-identical to normalize_simplex(weights[i]), and the first
+    bad row in row order raises the SimplexError that `normalize_simplex`
+    raises for it. Only when every row is valid does a row whose length is
+    not `width` (by default, the first row's length) raise DimensionError.
+    No rows give an empty (0, width) stack.
+    """
+    try:
+        w = np.ascontiguousarray(weights, dtype=np.float64)
+    except (TypeError, ValueError):  # rows of unequal lengths, or an iterator
+        w = None
+    if w is None or w.ndim != 2 or w.size == 0:
+        # Not one stack of rows: each row is checked on its own.
+        rows = [normalize_simplex(row) for row in weights]
+        for i, row in enumerate(rows):
+            _check_width(i, row.shape[0], rows[0].shape[0] if width is None else width)
+        return np.stack(rows) if rows else np.empty((0, width or 0))
+    # Each row sum is bit-identical to that row's own sum. `w >= 0` is
+    # False for NaN, so a row that passes both checks is finite.
+    if (w >= 0).all():
+        totals = w.sum(axis=1)
+        if (np.abs(totals - 1.0) <= SIMPLEX_TOL).all():
+            if width is not None:
+                _check_width(0, w.shape[1], width)
+            # Dividing by a sum of exactly 1.0 leaves a row's bits unchanged.
+            return w / totals[:, None]
+    raise SimplexError(_first_fault(w))
+
+
+def _first_fault(w: np.ndarray) -> str:
+    """What is wrong with the first bad row, checked in `normalize_simplex`'s
+    order: non-finite weights, then negative ones, then the sum."""
+    finite = np.isfinite(w).all(axis=1)
+    negative = (w < 0).any(axis=1)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf in bad rows
+        totals = w.sum(axis=1)
+    i = int(np.argmax(~finite | negative | ~(np.abs(totals - 1.0) <= SIMPLEX_TOL)))
+    if not finite[i]:
+        return f"non-finite weight in {w[i].tolist()}"
+    if negative[i]:
+        return f"negative weight in {w[i].tolist()}"
+    return f"weights sum to {float(totals[i])}, not 1 within {SIMPLEX_TOL}"
+
+
+def _check_width(row: int, length: int, width: int) -> None:
+    if length != width:
+        raise DimensionError(f"weight row {row} has {length} entries, expected {width}")
 
 
 def uniform_weights(k: int) -> np.ndarray:
@@ -59,19 +107,6 @@ def uniform_weights(k: int) -> np.ndarray:
     w = np.full(k, 1.0 / k)
     w[-1] = 1.0 - float(w[:-1].sum())
     return w
-
-
-def is_one_hot(weights: np.ndarray) -> int | None:
-    """Index of the single unit weight, or None if not exactly one-hot."""
-    hot = None
-    for i, x in enumerate(weights):
-        if x == 1.0:
-            if hot is not None:
-                return None
-            hot = i
-        elif x != 0.0:
-            return None
-    return hot
 
 
 def lattice_steps(resolution: float) -> int:

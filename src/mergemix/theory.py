@@ -17,9 +17,9 @@ from itertools import islice
 import numpy as np
 
 from .errors import DegenerateInputError, DimensionError, MergeMixError, NumericError
-from .merging import merge, merge_many
+from .merging import merge, merge_rows
 from .params import as_params
-from .simplex import normalize_simplex
+from .simplex import normalize_simplex, normalize_simplex_rows
 from .training import (
     MIXTURE_BLOCK_ROWS,
     TrainConfig,
@@ -200,16 +200,16 @@ def discrepancy_sweep(world: World, base: np.ndarray, experts, grid,
     MIXTURE_BLOCK_ROWS trained rows is merged and predicted as soon as it
     is done, so memory stays bounded on large grids.
     """
-    norms = np.empty((len(grid), 5))
     trained = train_on_mixtures(world, grid, base, train_config)
-    for lo in range(0, len(grid), MIXTURE_BLOCK_ROWS):
-        block = grid[lo : lo + MIXTURE_BLOCK_ROWS]
-        artifacts = list(islice(trained, len(block)))
-        delta, cross, self_term = _discrepancy_parts(
-            ctx, np.asarray([artifact.mixture for artifact in artifacts]))
+    lams = normalize_simplex_rows(grid, ctx.num_domains)
+    norms = np.empty((lams.shape[0], 5))
+    for lo in range(0, lams.shape[0], MIXTURE_BLOCK_ROWS):
+        block = slice(lo, lo + MIXTURE_BLOCK_ROWS)
+        artifacts = list(islice(trained, MIXTURE_BLOCK_ROWS))
+        delta, cross, self_term = _discrepancy_parts(ctx, lams[block])
         observed = (np.stack([artifact.final for artifact in artifacts])
-                    - merge_many(base, experts, block))
-        norms[lo : lo + len(block)] = np.column_stack([
+                    - merge_rows(base, experts, lams[block]))
+        norms[block] = np.column_stack([
             _row_norms(x) for x in (delta, cross, self_term, observed, observed - delta)
         ])
     return norms

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DimensionError, MergeMixError, TrainingDiverged
 from .params import as_params
 from .seeding import rng_for
-from .simplex import normalize_simplex
+from .simplex import normalize_simplex_rows
 from .worlds import World
 
 # Full-batch mixtures descend in lockstep blocks of this many rows. Larger
@@ -169,16 +169,18 @@ def _mixed_grad_fn(world: World, lam: np.ndarray):
 
     Row i is lam[i, 0] * g_0 plus lam[i, k] * g_k for every nonzero lam[i, k],
     added in domain order; the masked add leaves a skipped term out entirely,
-    so signed zeros match a single run.
+    so signed zeros match a single run. The masks are the block's, fixed for
+    the whole descent; a domain no row of the block uses is never evaluated.
     """
+    active = lam != 0.0
+    used = [k for k in range(1, world.num_domains) if active[:, k].any()]
+
     def grad_fn(theta):
-        rows = lam[: theta.shape[0]]
-        g = rows[:, :1] * world.grad(0, theta)
-        for k in range(1, world.num_domains):
-            weight = rows[:, k : k + 1]
-            active = weight != 0.0
-            if active.any():
-                np.add(g, weight * world.grad(k, theta), out=g, where=active)
+        m = theta.shape[0]
+        g = lam[:m, :1] * world.grad(0, theta)
+        for k in used:
+            np.add(g, lam[:m, k : k + 1] * world.grad(k, theta), out=g,
+                   where=active[:m, k : k + 1])
         return g
     return grad_fn
 
@@ -212,27 +214,21 @@ def train_on_mixtures(world: World, weights, base: np.ndarray,
     input order.
     """
     base = _check_base(world, base)
-    lams = [normalize_simplex(w) for w in weights]
-    for lam in lams:
-        if lam.shape[0] != world.num_domains:
-            raise DimensionError(
-                f"{lam.shape[0]} mixture weights for {world.num_domains} domains"
-            )
+    lams = normalize_simplex_rows(weights, world.num_domains)
     return _mixture_artifacts(world, lams, base, config)
 
 
-def _mixture_artifacts(world: World, lams: list[np.ndarray], base: np.ndarray,
+def _mixture_artifacts(world: World, lams: np.ndarray, base: np.ndarray,
                        config: TrainConfig) -> Iterator[ExpertArtifact]:
     full_batch = _use_full_batch(world, config)
     size = MIXTURE_BLOCK_ROWS if full_batch else 1
-    for i in range(0, len(lams), size):
+    for i in range(0, lams.shape[0], size):
         block = lams[i : i + size]
-        grad_fn = (_mixed_grad_fn(world, np.stack(block)) if full_batch
+        grad_fn = (_mixed_grad_fn(world, block) if full_batch
                    else _minibatch_grad_fn(world, block[0], config))
-        runs = _descend(grad_fn, base, len(block), config)
-        for lam, (final, trajectory) in zip(block, runs):
-            yield ExpertArtifact("mixture", final, trajectory,
-                                 mixture=tuple(lam.tolist()))
+        runs = _descend(grad_fn, base, block.shape[0], config)
+        for lam, (final, trajectory) in zip(block.tolist(), runs):
+            yield ExpertArtifact("mixture", final, trajectory, mixture=tuple(lam))
 
 
 def train_on_mixture(world: World, weights, base: np.ndarray,

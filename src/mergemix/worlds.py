@@ -41,8 +41,8 @@ class DomainSpec:
         elif self.kind == "regression":
             if self.target_weight is None:
                 raise DimensionError("regression domain needs a target weight matrix")
-            if self.noise < 0:
-                raise DimensionError("noise must be >= 0")
+            if not (np.isfinite(self.noise) and self.noise >= 0):
+                raise DimensionError(f"noise must be finite and >= 0, got {self.noise}")
             if self.train_size < 1 or self.heldout_size < 1:
                 raise DimensionError("regression domain sizes must be >= 1")
             w = np.asarray(self.target_weight, dtype=np.float64)

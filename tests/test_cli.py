@@ -175,6 +175,21 @@ class TestPipelineCommand:
         assert "learning rate must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf")])
+    def test_non_finite_regression_noise_exits_2_before_any_directory(
+            self, tmp_path, capsys, noise):
+        """NaN noise passed the `noise < 0` check, and the world then added
+        no noise while the config digest recorded NaN."""
+        domain = {"name": "a", "kind": "regression", "target_weight": [[1.0, 0.0]],
+                  "input_dim": 2, "train_size": 6, "heldout_size": 4}
+        payload = dict(QW2_PIPELINE, world={"domains": [
+            dict(domain, noise=noise), dict(domain, name="b", seed=1)]})
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "noise must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_utility_weights_exit_2_before_any_directory(
             self, tmp_path):
         payload = dict(QW2_PIPELINE, utility={"kind": "weighted",
@@ -328,6 +343,19 @@ class TestTheoryCommand:
         out = tmp_path / "out"
         assert main(["theory", "--config", str(cfg), "--out", str(out)]) == 2
         assert ("theory learning rate must be finite"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_nan_sweep_resolution_exits_2_before_any_directory(
+            self, tmp_path, capsys):
+        """NaN passes the schema's bounds; before the parse-time check the
+        run directory was made and the sweep then exited 1."""
+        payload = dict(QW2_THEORY, theory=dict(QW2_THEORY["theory"],
+                                               sweep_resolution=float("nan")))
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["theory", "--config", str(cfg), "--out", str(out)]) == 2
+        assert ("theory sweep resolution must be in (0, 1], got nan"
                 in capsys.readouterr().err)
         assert not out.exists()
 

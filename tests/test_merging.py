@@ -5,10 +5,12 @@ from mergemix.errors import BudgetExceededError, DimensionError, SimplexError
 from mergemix.merging import merge, merge_many, soup
 from mergemix.simplex import (
     REFINE_RADIUS,
+    SIMPLEX_TOL,
     boxed_lattice,
     dirichlet_points,
     lattice_size,
     normalize_simplex,
+    normalize_simplex_rows,
     simplex_lattice,
     uniform_weights,
 )
@@ -67,13 +69,113 @@ def reference_boxed_lattice(center: np.ndarray, steps: int,
 BOX_STEPS = 60  # divisible by every k below, so the uniform point is on the lattice
 
 
+# Test-only copies of the per-row validator and one-hot check that the
+# stack-wide `normalize_simplex_rows` and `merging.merge_rows` replaced.
+
+def reference_normalize_simplex(weights) -> np.ndarray:
+    w = np.asarray(weights, dtype=np.float64)
+    if w.ndim != 1 or w.shape[0] < 1:
+        raise SimplexError(f"weights must be a 1-D vector, got shape {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise SimplexError(f"non-finite weight in {w.tolist()}")
+    if np.any(w < 0):
+        raise SimplexError(f"negative weight in {w.tolist()}")
+    total = float(w.sum())
+    if abs(total - 1.0) > SIMPLEX_TOL:
+        raise SimplexError(f"weights sum to {total}, not 1 within {SIMPLEX_TOL}")
+    if total != 1.0:
+        w = w / total
+    return w
+
+
+def reference_is_one_hot(weights: np.ndarray) -> int | None:
+    hot = None
+    for i, x in enumerate(weights):
+        if x == 1.0:
+            if hot is not None:
+                return None
+            hot = i
+        elif x != 0.0:
+            return None
+    return hot
+
+
 def reference_merge(base, experts, weights) -> np.ndarray:
     """One-vector merge as it stood before `merge_many`."""
-    w = normalize_simplex(weights)
+    w = reference_normalize_simplex(weights)
     stack = np.stack(experts)
-    if np.count_nonzero(w == 1.0) == 1 and np.all((w == 0.0) | (w == 1.0)):
-        return stack[int(np.argmax(w))].copy()
+    hot = reference_is_one_hot(w)
+    if hot is not None:
+        return stack[hot].copy()
     return base + w @ (stack - base)
+
+
+def corpus_row(rng, k: int) -> np.ndarray:
+    """One valid weight row of a kind chosen at random."""
+    kind = rng.integers(6)
+    row = np.zeros(k)
+    if kind == 0:  # drift within the tolerance
+        return rng.dirichlet(np.ones(k)) * (1 + rng.uniform(-5e-10, 5e-10))
+    if kind == 1:  # exact lattice point
+        return rng.multinomial(20, np.ones(k) / k) / 20
+    if kind == 2:  # corner, with signed zeros
+        row[rng.random(k) < 0.5] = -0.0
+        row[rng.integers(k)] = 1.0
+    elif kind == 3:  # 1.0 plus a 1e-10 drift: not one-hot until renormalized
+        i = rng.integers(k)
+        row[i] = 1.0
+        row[(i + 1) % k] += 1e-10
+    elif kind == 4:  # a subnormal beside a 1.0: sums to exactly 1.0
+        row[0] = 1.0
+        row[-1] += 5e-324
+    else:  # a face of the simplex, -0.0 off it
+        row[:] = -0.0
+        face = rng.random(k) < 0.5
+        face[rng.integers(k)] = True
+        row[face] = rng.dirichlet(np.ones(face.sum())) * (1 + rng.uniform(-5e-10, 5e-10))
+    return row
+
+
+def corpus_bad_row(rng, k: int) -> np.ndarray:
+    """A valid row spoiled one way or another."""
+    row = corpus_row(rng, k)
+    i = rng.integers(k)
+    kind = rng.integers(6)
+    if kind == 0:
+        row[i] = np.nan
+    elif kind == 1:
+        row[i] = np.inf
+    elif kind == 2:
+        row[i] = -np.inf
+    elif kind == 3:
+        row[i] = -1e-3
+    elif kind == 4:
+        row *= 1 + 1e-6
+    else:  # inf - inf in the row sum
+        row[i] = np.inf
+        row[(i + 1) % k] = -np.inf
+    return row
+
+
+def weight_corpus(seed: int, bad: bool) -> list[np.ndarray]:
+    """Seeded (n, k) stacks for k from 1 to 12; with `bad`, one to three
+    rows at random positions are invalid."""
+    rng = np.random.default_rng(seed)
+    stacks = []
+    for k in range(1, 13):
+        for n in (1, 2, 5, 37, 130):
+            stack = np.stack([corpus_row(rng, k) for _ in range(n)])
+            if bad:
+                for i in rng.choice(n, size=min(n, rng.integers(1, 4)), replace=False):
+                    stack[i] = corpus_bad_row(rng, k)
+            stacks.append(stack)
+    return stacks
+
+
+def raised(fn, *args) -> tuple[type, str]:
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
 
 
 def box_centers(k: int) -> list[np.ndarray]:
@@ -269,6 +371,63 @@ class TestMergeManyMatchesReference:
             merge_many(np.zeros(2), [np.zeros(2)] * 2, [[0.5, 0.5], [0.7, 0.7]])
         with pytest.raises(DimensionError):
             merge_many(np.zeros(2), [np.zeros(2)], [[1.0], [0.5, 0.5]])
+
+
+class TestWeightRowsMatchReference:
+    """The stack validator and one-hot detection against per-row copies."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_valid_stacks_bit_identical(self, seed):
+        for stack in weight_corpus(seed, bad=False):
+            want = np.stack([reference_normalize_simplex(row) for row in stack])
+            assert normalize_simplex_rows(stack).tobytes() == want.tobytes()
+            assert normalize_simplex_rows(list(stack)).tobytes() == want.tobytes()
+            for row, want_row in zip(stack, want):
+                assert normalize_simplex(row).tobytes() == want_row.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_first_bad_row_raises_as_the_reference(self, seed):
+        for stack in weight_corpus(seed, bad=True):
+            want = raised(lambda: [reference_normalize_simplex(r) for r in stack])
+            assert want[0] is SimplexError
+            assert raised(normalize_simplex_rows, stack) == want
+            experts = [np.zeros(3)] * stack.shape[1]
+            assert raised(merge_many, np.zeros(3), experts, stack) == want
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_stack_row_sums_are_the_row_sums(self, seed):
+        """The validator sums a stack along its rows; each sum must be
+        bit-identical to that row's own sum."""
+        for stack in weight_corpus(seed, bad=False):
+            sums = stack.sum(axis=1)
+            for i, row in enumerate(stack):
+                assert sums[i].tobytes() == row.sum().tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_merge_rows_bit_identical(self, seed):
+        rng = np.random.default_rng(seed)
+        one_hot = 0
+        for stack in weight_corpus(seed, bad=False):
+            k = stack.shape[1]
+            base = rng.standard_normal(5) * 1e6
+            experts = [rng.standard_normal(5) for _ in range(k)]
+            merged = merge_many(base, experts, stack)
+            for row, w in zip(merged, stack):
+                assert row.tobytes() == reference_merge(base, experts, w).tobytes()
+                one_hot += reference_is_one_hot(reference_normalize_simplex(w)) is not None
+        assert 0 < one_hot < sum(len(s) for s in weight_corpus(seed, bad=False))
+
+    def test_empty_and_ragged_input(self):
+        assert normalize_simplex_rows([], 3).shape == (0, 3)
+        assert merge_many(np.zeros(2), [np.zeros(2)] * 3, []).shape == (0, 2)
+        # Every row is checked before any length: the bad second row wins.
+        want = raised(reference_normalize_simplex, [0.5, 0.6])
+        assert raised(normalize_simplex_rows, [[1.0], [0.5, 0.6]]) == want
+        assert raised(normalize_simplex_rows, [[1.0], [0.5, 0.5]])[0] is DimensionError
+        assert raised(normalize_simplex_rows, [[0.5, 0.5]], 3)[0] is DimensionError
+        for not_rows in ([0.5, 0.5], [[[0.5, 0.5]]], [[]]):
+            want = raised(lambda: [reference_normalize_simplex(r) for r in not_rows])
+            assert raised(normalize_simplex_rows, not_rows) == want
 
 
 class TestSoup:

@@ -16,6 +16,18 @@ from mergemix.persist import (
 )
 
 
+def reference_format_cell(value) -> str:
+    """Test-only copy of the per-cell formatting every CSV cell took
+    before `write_csv` wrote plain floats directly."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
 BASE_CONFIG = {
     "name": "unit",
     "seed": 5,
@@ -68,6 +80,18 @@ class TestArtifactWriters:
         text = path.read_bytes().decode("utf-8")
         assert text == "a,b\n0.1,1\ntrue,x\n"
         assert "\r" not in text
+
+    def test_csv_cells_match_reference(self, tmp_path):
+        row = [True, np.bool_(False), 3, np.int64(-7), 0.1, np.float64(1 / 3),
+               -0.0, float("nan"), float("inf"), -float("inf"), 5e-324,
+               np.float32(0.1), "x"]
+        path = write_csv(tmp_path / "c.csv", [f"c{i}" for i in range(len(row))],
+                         [row, row[::-1]])
+        lines = path.read_text("utf-8").splitlines()
+        assert lines[1:] == [",".join(reference_format_cell(c) for c in r)
+                             for r in (row, row[::-1])]
+        assert lines[1] == ("true,false,3,-7,0.1,0.3333333333333333,-0.0,nan,"
+                            "inf,-inf,5e-324,0.10000000149011612,x")
 
     def test_json_key_order_stable(self, tmp_path):
         p1 = write_json(tmp_path / "1.json", {"b": 1, "a": 2})

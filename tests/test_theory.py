@@ -414,3 +414,40 @@ class TestTaskVectorCosines:
 
         with pytest.raises(DegenerateInputError):
             task_vector_cosines([qw2_experts[0], Artifact()], qw2.base_params())
+
+
+class TestSweepValidatesStacks:
+    def test_validator_calls_do_not_grow_with_the_sweep(self, tmp_path, monkeypatch):
+        """Weight rows are validated a stack at a time: a QW-4 theory run
+        calls the validator as often for a 35-row sweep as for a 1,771-row
+        one."""
+        import sys
+
+        from mergemix import simplex
+        from mergemix.config import parse_config
+        from mergemix.pipeline import run_theory
+
+        original = simplex.normalize_simplex_rows
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("mergemix")
+                    and getattr(module, "normalize_simplex_rows", None) is original):
+                monkeypatch.setattr(module, "normalize_simplex_rows", counting)
+        counts = {}
+        for resolution in (0.25, 0.05):
+            cfg = parse_config({
+                "name": "qw4-theory", "seed": 3, "world": {"fixture": "QW-4"},
+                "train": {"learning_rate": 0.01, "steps": 5},
+                "theory": {"learning_rate": 0.01, "steps": 5,
+                           "sweep_resolution": resolution},
+            })
+            calls.clear()
+            run_dir = run_theory(cfg, tmp_path / str(resolution))
+            counts[resolution] = len(calls)
+        assert (run_dir / "delta_sweep.csv").read_text().count("\n") == 1772
+        assert counts[0.25] == counts[0.05] > 0

@@ -39,6 +39,11 @@ class TestGeneration:
         np.testing.assert_array_equal(train.targets,
                                       train.inputs @ spec.target_weight.T)
 
+    @pytest.mark.parametrize("noise", [-0.1, float("nan"), float("inf")])
+    def test_bad_noise_rejected(self, noise):
+        with pytest.raises(MergeMixError, match="noise must be finite and >= 0"):
+            _regression_spec(noise=noise)
+
     def test_quadratic_domains_have_empty_datasets(self):
         spec = DomainSpec("q", "quadratic", minimizer=np.zeros(2),
                           curvature=np.eye(2))
