@@ -6,6 +6,10 @@ values, features scanned in fixed order with strict improvement so ties
 resolve the same way on every run. No row or feature subsampling, hence no
 randomness anywhere in fit or predict.
 
+A threshold always separates exactly the rows it was scored on: rows equal
+to it go left, and where the midpoint of two adjacent doubles rounds up to
+the higher one, the lower one is the threshold instead.
+
 Splits are found exact-greedy on presorted columns, as in XGBoost (Chen &
 Guestrin, KDD 2016): x is stably argsorted once per fit, and each node
 filters that order to its own rows, so every feature's sorted view comes
@@ -270,7 +274,11 @@ def _best_split(xs: np.ndarray, ys: np.ndarray, total: float, total_sq: float,
         return None
     f, pos = divmod(best, i.shape[0])
     split_at = min_leaf + pos
-    return f, 0.5 * (xs[f, split_at - 1] + xs[f, split_at])
+    below, above = xs[f, split_at - 1], xs[f, split_at]
+    # Between adjacent doubles the midpoint can round to `above`; rows equal
+    # to the threshold go left, so that would leave the right child empty.
+    mid = 0.5 * (below + above)
+    return f, mid if mid < above else below
 
 
 @dataclass
@@ -478,10 +486,17 @@ class GradientBoostedRegressor:
         return out
 
     def to_dict(self) -> dict:
+        return self._fields([t.to_dict() for t in self.trees])
+
+    def lazy_dict(self) -> dict:
+        """to_dict(), with the trees as a generator of their dicts."""
+        return self._fields(t.to_dict() for t in self.trees)
+
+    def _fields(self, trees) -> dict:
         return {
             "hyper": self.hyper.to_dict(),
             "init_value": self.init_value,
-            "trees": [t.to_dict() for t in self.trees],
+            "trees": trees,
         }
 
     @classmethod

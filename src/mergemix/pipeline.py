@@ -254,7 +254,7 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path) -> Path:
         stage, stage_experts = _flat_stage(cfg, world, base, experts), experts
         weights = stage.search.weights
     _write_samples(run_dir, stage, world)
-    write_json(run_dir / SURFACE_FILE, stage.model.to_dict())
+    write_json(run_dir / SURFACE_FILE, stage.model.lazy_dict())
     report["optimum"] = verify_optimum(world, base, stage_experts,
                                        stage.model, stage.search)
     if tree is not None:

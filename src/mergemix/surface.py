@@ -13,7 +13,6 @@ sweep of the same lattices picks.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from functools import partial
 
@@ -178,6 +177,15 @@ class SurfaceModel:
         return out
 
     def to_dict(self) -> dict:
+        return self._fields([r.to_dict() for r in self.regressors])
+
+    def lazy_dict(self) -> dict:
+        """to_dict(), with the regressors, and each one's trees, as
+        generators: persist.write_json streams it so that no more than one
+        tree's dict exists at a time. Each generator can be read once."""
+        return self._fields(r.lazy_dict() for r in self.regressors)
+
+    def _fields(self, regressors) -> dict:
         return {
             "format": SURFACE_FORMAT,
             "capabilities": list(self.capabilities),
@@ -188,7 +196,7 @@ class SurfaceModel:
             "train_error": list(self.train_error),
             "num_samples": self.num_samples,
             "input_dim": self.input_dim,
-            "regressors": [r.to_dict() for r in self.regressors],
+            "regressors": regressors,
         }
 
     @classmethod

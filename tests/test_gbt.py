@@ -1,4 +1,5 @@
 import gc
+import warnings
 
 import numpy as np
 import pytest
@@ -77,7 +78,9 @@ def reference_best_split(x, y, min_leaf):
         if gains[pos] > best_gain:
             best_gain = float(gains[pos])
             split_at = int(i[pos])
-            best = (f, 0.5 * (xs[split_at - 1] + xs[split_at]))
+            below, above = xs[split_at - 1], xs[split_at]
+            mid = 0.5 * (below + above)
+            best = (f, mid if mid < above else below)
     return best
 
 
@@ -269,20 +272,34 @@ class TestKernelEquivalence:
         assert_same_tree(tree, reference_fit_tree(x, y, 1, 1))
         assert tree.features[0] == 0 and tree.thresholds[0] == 4.5
 
-    @pytest.mark.filterwarnings("ignore:Mean of empty slice")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @pytest.mark.parametrize("low", [1.0, 1.0 + 2.0 ** -52])
     def test_threshold_rounding_onto_a_training_value(self, low):
-        """Between adjacent floats the midpoint rounds onto one of them; rows
-        equal to the threshold go left, even when that empties the right
-        child (whose value is then nan)."""
+        """Between adjacent floats the midpoint rounds onto one of them. Rows
+        equal to the threshold go left, so a midpoint that rounds up to the
+        higher value is replaced by the lower one: both children keep the
+        rows the split was scored on."""
         high = np.nextafter(low, 2.0)
         x = np.array([[low], [low], [low], [high], [high], [high]])
         y = np.array([0.0, 0, 0, 1, 1, 1])
         tree = fit_tree(x, y, max_depth=2, min_leaf=1)
         assert_same_tree(tree, reference_fit_tree(x, y, 2, 1))
-        np.testing.assert_array_equal(tree.predict(x),
-                                      reference_tree_predict(tree, x))
+        assert low <= tree.thresholds[0] < high
+        np.testing.assert_array_equal(tree.predict(x), y)
+
+    def test_split_between_adjacent_floats_keeps_both_children(self):
+        """0.5 * (a + b) rounds to b for a = nextafter(1, 0), b = 1; the
+        threshold falls back to a, so no child is empty and no leaf is nan."""
+        a = np.nextafter(1.0, 0.0)
+        x = np.array([[a]] * 4 + [[1.0]] * 4)
+        y = np.array([0.0] * 4 + [1.0] * 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = GradientBoostedRegressor(
+                BoostHyper(n_trees=5, min_leaf=1)).fit(x, y)
+            pred = model.predict(x)
+        assert all(t.thresholds[0] == a for t in model.trees)
+        assert np.all(np.isfinite(np.concatenate([t.values for t in model.trees])))
+        assert np.all(pred[:4] < 0.5) and np.all(pred[4:] > 0.5)
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_min_leaf_at_its_edge(self, n):

@@ -1,19 +1,29 @@
+import enum
+import gc
+import hashlib
 import json
+import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mergemix.pipeline
+from mergemix.cli import main
 from mergemix.config import load_config, parse_config
 from mergemix.errors import ConfigError, MergeMixError
+from mergemix.gbt import BoostHyper, GradientBoostedRegressor, RegressionTree
 from mergemix.persist import (
     dumps_json,
+    file_digest,
     load_checkpoint,
     read_json,
     save_checkpoint,
     write_csv,
     write_json,
 )
+from tests.conftest import surface_of
 
 
 def reference_format_cell(value) -> str:
@@ -117,8 +127,8 @@ class TestArtifactWriters:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json"]
 
 
-SHIPPED_CONFIGS = sorted(
-    (Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SHIPPED_CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
 
 
 @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
@@ -128,6 +138,204 @@ def test_shipped_config_loads(path):
 
 def test_shipped_configs_found():
     assert len(SHIPPED_CONFIGS) >= 6
+
+
+def reference_dumps(obj) -> str:
+    """What persist's encoder must write: the standard library's text."""
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+def command_for(path: Path) -> str:
+    data = json.loads(path.read_text("utf-8"))
+    return ("theory" if "theory" in data
+            else "consistency" if "consistency" in data else "pipeline")
+
+
+@pytest.fixture(scope="module")
+def shipped_runs(tmp_path_factory):
+    """Every shipped config run once through the CLI."""
+    out = tmp_path_factory.mktemp("shipped")
+    for path in SHIPPED_CONFIGS:
+        assert main([command_for(path), "--config", str(path),
+                     "--out", str(out)]) == 0
+    return out
+
+
+class Color(enum.IntEnum):
+    RED = 1
+
+
+EDGE_VALUES = [
+    float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 1e16,
+    -1e16, 2 ** 70, -2 ** 70, 0, -1, 0.1, 1 / 3, True, False, None,
+    np.float64(0.1), np.float64("nan"), np.float64(-0.0), Color.RED,
+    "", 'say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f",
+    "naïve µ 日本語 ✓", "\u2028\u2029", "\ud800",
+]
+EDGE_KEYS = ["", "a", "B", 'q"uote', "back\\slash", "ctl\x01\n", "ü", "日本",
+             "z" * 3]
+
+
+def random_json(rng: random.Random, depth: int = 0):
+    """A nested value that stresses the encoder: number lists (sometimes
+    with a bool, NaN or numpy float in them), tuples, empty containers,
+    odd keys and strings."""
+    roll = rng.random()
+    if depth > 3 or roll < 0.3:
+        if rng.random() < 0.5:
+            return rng.choice(EDGE_VALUES)
+        return rng.choice([rng.random(), rng.randint(-10 ** 9, 10 ** 9),
+                           rng.uniform(-1e300, 1e300), rng.random() * 1e-300])
+    if roll < 0.55:
+        numbers = [rng.choice([rng.random(), rng.randint(-99, 99),
+                               rng.uniform(-1e20, 1e20)])
+                   for _ in range(rng.randint(0, 6))]
+        if numbers and rng.random() < 0.4:
+            numbers[rng.randrange(len(numbers))] = rng.choice(EDGE_VALUES)
+        return tuple(numbers) if rng.random() < 0.2 else numbers
+    if roll < 0.75:
+        items = [random_json(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+        return tuple(items) if rng.random() < 0.2 else items
+    return {rng.choice(EDGE_KEYS): random_json(rng, depth + 1)
+            for _ in range(rng.randint(0, 4))}
+
+
+def synthetic_surface(capabilities: int, trees: int, seed: int = 0):
+    """A surface of depth-3 trees with arbitrary nodes, only for writing."""
+    rng = np.random.default_rng(seed)
+
+    def tree():
+        return RegressionTree(rng.integers(-1, 16, 15), rng.random(15),
+                              rng.integers(-1, 15, 15), rng.integers(-1, 15, 15),
+                              rng.standard_normal(15), 3)
+
+    return surface_of(16, *(
+        GradientBoostedRegressor(BoostHyper(), init_value=float(rng.random()),
+                                 trees=[tree() for _ in range(trees)])
+        for _ in range(capabilities)))
+
+
+class TestEncoderMatchesStandardLibrary:
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+    def test_every_artifact_of_a_shipped_config(self, shipped_runs, path):
+        files = sorted((shipped_runs / load_config(path).name).rglob("*.json"))
+        assert files
+        for file in files:
+            text = file.read_bytes().decode("utf-8")
+            data = json.loads(text)
+            assert text == reference_dumps(data), file.name
+            assert dumps_json(data) == text, file.name
+
+    def test_edge_values(self):
+        for value in EDGE_VALUES:
+            for obj in (value, [value], [1, value, 2.5], (value,),
+                        {"k": value}, [[], {}, [value, [{}]]]):
+                assert dumps_json(obj) == reference_dumps(obj), repr(obj)
+
+    def test_non_string_keys(self):
+        for obj in ({1: "a", -3: "b"}, {1.5: 0, -0.0: 1, float("nan"): 2},
+                    {True: 1, False: 0}, {None: 1}, {2 ** 70: 1}):
+            assert dumps_json(obj) == reference_dumps(obj)
+
+    def test_seeded_corpus(self):
+        rng = random.Random(20260)
+        for _ in range(3000):
+            obj = random_json(rng)
+            assert dumps_json(obj) == reference_dumps(obj), repr(obj)
+
+    def test_generators_are_arrays(self, tmp_path):
+        def lazy():
+            return {"empty": (x for x in ()),
+                    "nums": (x for x in [1, 2.5, float("nan")]),
+                    "nested": ({"t": (y for y in range(i))} for i in range(3))}
+
+        expected = reference_dumps({"empty": [], "nums": [1, 2.5, float("nan")],
+                                    "nested": [{"t": list(range(i))}
+                                               for i in range(3)]})
+        assert dumps_json(lazy()) == expected
+        assert write_json(tmp_path / "g.json", lazy()).read_text("utf-8") == expected
+
+    def test_lazy_surface_writes_to_dict(self, qw4_stage, tmp_path):
+        model = qw4_stage.model
+        path = write_json(tmp_path / "surface.json", model.lazy_dict())
+        assert path.read_bytes() == reference_dumps(model.to_dict()).encode("utf-8")
+
+    @pytest.mark.parametrize("bad", [np.int64(1), np.bool_(True), object(),
+                                     {1, 2}, b"x", np.zeros(2)],
+                             ids=lambda v: type(v).__name__)
+    def test_unsupported_types_raise_type_error(self, bad):
+        for obj in (bad, [1.0, bad], {"k": bad}):
+            with pytest.raises(TypeError) as expected:
+                reference_dumps(obj)
+            with pytest.raises(TypeError) as actual:
+                dumps_json(obj)
+            assert str(actual.value) == str(expected.value)
+
+    @pytest.mark.parametrize("obj", [{(1, 2): 0}, {1: 0, "a": 1}],
+                             ids=["tuple-key", "mixed-keys"])
+    def test_bad_keys_raise_type_error(self, obj):
+        with pytest.raises(TypeError) as expected:
+            reference_dumps(obj)
+        with pytest.raises(TypeError) as actual:
+            dumps_json(obj)
+        assert str(actual.value) == str(expected.value)
+
+
+class TestStreamedWrites:
+    def test_pipeline_streams_the_surface(self, tmp_path, monkeypatch):
+        """The run hands write_json its surface with lazy regressors."""
+        seen = {}
+
+        def spy(path, obj):
+            if Path(path).name == "surface.model.json":
+                seen["regressors"] = type(obj["regressors"]).__name__
+            return write_json(path, obj)
+
+        monkeypatch.setattr(mergemix.pipeline, "write_json", spy)
+        main(["pipeline", "--config", str(CONFIG_DIR / "qw2-flat.json"),
+              "--out", str(tmp_path)])
+        assert seen == {"regressors": "generator"}
+
+    def test_surface_write_peak_below_a_quarter_of_the_file(self, tmp_path):
+        model = synthetic_surface(6, 200)
+        path = tmp_path / "surface.json"
+        tracemalloc.start()
+        try:
+            write_json(path, model.lazy_dict())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 1_000_000
+        assert peak < size / 4, (peak, size)
+        assert path.read_bytes() == reference_dumps(model.to_dict()).encode("utf-8")
+
+    def test_file_digest_peak_below_one_megabyte(self, tmp_path):
+        payload = np.random.default_rng(0).bytes(6 * 2 ** 20)
+        path = tmp_path / "big.bin"
+        path.write_bytes(payload)
+        tracemalloc.start()
+        try:
+            digest = file_digest(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert digest == hashlib.sha256(payload).hexdigest()
+        assert peak < 2 ** 20, peak
+
+    def test_json_writes_leave_no_cyclic_garbage(self, shipped_runs, tmp_path):
+        """The encoder recurses through module functions, not closures, so
+        writing JSON leaves nothing for the cyclic collector."""
+        report = read_json(shipped_runs / "qw4-recalibrate" / "report.json")
+        gc.collect()
+        gc.disable()
+        try:
+            for i in range(10):
+                write_json(tmp_path / f"report{i}.json", report)
+                dumps_json(report)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestConfigValidation:
