@@ -294,9 +294,10 @@ class _Growth:
     nodes: dict
 
 
-def _grow(g: _Growth, rows: np.ndarray, order: np.ndarray, xs: np.ndarray,
-          depth: int) -> int:
-    """Grow the subtree over `rows`; `order` and `xs` are its presorted view."""
+def _grow(g: _Growth, rows: np.ndarray, order: np.ndarray | None,
+          xs: np.ndarray | None, depth: int) -> int:
+    """Grow the subtree over `rows`; `order` and `xs` are its presorted view,
+    None at max_depth, where the node is a leaf and searches no split."""
     nodes = g.nodes
     index = len(nodes["features"])
     for key in nodes:
@@ -321,6 +322,9 @@ def _grow(g: _Growth, rows: np.ndarray, order: np.ndarray, xs: np.ndarray,
     sides = []
     for side in (go_left, ~go_left):
         side_rows = rows[side[rows]]
+        if depth + 1 == g.max_depth:
+            sides.append(_grow(g, side_rows, None, None, depth + 1))
+            continue
         keep = side[order]
         shape = (order.shape[0], side_rows.shape[0])
         sides.append(_grow(g, side_rows, order[keep].reshape(shape),

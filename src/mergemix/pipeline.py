@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import HIERARCHICAL_MODES, RunConfig, THEORY_REPORT_SCHEMA
 from .consistency import rank_consistency
-from .errors import ConfigError, MergeMixError, SimplexError
+from .errors import ConfigError, MergeMixError, SimplexError, SurfaceFileError
 from .hierarchy import HierarchyContext, MixtureNode, flatten_ratios, \
     optimize_bottom_up, optimize_top_down
 from .merging import merge
@@ -41,8 +41,10 @@ from .stats import (
     cost_entries_from_dicts,
     normalize,
     utilities,
+    utility_columns,
 )
 from .surface import (
+    SURFACE_FORMAT,
     StageResult,
     baseline_utilities,
     load_surface,
@@ -310,7 +312,7 @@ def _write_manifest(cfg: RunConfig, run_dir: Path) -> None:
         "artifacts": artifacts,
         "format_versions": {
             "checkpoint": CHECKPOINT_FORMAT,
-            "surface": "mm-surface-v1",
+            "surface": SURFACE_FORMAT,
             "report": REPORT_FORMAT,
             "manifest": MANIFEST_FORMAT,
         },
@@ -450,7 +452,11 @@ def export_heatmap(surface_path: str | Path, capability: str,
                    resolution: float, out_path: str | Path,
                    top_percent: float | None = None) -> Path:
     """Dump (weights, predicted value) over the simplex lattice as CSV.
-    Bad arguments fail before the surface is read or anything is predicted."""
+
+    The utility is predicted from the capabilities it reads, every other
+    column 0.0, as the search predicts it. Bad arguments fail before the
+    surface is read or anything is predicted, and a capability the surface
+    did not fit with a SurfaceFileError that names the fitted ones."""
     if top_percent is not None and not 0 < top_percent <= 100:
         raise ConfigError(f"top percentile must be in (0, 100], got {top_percent}")
     try:
@@ -471,10 +477,18 @@ def export_heatmap(surface_path: str | Path, capability: str,
             )
         if not 0 <= index < model.num_capabilities:
             raise MergeMixError(f"capability index {index} out of range")
+        columns = [index]
+        try:
+            model.require_fitted(columns)
+        except MergeMixError as exc:
+            raise SurfaceFileError(f"{surface_path}: {exc}") from None
+    else:
+        # load_surface checked that the utility's capabilities are fitted.
+        columns = utility_columns(model.utility_spec, model.num_capabilities)
 
     k = model.input_dim
     grid = simplex_lattice(k, steps)
-    predictions = model.predict_batch(grid)
+    predictions = model.predict_batch(grid, columns)
     values = (utilities(predictions, model.utility_spec) if index is None
               else predictions[:, index])
 

@@ -2,7 +2,8 @@
 
 Seed configurations (corners + coarse grid + priors + random fill) are
 merged and evaluated to produce training samples; one boosted-tree
-regressor per capability approximates the landscape; a lattice search with
+regressor per capability the utility reads approximates the landscape, and
+the capabilities it does not read are left unfitted; a lattice search with
 one local refinement pass finds the utility optimum, which is then
 re-checked by actually merging and evaluating. The search is exact branch
 and bound over the trees' leaf boxes: it bounds boxes of lattice points,
@@ -41,7 +42,9 @@ from .stats import NormContext, UtilitySpec, normalize, utilities, utility_colum
 from .training import expert_params
 from .worlds import World, raw_capabilities
 
-SURFACE_FORMAT = "mm-surface-v1"
+SURFACE_FORMAT = "mm-surface-v2"
+# A v1 surface is a v2 surface with every capability fitted.
+READABLE_SURFACE_FORMATS = ("mm-surface-v1", SURFACE_FORMAT)
 DUPLICATE_TOL = 1e-9
 
 
@@ -141,21 +144,38 @@ def _samples_digest(samples: list[SurfaceSample]) -> str:
 
 @dataclass
 class SurfaceModel:
-    """One fitted regressor per capability plus the shared score units."""
+    """One slot per capability: a fitted regressor and its train error, or
+    None in both for a capability the utility does not read, plus the shared
+    score units of every capability."""
 
     capabilities: list[str]
-    regressors: list[GradientBoostedRegressor]
+    regressors: list[GradientBoostedRegressor | None]
     contexts: list[NormContext]
     hyper: BoostHyper
     utility_spec: UtilitySpec
     sample_digest: str
-    train_error: list[float]
+    train_error: list[float | None]
     num_samples: int
     input_dim: int
 
     @property
     def num_capabilities(self) -> int:
         return len(self.capabilities)
+
+    @property
+    def fitted_columns(self) -> list[int]:
+        return [m for m, r in enumerate(self.regressors) if r is not None]
+
+    def require_fitted(self, columns) -> None:
+        """MergeMixError unless every capability in `columns` is fitted."""
+        missing = [self.capabilities[m] for m in columns
+                   if self.regressors[m] is None]
+        if missing:
+            fitted = [self.capabilities[m] for m in self.fitted_columns]
+            raise MergeMixError(
+                f"capabilities {missing} are not fitted; this surface fits "
+                f"only {fitted}"
+            )
 
     def predict(self, weights) -> np.ndarray:
         w = normalize_simplex(weights)
@@ -166,24 +186,28 @@ class SurfaceModel:
         return self.predict_batch(w[None, :])[0]
 
     def predict_batch(self, configs: np.ndarray, columns=None) -> np.ndarray:
-        """(n, M) predicted scores; with `columns`, only those capabilities
-        are predicted and every other column is 0.0."""
+        """(n, M) predicted scores of the fitted capabilities, or with
+        `columns` of those only; every other column is 0.0."""
         x = np.atleast_2d(np.asarray(configs, dtype=np.float64))
         if columns is None:
-            columns = range(self.num_capabilities)
+            columns = self.fitted_columns
+        else:
+            self.require_fitted(columns)
         out = np.zeros((x.shape[0], self.num_capabilities))
         for m in columns:
             out[:, m] = self.regressors[m].predict(x)
         return out
 
     def to_dict(self) -> dict:
-        return self._fields([r.to_dict() for r in self.regressors])
+        return self._fields([None if r is None else r.to_dict()
+                             for r in self.regressors])
 
     def lazy_dict(self) -> dict:
         """to_dict(), with the regressors, and each one's trees, as
         generators: persist.write_json streams it so that no more than one
         tree's dict exists at a time. Each generator can be read once."""
-        return self._fields(r.lazy_dict() for r in self.regressors)
+        return self._fields(None if r is None else r.lazy_dict()
+                            for r in self.regressors)
 
     def _fields(self, regressors) -> dict:
         return {
@@ -201,13 +225,15 @@ class SurfaceModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SurfaceModel":
-        if data.get("format") != SURFACE_FORMAT:
+        """A v2 or v1 surface; every capability its utility reads must be
+        fitted."""
+        if data.get("format") not in READABLE_SURFACE_FORMATS:
             raise MergeMixError(
                 f"unsupported surface format {data.get('format')!r}"
             )
-        return cls(
+        model = cls(
             capabilities=list(data["capabilities"]),
-            regressors=[GradientBoostedRegressor.from_dict(r)
+            regressors=[None if r is None else GradientBoostedRegressor.from_dict(r)
                         for r in data["regressors"]],
             contexts=[NormContext(c["lo"], c["hi"]) for c in data["contexts"]],
             hyper=BoostHyper.from_dict(data["hyper"]),
@@ -217,6 +243,11 @@ class SurfaceModel:
             num_samples=int(data["num_samples"]),
             input_dim=int(data["input_dim"]),
         )
+        m = model.num_capabilities
+        if not len(model.regressors) == len(model.train_error) == m:
+            raise MergeMixError(f"{m} capabilities need {m} regressor slots")
+        model.require_fitted(utility_columns(model.utility_spec, m))
+        return model
 
 
 def load_surface(path) -> SurfaceModel:
@@ -240,7 +271,8 @@ def fit_surface(samples: list[SurfaceSample], capabilities: list[str],
                 contexts: list[NormContext],
                 hyper: BoostHyper | None = None,
                 utility_spec: UtilitySpec | None = None) -> SurfaceModel:
-    """Train one boosted ensemble per capability on (weights -> score)."""
+    """Train one boosted ensemble on (weights -> score) per capability the
+    utility reads (`utility_columns`); the others stay None."""
     hyper = hyper or BoostHyper()
     utility_spec = utility_spec or UtilitySpec()
     if not samples:
@@ -251,13 +283,13 @@ def fit_surface(samples: list[SurfaceSample], capabilities: list[str],
             f"need at least {k + 1} samples for {k} domains, got {len(samples)}"
         )
     x = np.stack([s.weights for s in samples])
-    regressors = []
-    train_error = []
-    for m in range(len(capabilities)):
+    regressors: list[GradientBoostedRegressor | None] = [None] * len(capabilities)
+    train_error: list[float | None] = [None] * len(capabilities)
+    for m in utility_columns(utility_spec, len(capabilities)):
         y = np.asarray([s.scores[m] for s in samples])
         fitted = np.empty(y.shape[0])
-        regressors.append(GradientBoostedRegressor(hyper).fit(x, y, out=fitted))
-        train_error.append(float(np.max(np.abs(fitted - y))))
+        regressors[m] = GradientBoostedRegressor(hyper).fit(x, y, out=fitted)
+        train_error[m] = float(np.max(np.abs(fitted - y)))
     return SurfaceModel(
         capabilities=list(capabilities),
         regressors=regressors,
@@ -311,8 +343,10 @@ def search_optimum(model: SurfaceModel, utility_spec: UtilitySpec | None = None,
     (`utility_columns`) and leave the others 0.0; a zero weight times 0.0
     instead of a negative prediction can only turn a -0.0 utility into
     0.0, which ties with it, so the argmax is the one a full prediction
-    gives. The winner then gets every capability predicted, and
-    `predicted_utility` is the utility of that full row.
+    gives. The winner then gets every fitted capability predicted, and
+    `predicted_utility` is the utility of that row; an unfitted capability's
+    predicted score is 0.0. A spec that reads an unfitted capability raises
+    MergeMixError before any bound is computed.
     """
     if not 0 < resolution <= 0.25:
         raise MergeMixError(
@@ -320,6 +354,7 @@ def search_optimum(model: SurfaceModel, utility_spec: UtilitySpec | None = None,
         )
     spec = utility_spec or model.utility_spec
     read = utility_columns(spec, model.num_capabilities)
+    model.require_fitted(read)
     k = model.input_dim
     steps = lattice_steps(resolution)
     lo, hi = np.zeros(k, dtype=np.int64), np.full(k, steps, dtype=np.int64)
@@ -336,7 +371,8 @@ def search_optimum(model: SurfaceModel, utility_spec: UtilitySpec | None = None,
                           partial(_utility_bound, model, spec, read, fine_steps),
                           coarse[None, :] * 5) / fine_steps
 
-    # The winning lattice point and its renormalized weights, fully predicted.
+    # The winning lattice point and its renormalized weights, every fitted
+    # capability predicted.
     weights = normalize_simplex(fine)
     scores = model.predict_batch(np.stack([fine, weights]))
     return SearchResult(
@@ -403,13 +439,16 @@ def verify_optimum(world: World, base: np.ndarray, experts,
 
     Also scores the uniform mixture and every corner with the same
     normalization context, so the report shows whether the optimized
-    mixture actually beats the obvious baselines.
+    mixture actually beats the obvious baselines. Every capability is
+    scored; an unfitted one has None as its prediction and gap, and
+    `max_abs_gap` is over the fitted ones.
     """
     spec = model.utility_spec
     scores = merged_scores(world, base, experts, [result.weights], model.contexts)
     actual = scores[0].tolist()
-    predicted = list(result.predicted_scores)
-    gaps = [p - a for p, a in zip(predicted, actual)]
+    predicted = [None if r is None else p
+                 for r, p in zip(model.regressors, result.predicted_scores)]
+    gaps = [None if p is None else p - a for p, a in zip(predicted, actual)]
     baselines = baseline_utilities(world, base, experts, model.contexts, spec)
 
     return {
@@ -418,7 +457,7 @@ def verify_optimum(world: World, base: np.ndarray, experts,
         "predicted_scores": predicted,
         "actual_scores": actual,
         "per_capability_gap": gaps,
-        "max_abs_gap": max(abs(g) for g in gaps),
+        "max_abs_gap": max(abs(g) for g in gaps if g is not None),
         "predicted_utility": result.predicted_utility,
         "actual_utility": float(utilities(scores, spec)[0]),
         "baseline_utilities": baselines,

@@ -73,6 +73,11 @@ class TestPipelineCommand:
             assert path.exists()
             assert file_digest(path) == digest
 
+    def test_manifest_names_the_surface_format(self, pipeline_run):
+        manifest = read_json(pipeline_run / "manifest.json")
+        surface = read_json(pipeline_run / "surface.model.json")
+        assert manifest["format_versions"]["surface"] == surface["format"]
+
     def test_samples_csv_shape(self, pipeline_run):
         lines = (pipeline_run / "samples.csv").read_text().splitlines()
         assert lines[0] == "alpha_1,alpha_2,y_1,y_2,digest"
@@ -429,6 +434,17 @@ class TestCostCommand:
         assert report["rows"][0]["relative_label"] == "1.0×"
 
 
+@pytest.fixture(scope="module")
+def weighted_run(tmp_path_factory):
+    """A QW-2 run whose utility reads d1 only, so d2 is not fitted."""
+    tmp = tmp_path_factory.mktemp("weighted")
+    cfg = write_config(tmp, {**QW2_PIPELINE, "name": "qw2-weighted",
+                             "utility": {"kind": "weighted",
+                                         "weights": [1.0, 0.0]}})
+    assert main(["pipeline", "--config", str(cfg), "--out", str(tmp)]) == 0
+    return tmp / "qw2-weighted"
+
+
 class TestHeatmapCommand:
     def test_coarse_two_domain_lattice(self, pipeline_run, tmp_path):
         out_csv = tmp_path / "heat.csv"
@@ -497,6 +513,45 @@ class TestHeatmapCommand:
                      "--surface", str(pipeline_run / "surface.model.json"),
                      "--capability", "7",
                      "--out", str(tmp_path / "x.csv")]) == 1
+
+    def test_weighted_run_writes_null_slots(self, weighted_run):
+        surface = read_json(weighted_run / "surface.model.json")
+        assert surface["regressors"][1] is None
+        assert surface["train_error"][1] is None
+        assert len(surface["contexts"]) == 2
+        optimum = read_json(weighted_run / "report.json")["optimum"]
+        assert optimum["predicted_scores"][1] is None
+        assert optimum["per_capability_gap"][1] is None
+        assert optimum["max_abs_gap"] == abs(optimum["per_capability_gap"][0])
+        assert len(optimum["actual_scores"]) == 2
+
+    def test_utility_of_a_weighted_surface(self, weighted_run, tmp_path):
+        """The utility reads d1 alone, so its heatmap is d1's."""
+        surface = str(weighted_run / "surface.model.json")
+        for capability in ("utility", "d1"):
+            assert main(["export-heatmap", "--surface", surface,
+                         "--capability", capability, "--resolution", "0.1",
+                         "--out", str(tmp_path / f"{capability}.csv")]) == 0
+        assert ((tmp_path / "utility.csv").read_text()
+                == (tmp_path / "d1.csv").read_text())
+
+    @pytest.mark.parametrize("capability", ["d2", "1"])
+    def test_unfitted_capability_exits_2_before_predicting(
+            self, weighted_run, tmp_path, capsys, monkeypatch, capability):
+        from mergemix.surface import SurfaceModel
+
+        def no_predict(self, configs, columns=None):
+            raise AssertionError("predicted an unfitted capability")
+
+        monkeypatch.setattr(SurfaceModel, "predict_batch", no_predict)
+        out_csv = tmp_path / "x.csv"
+        assert main(["export-heatmap",
+                     "--surface", str(weighted_run / "surface.model.json"),
+                     "--capability", capability, "--out", str(out_csv)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("surface error: ") and err.count("\n") == 1
+        assert "['d2'] are not fitted" in err and "fits only ['d1']" in err
+        assert not out_csv.exists()
 
     @pytest.mark.parametrize("content,message", [
         (None, "surface file not found"),

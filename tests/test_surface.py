@@ -1,12 +1,14 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mergemix.errors import BudgetExceededError, MergeMixError
+from mergemix.errors import BudgetExceededError, MergeMixError, SurfaceFileError
 from mergemix.gbt import BoostHyper, GradientBoostedRegressor
 from mergemix.hierarchy import HierarchyContext, MixtureNode, optimize_top_down
 from mergemix.models import Quadratic
+from mergemix.persist import read_json, write_json
 from mergemix.seeding import rng_for, stable_seed
 from mergemix.simplex import (
     DEFAULT_POINT_BUDGET,
@@ -22,6 +24,7 @@ from mergemix.simplex import (
 from mergemix.stats import NormContext, UtilitySpec, spearman, utilities
 from mergemix.surface import (
     DUPLICATE_TOL,
+    SURFACE_FORMAT,
     SearchResult,
     SeedDesign,
     SurfaceModel,
@@ -29,6 +32,7 @@ from mergemix.surface import (
     collect_raw_scores,
     collect_samples,
     fit_surface,
+    load_surface,
     run_search_stage,
     sample_seed_configs,
     search_optimum,
@@ -322,8 +326,10 @@ def assert_same_search(actual: SearchResult, expected: SearchResult):
     assert actual.evaluated_points == expected.evaluated_points
 
 
-def synthetic_surface(m: int, k: int = 3, n: int = 30) -> SurfaceModel:
-    """A small fitted surface with M = m capabilities, some of them negative."""
+def synthetic_surface(m: int, k: int = 3, n: int = 30,
+                      spec: UtilitySpec | None = None) -> SurfaceModel:
+    """A small fitted surface with M = m capabilities, some of them negative,
+    fitted for `spec` (macro: every capability)."""
     rng = np.random.default_rng(100 + m)
     x = dirichlet_points(k, n, rng)
     columns = [np.sin((j + 2) * x[:, j % k]) - 0.4 * (j % 2) for j in range(m)]
@@ -331,7 +337,7 @@ def synthetic_surface(m: int, k: int = 3, n: int = 30) -> SurfaceModel:
                for i, w in enumerate(x)]
     return fit_surface(samples, [f"c{j}" for j in range(m)],
                        [NormContext(0, 1)] * m,
-                       hyper=BoostHyper(n_trees=12, max_depth=2))
+                       hyper=BoostHyper(n_trees=12, max_depth=2), utility_spec=spec)
 
 
 def read_specs(m: int):
@@ -539,3 +545,163 @@ class TestVerify:
         report = verify_optimum(qw4, qw4.base_params(), qw4_experts,
                                 qw4_stage.model, qw4_stage.search)
         assert json.loads(json.dumps(report)) == report
+
+
+WEIGHTED_5 = UtilitySpec(kind="weighted", weights=(0.0, 0.5, 0.0, 0.0, 0.5))
+
+
+def assert_same_regressor(a: GradientBoostedRegressor,
+                          b: GradientBoostedRegressor):
+    """Same hyper, init value and trees, every tree array equal to the bit."""
+    assert a.hyper == b.hyper
+    assert np.float64(a.init_value).tobytes() == np.float64(b.init_value).tobytes()
+    assert len(a.trees) == len(b.trees)
+    for ta, tb in zip(a.trees, b.trees):
+        for name in ("features", "thresholds", "lefts", "rights", "values"):
+            x, y = getattr(ta, name), getattr(tb, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+        assert ta.max_depth == tb.max_depth
+
+
+def weighted_surface() -> tuple[SurfaceModel, SurfaceModel]:
+    """synthetic_surface(5) fitted for WEIGHTED_5, and for every column."""
+    return synthetic_surface(5, spec=WEIGHTED_5), synthetic_surface(5)
+
+
+class TestReadColumnsFit:
+    """A surface fits only the capabilities its utility reads."""
+
+    def test_weighted_spec_fits_exactly_the_utility_columns(self):
+        part, full = weighted_surface()
+        assert part.fitted_columns == [1, 4]
+        assert full.fitted_columns == [0, 1, 2, 3, 4]
+        assert [r is None for r in part.regressors] == [True, False, True, True,
+                                                        False]
+        assert part.train_error[0] is None and part.train_error[2] is None
+        for m in (1, 4):
+            assert_same_regressor(part.regressors[m], full.regressors[m])
+            assert part.train_error[m] == full.train_error[m]
+        assert part.contexts == full.contexts
+        assert part.sample_digest == full.sample_digest
+
+    def test_single_spec_fits_its_index(self):
+        single = synthetic_surface(3, spec=UtilitySpec(kind="single", index=2))
+        assert single.fitted_columns == [2]
+        assert single.train_error[:2] == [None, None]
+
+    def test_unfitted_columns_predict_zero(self):
+        part, full = weighted_surface()
+        grid = dirichlet_points(3, 7, np.random.default_rng(4))
+        predicted = part.predict_batch(grid)
+        np.testing.assert_array_equal(predicted[:, [0, 2, 3]], 0.0)
+        assert predicted[:, [1, 4]].tobytes() == \
+            full.predict_batch(grid)[:, [1, 4]].tobytes()
+        with pytest.raises(MergeMixError, match=r"\['c2'\] are not fitted"):
+            part.predict_batch(grid, columns=[1, 2])
+
+    def test_search_reading_an_unfitted_column_raises_before_any_bound(
+            self, monkeypatch):
+        part, _ = weighted_surface()
+        bounded = []
+        monkeypatch.setattr(GradientBoostedRegressor, "lattice_bound",
+                            lambda *args: bounded.append(1))
+        for spec in (UtilitySpec(), UtilitySpec(kind="single", index=0),
+                     UtilitySpec(kind="weighted",
+                                 weights=(0.0, 0.5, 0.5, 0.0, 0.0))):
+            with pytest.raises(MergeMixError, match="not fitted; this surface "
+                                                    r"fits only \['c1', 'c4'\]"):
+                search_optimum(part, spec, resolution=0.1)
+        assert bounded == []
+
+    def test_search_matches_a_surface_that_fits_every_column(self):
+        """Same pick and utility; unfitted predicted scores are 0.0."""
+        part, full = weighted_surface()
+        for spec in (WEIGHTED_5, UtilitySpec(kind="single", index=4)):
+            expected = search_optimum(full, spec, resolution=0.1)
+            scores = tuple(v if m in (1, 4) else 0.0
+                           for m, v in enumerate(expected.predicted_scores))
+            assert_same_search(search_optimum(part, spec, resolution=0.1),
+                               replace(expected, predicted_scores=scores))
+
+    def test_qw4_weighted_stage_matches_a_surface_fitting_every_column(
+            self, qw4, qw4_experts):
+        """The pick, predicted_utility and actual_utility of a QW-4 weighted
+        stage are those of a surface that fits all four capabilities."""
+        spec = UtilitySpec(kind="weighted", weights=(0.0, 0.0, 0.5, 0.5))
+        base = qw4.base_params()
+        stage = run_search_stage(qw4, base, qw4_experts, design_size=40,
+                                 seed=stable_seed(RUN_SEED, "design"),
+                                 utility_spec=spec)
+        assert stage.model.fitted_columns == [2, 3]
+        full = replace(fit_surface(stage.samples, list(qw4.names), stage.contexts),
+                       utility_spec=spec)
+        assert full.fitted_columns == [0, 1, 2, 3]
+        expected = search_optimum(full, spec)
+        assert stage.search.weights.tobytes() == expected.weights.tobytes()
+        assert (np.float64(stage.search.predicted_utility).tobytes()
+                == np.float64(expected.predicted_utility).tobytes())
+        assert stage.search.predicted_scores[:2] == (0.0, 0.0)
+        assert stage.search.predicted_scores[2:] == expected.predicted_scores[2:]
+
+        report = verify_optimum(qw4, base, qw4_experts, stage.model, stage.search)
+        full_report = verify_optimum(qw4, base, qw4_experts, full, expected)
+        for key in ("weights", "capabilities", "actual_scores",
+                    "predicted_utility", "actual_utility", "baseline_utilities"):
+            assert report[key] == full_report[key], key
+        assert report["predicted_scores"][:2] == [None, None]
+        assert report["per_capability_gap"][:2] == [None, None]
+        assert report["predicted_scores"][2:] == full_report["predicted_scores"][2:]
+        assert (report["per_capability_gap"][2:]
+                == full_report["per_capability_gap"][2:])
+        assert report["max_abs_gap"] == max(
+            abs(g) for g in full_report["per_capability_gap"][2:])
+        assert all(isinstance(v, float) for v in report["actual_scores"])
+        assert json.loads(json.dumps(report)) == report
+
+
+class TestSurfaceFile:
+    def test_v2_round_trip_with_null_slots(self, tmp_path):
+        part, _ = weighted_surface()
+        path = tmp_path / "surface.model.json"
+        write_json(path, part.lazy_dict())
+        data = read_json(path)
+        assert data["format"] == SURFACE_FORMAT == "mm-surface-v2"
+        assert [r is None for r in data["regressors"]] == \
+            [r is None for r in part.regressors]
+        assert data["train_error"] == part.train_error
+        assert len(data["contexts"]) == 5
+        clone = load_surface(path)
+        assert clone.fitted_columns == [1, 4]
+        assert clone.train_error == part.train_error
+        for m in (1, 4):
+            assert_same_regressor(clone.regressors[m], part.regressors[m])
+        again = tmp_path / "again.json"
+        write_json(again, clone.lazy_dict())
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_v1_file_still_loads(self, qw4_stage, tmp_path):
+        """A v1 file is a v2 file with every capability fitted."""
+        data = qw4_stage.model.to_dict()
+        data["format"] = "mm-surface-v1"
+        path = tmp_path / "surface.model.json"
+        write_json(path, data)
+        clone = load_surface(path)
+        assert clone.fitted_columns == [0, 1, 2, 3]
+        grid = dirichlet_points(4, 10, np.random.default_rng(1))
+        assert (clone.predict_batch(grid).tobytes()
+                == qw4_stage.model.predict_batch(grid).tobytes())
+        assert_same_search(search_optimum(clone), qw4_stage.search)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda d: d["regressors"].__setitem__(1, None), "are not fitted"),
+        (lambda d: d["train_error"].pop(), "need 5 regressor slots"),
+    ], ids=["utility-reads-a-null-slot", "slot-count"])
+    def test_inconsistent_slots_are_a_malformed_file(self, tmp_path, edit,
+                                                     message):
+        part, _ = weighted_surface()
+        data = part.to_dict()
+        edit(data)
+        path = tmp_path / "surface.model.json"
+        write_json(path, data)
+        with pytest.raises(SurfaceFileError, match=message):
+            load_surface(path)
