@@ -15,8 +15,14 @@ Guestrin, KDD 2016): x is stably argsorted once per fit, and each node
 filters that order to its own rows, so every feature's sorted view comes
 without another sort. The split search over all features and thresholds of
 a node is one array computation; the flat first maximum keeps the
-first-feature, first-threshold tie rule. Each round's residual update reuses
-the leaf values the rows reached while the tree grew.
+first-feature, first-threshold tie rule. Its two prefix sums, of y and of
+y², come from one pass: each round packs its residual as the complex vector
+y + 1j * y², and a node runs one complex cumsum over its rows in each
+feature's order. Complex addition adds the two parts apart, in the order of
+a float64 cumsum, so both parts are the floats of their own cumsum; the
+gains are then computed in place. A node one level above max_depth writes
+its two leaves itself. Each round's residual update reuses the leaf values
+the rows reached while the tree grew.
 
 Predict works on blocks of PREDICT_BLOCK_ROWS rows, transposed so that each
 feature is one contiguous column. A tree is evaluated as nested `np.where`
@@ -246,33 +252,43 @@ def _presort(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _best_split(xs: np.ndarray, ys: np.ndarray, total: float, total_sq: float,
-                min_leaf: int):
+                min_leaf: int, counts: np.ndarray):
     """Exact SSE-minimizing (feature, threshold) of one node, or None.
 
-    `xs` and `ys` hold the node's values and targets sorted per feature;
-    `total` and `total_sq` are the target sums in row order. The flat argmax
-    over (feature, threshold) takes the first maximum and only a positive
-    gain wins, so ties resolve to the first feature and the first threshold.
+    `xs` holds the node's values sorted per feature and `ys` its targets in
+    the same order, as complex y + 1j * y²; `total` and `total_sq` are the
+    target sums in row order, and `counts` is 0.0, 1.0, 2.0, ... up to at
+    least the node size. The flat argmax over (feature, threshold) takes the
+    first maximum and only a positive gain wins, so ties resolve to the
+    first feature and the first threshold.
     """
     n = ys.shape[1]
     parent_sse = total_sq - total * total / n
+    # Complex addition adds the two parts apart, so one cumsum holds the
+    # float64 cumsums of y (real part) and of y² (imaginary part) bit for bit.
     csum = np.cumsum(ys, axis=1)
-    csum_sq = np.cumsum(ys * ys, axis=1)
     # Candidate split sizes i (left-leaf count), smallest first; column
     # i - 1 holds the last left row, so the columns of all i are one slice.
-    i = np.arange(min_leaf, n - min_leaf + 1)
     last = slice(min_leaf - 1, n - min_leaf)
-    left_sum = csum[:, last]
-    left_sse = csum_sq[:, last] - left_sum * left_sum / i
-    right_sum = total - left_sum
-    right_sse = (total_sq - csum_sq[:, last]) - right_sum * right_sum / (n - i)
-    gains = parent_sse - left_sse - right_sse
+    sums = csum.real[:, last].copy()
+    squares = csum.imag[:, last].copy()
+    # gains = parent_sse - left_sse - right_sse, each operation in place.
+    gains = sums * sums
+    gains /= counts[min_leaf:n - min_leaf + 1]  # i
+    np.subtract(squares, gains, out=gains)  # left_sse
+    np.subtract(total, sums, out=sums)  # right sums
+    sums *= sums
+    sums /= counts[n - min_leaf:min_leaf - 1:-1]  # n - i
+    np.subtract(total_sq, squares, out=squares)
+    squares -= sums  # right_sse
+    np.subtract(parent_sse, gains, out=gains)
+    gains -= squares
     # Equal values admit no threshold.
     gains[xs[:, last] == xs[:, min_leaf:n - min_leaf + 1]] = -np.inf
-    best = int(np.argmax(gains))
+    best = int(gains.argmax())
     if not gains.flat[best] > 0.0:
         return None
-    f, pos = divmod(best, i.shape[0])
+    f, pos = divmod(best, gains.shape[1])
     split_at = min_leaf + pos
     below, above = xs[f, split_at - 1], xs[f, split_at]
     # Between adjacent doubles the midpoint can round to `above`; rows equal
@@ -281,78 +297,88 @@ def _best_split(xs: np.ndarray, ys: np.ndarray, total: float, total_sq: float,
     return f, mid if mid < above else below
 
 
-@dataclass
-class _Growth:
-    """One tree while it grows: the columns and targets it splits, its node
-    lists in preorder, and the value of the leaf each row reaches."""
-
-    cols: np.ndarray
-    y: np.ndarray
-    max_depth: int
-    min_leaf: int
-    fitted: np.ndarray
-    nodes: dict
+def _leaf(nodes: tuple, fitted: np.ndarray, rows: np.ndarray,
+          value: float) -> None:
+    features, thresholds, lefts, rights, values = nodes
+    features.append(-1)
+    thresholds.append(0.0)
+    lefts.append(-1)
+    rights.append(-1)
+    values.append(value)
+    fitted[rows] = value
 
 
-def _grow(g: _Growth, rows: np.ndarray, order: np.ndarray | None,
-          xs: np.ndarray | None, depth: int) -> int:
-    """Grow the subtree over `rows`; `order` and `xs` are its presorted view,
-    None at max_depth, where the node is a leaf and searches no split."""
-    nodes = g.nodes
-    index = len(nodes["features"])
-    for key in nodes:
-        nodes[key].append(None)
-    y_node = g.y[rows]
-    total = y_node.sum()
-    value = float(total / rows.shape[0])  # y_node.mean(); nan when empty
-    nodes["values"][index] = value
+def _grow(nodes: tuple, fit: tuple, rows: np.ndarray, order: np.ndarray,
+          xs: np.ndarray, depth: int) -> None:
+    """Append the subtree over `rows` to the five node lists, in preorder.
+
+    `order` and `xs` are the rows' presorted view; `fit` is (columns,
+    targets y, y * y, y + 1j * y * y, counts, in-sample values, max_depth,
+    min_leaf). A node above max_depth - 1 grows its children; one at
+    max_depth - 1 writes its two leaves itself.
+    """
+    cols, y, squares, yc, counts, fitted, max_depth, min_leaf = fit
+    features, thresholds, lefts, rights, values = nodes
+    # np.add.reduce is ndarray.sum without its Python wrapper.
+    total = np.add.reduce(y[rows])
+    value = float(total / rows.shape[0])  # y[rows].mean()
     split = None
-    if depth < g.max_depth and rows.shape[0] >= 2 * g.min_leaf:
-        split = _best_split(xs, g.y[order], float(total),
-                            float((y_node * y_node).sum()), g.min_leaf)
+    if rows.shape[0] >= 2 * min_leaf:
+        split = _best_split(xs, yc[order], float(total),
+                            float(np.add.reduce(squares[rows])), min_leaf,
+                            counts)
     if split is None:
-        nodes["features"][index] = -1
-        nodes["thresholds"][index] = 0.0
-        nodes["lefts"][index] = -1
-        nodes["rights"][index] = -1
-        g.fitted[rows] = value
-        return index
+        _leaf(nodes, fitted, rows, value)
+        return
     f, thr = split
-    go_left = g.cols[f] <= thr
-    sides = []
-    for side in (go_left, ~go_left):
-        side_rows = rows[side[rows]]
-        if depth + 1 == g.max_depth:
-            sides.append(_grow(g, side_rows, None, None, depth + 1))
-            continue
-        keep = side[order]
-        shape = (order.shape[0], side_rows.shape[0])
-        sides.append(_grow(g, side_rows, order[keep].reshape(shape),
-                           xs[keep].reshape(shape), depth + 1))
-    nodes["features"][index] = f
-    nodes["thresholds"][index] = float(thr)
-    nodes["lefts"][index], nodes["rights"][index] = sides
-    return index
+    index = len(features)
+    features.append(f)
+    thresholds.append(float(thr))
+    lefts.append(index + 1)
+    rights.append(-1)
+    values.append(value)
+    go_left = cols[f] <= thr
+    left = go_left[rows]
+    left_rows, right_rows = rows[left], rows[~left]
+    if depth + 1 == max_depth:
+        for leaf_rows in (left_rows, right_rows):
+            _leaf(nodes, fitted, leaf_rows, float(
+                np.add.reduce(y[leaf_rows]) / leaf_rows.shape[0]))
+        rights[index] = index + 2
+        return
+    keep = go_left[order]
+    shape = (order.shape[0], -1)
+    _grow(nodes, fit, left_rows, order[keep].reshape(shape),
+          xs[keep].reshape(shape), depth + 1)
+    rights[index] = len(features)
+    keep = ~keep
+    _grow(nodes, fit, right_rows, order[keep].reshape(shape),
+          xs[keep].reshape(shape), depth + 1)
 
 
 def _grow_tree(presorted, y: np.ndarray, max_depth: int,
                min_leaf: int) -> tuple[RegressionTree, np.ndarray]:
     """Fit one tree on _presort(x); also return its value at every row."""
     cols, order, xs = presorted
-    g = _Growth(cols, y, max_depth, min_leaf, np.empty(y.shape[0]),
-                {"features": [], "thresholds": [], "lefts": [], "rights": [],
-                 "values": []})
-    _grow(g, np.arange(y.shape[0]), order, xs, 0)
-    nodes = g.nodes
+    n = y.shape[0]
+    squares = y * y
+    yc = np.empty(n, dtype=np.complex128)
+    yc.real = y
+    yc.imag = squares
+    fitted = np.empty(n)
+    nodes = ([], [], [], [], [])
+    _grow(nodes, (cols, y, squares, yc, np.arange(n + 1.0), fitted, max_depth,
+                  min_leaf), np.arange(n), order, xs, 0)
+    features, thresholds, lefts, rights, values = nodes
     tree = RegressionTree(
-        features=np.asarray(nodes["features"], dtype=np.int64),
-        thresholds=np.asarray(nodes["thresholds"], dtype=np.float64),
-        lefts=np.asarray(nodes["lefts"], dtype=np.int64),
-        rights=np.asarray(nodes["rights"], dtype=np.int64),
-        values=np.asarray(nodes["values"], dtype=np.float64),
+        features=np.asarray(features, dtype=np.int64),
+        thresholds=np.asarray(thresholds, dtype=np.float64),
+        lefts=np.asarray(lefts, dtype=np.int64),
+        rights=np.asarray(rights, dtype=np.int64),
+        values=np.asarray(values, dtype=np.float64),
         max_depth=max_depth,
     )
-    return tree, g.fitted
+    return tree, fitted
 
 
 @dataclass(frozen=True)

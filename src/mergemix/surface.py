@@ -28,6 +28,7 @@ from .seeding import rng_for
 from .simplex import (
     DEFAULT_POINT_BUDGET,
     REFINE_RADIUS,
+    _expand,
     box_limits,
     box_size,
     dirichlet_points,
@@ -58,11 +59,45 @@ class SeedDesign:
         return self.configs.shape[0]
 
 
+def _close_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), j ascending, with max |a[i] - b[j]| <= DUPLICATE_TOL.
+
+    Only rows whose first coordinates lie within 2 * DUPLICATE_TOL of each
+    other are compared. For coordinates in [0, 1] that window holds every
+    pair the comparison can accept, rounding included, and a random draw
+    rarely has any row in it.
+    """
+    by_first = np.argsort(a[:, 0], kind="stable")
+    first = a[by_first, 0]
+    lo = np.searchsorted(first, b[:, 0] - 2 * DUPLICATE_TOL, side="left")
+    hi = np.searchsorted(first, b[:, 0] + 2 * DUPLICATE_TOL, side="right")
+    i, j = _expand(lo, hi - lo)
+    i = by_first[i]
+    close = np.max(np.abs(a[i] - b[j]), axis=1) <= DUPLICATE_TOL
+    return i[close], j[close]
+
+
+def _new_rows(taken: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """Mask of the candidates a scan in order adds: each one that duplicates
+    neither a row of `taken` nor an earlier added candidate."""
+    added = np.ones(candidates.shape[0], dtype=bool)
+    added[_close_pairs(taken, candidates)[1]] = False
+    earlier, later = _close_pairs(candidates, candidates)
+    repeat = earlier < later
+    # Pairs come in ascending `later`, so each `earlier` is settled first.
+    for e, j in zip(earlier[repeat].tolist(), later[repeat].tolist()):
+        if added[e]:
+            added[j] = False
+    return added
+
+
 def sample_seed_configs(k: int, n: int, priors=(), seed: int = 0) -> SeedDesign:
     """Corners, then a resolution-1/4 grid, then priors, then random fill.
 
     Returns exactly n distinct simplex points; the grid is subsampled
-    (seeded) when it alone would overflow the budget.
+    (seeded) when it alone would overflow the budget. The random fill is
+    drawn in batches of the rows still missing; a batched draw gives the
+    points and generator state of as many single draws.
     """
     if k < 2:
         raise MergeMixError(f"need at least 2 domains, got {k}")
@@ -72,24 +107,18 @@ def sample_seed_configs(k: int, n: int, priors=(), seed: int = 0) -> SeedDesign:
     rows = np.empty((n, k))
     provenance: list[str] = []
 
-    def is_duplicate(candidate: np.ndarray) -> bool:
-        taken = rows[:len(provenance)]
-        return bool(np.any(np.max(np.abs(taken - candidate), axis=1) <= DUPLICATE_TOL))
+    def add(points: np.ndarray, label: str) -> None:
+        rows[len(provenance):len(provenance) + points.shape[0]] = points
+        provenance.extend([label] * points.shape[0])
 
-    def add(point: np.ndarray, label: str) -> None:
-        rows[len(provenance)] = point
-        provenance.append(label)
-
-    for corner in np.eye(k):
-        add(corner, "corner")
-
-    grid = [p for p in simplex_lattice(k, 4) if not is_duplicate(p)]
+    add(np.eye(k), "corner")
+    lattice = simplex_lattice(k, 4)
+    grid = np.delete(lattice, _close_pairs(rows[:k], lattice)[1], axis=0)
     room = n - len(provenance)
-    if len(grid) > room:
-        keep = sorted(rng.choice(len(grid), size=room, replace=False).tolist())
-        grid = [grid[i] for i in keep]
-    for p in grid:
-        add(p, "grid")
+    if grid.shape[0] > room:
+        keep = sorted(rng.choice(grid.shape[0], size=room, replace=False).tolist())
+        grid = grid[keep]
+    add(grid, "grid")
 
     for prior in priors:
         if len(provenance) >= n:
@@ -97,13 +126,12 @@ def sample_seed_configs(k: int, n: int, priors=(), seed: int = 0) -> SeedDesign:
         p = normalize_simplex(prior)
         if p.shape[0] != k:
             raise DimensionError(f"prior has length {p.shape[0]}, expected {k}")
-        if not is_duplicate(p):
-            add(p, "prior")
+        if _new_rows(rows[:len(provenance)], p[None])[0]:
+            add(p[None], "prior")
 
     while len(provenance) < n:
-        p = dirichlet_points(k, 1, rng)[0]
-        if not is_duplicate(p):
-            add(p, "random")
+        draws = dirichlet_points(k, n - len(provenance), rng)
+        add(draws[_new_rows(rows[:len(provenance)], draws)], "random")
 
     return SeedDesign(rows, tuple(provenance))
 

@@ -22,6 +22,7 @@ from mergemix.simplex import (
     simplex_lattice,
 )
 from mergemix.stats import spearman
+from mergemix.surface import sample_seed_configs
 
 
 def fit_tree(x, y, max_depth: int, min_leaf: int) -> RegressionTree:
@@ -159,6 +160,17 @@ def coarse_data(seed, n, k, levels=5):
     return x, y
 
 
+def design_data(seed, n, k):
+    """A seed design (corners, grid, Dirichlet fill) and a smooth noisy
+    score, as a search stage fits them: 600 x 2 is sep-hier's stage size,
+    200 x 6 k6-search's."""
+    x = sample_seed_configs(k, n, seed=seed).configs
+    rng = np.random.default_rng(seed)
+    y = (np.sin(3 * x[:, 0]) - x[:, -1] * x[:, 0]
+         + 0.05 * rng.standard_normal(n))
+    return x, y
+
+
 class TestRegressionTree:
     def test_single_split_recovers_step_function(self):
         x = np.linspace(0, 1, 20).reshape(-1, 1)
@@ -242,15 +254,56 @@ class TestBoostedEnsemble:
 class TestKernelEquivalence:
     """Blocked predict and presorted fit against the reference kernels."""
 
+    def test_complex_prefix_pass_is_two_float_cumsums(self):
+        """Split search accumulates y and y * y as one complex cumsum; each
+        part must be the float64 cumsum of its own, bit for bit: signed
+        zeros, subnormals, overflow to inf, and ties."""
+        tiny = np.finfo(np.float64).smallest_subnormal
+        special = np.array([0.0, -0.0, -0.0, 0.0, tiny, -tiny, 3 * tiny,
+                            1e300, 1e300, -1e300, 1.7e308, 1.7e308, -1e300,
+                            0.1, 0.1, 0.1, -0.3, 2.5, 2.5, 1e-160, -1e-160])
+        rng = np.random.default_rng(17)
+        for y in (special, special[::-1], rng.permutation(special),
+                  -special, np.repeat(special[:7], 3)):
+            block = np.stack([y, rng.permutation(y)])
+            yc = np.empty(block.shape, dtype=np.complex128)
+            yc.real = block
+            with np.errstate(over="ignore", invalid="ignore"):
+                yc.imag = block * block
+                csum = np.cumsum(yc, axis=1)
+                sums = np.cumsum(block, axis=1)
+                squares = np.cumsum(block * block, axis=1)
+            assert csum.real.tobytes() == sums.tobytes()
+            assert csum.imag.tobytes() == squares.tobytes()
+
     @pytest.mark.parametrize("seed,n,k,levels", [
         (0, 40, 3, 5), (1, 97, 4, 3), (2, 600, 2, 21), (3, 25, 6, 2),
+        # levels None: a seed design, as sep-hier and k6-search fit
+        (1, 600, 2, None), (7, 200, 6, None),
     ])
     @pytest.mark.parametrize("max_depth,min_leaf", [(1, 1), (3, 2), (4, 5)])
     def test_fit_tree_matches_reference(self, seed, n, k, levels, max_depth,
                                         min_leaf):
-        x, y = coarse_data(seed, n, k, levels)
+        x, y = (coarse_data(seed, n, k, levels) if levels
+                else design_data(seed, n, k))
         assert_same_tree(fit_tree(x, y, max_depth, min_leaf),
                          reference_fit_tree(x, y, max_depth, min_leaf))
+
+    def test_small_node_one_level_above_the_leaves(self):
+        """A node at depth max_depth - 1 with fewer than 2 * min_leaf rows
+        is a leaf itself; its sibling splits into two leaves."""
+        x = np.arange(12.0)[:, None]
+        y = np.array([10.0, 10, 10, 0, 0, 0, 0, 0, 0, 1, 1, 1])
+        expected = reference_fit_tree(x, y, 2, 2)
+        assert expected.features.tolist() == [0, -1, 0, -1, -1]
+        assert_same_tree(fit_tree(x, y, 2, 2), expected)
+        hyper = BoostHyper(n_trees=8, max_depth=2, min_leaf=2)
+        model, fitted, predicted = fitted_and_predicted(hyper, x, y)
+        init_value, trees = reference_boost(x, y, hyper)
+        assert model.init_value == init_value
+        for actual, reference in zip(model.trees, trees, strict=True):
+            assert_same_tree(actual, reference)
+        assert fitted.tobytes() == predicted.tobytes()
 
     def test_gain_ties_resolve_to_first_feature_and_threshold(self):
         # Two identical columns tie on every gain; a symmetric target ties
@@ -351,19 +404,22 @@ class TestKernelEquivalence:
         BoostHyper(n_trees=15, max_depth=4, learning_rate=1.0, min_leaf=3),
     ])
     def test_boosting_matches_reference(self, hyper):
-        x, y = coarse_data(10, 150, 4, levels=5)
-        model = GradientBoostedRegressor(hyper).fit(x, y)
-        init_value, trees = reference_boost(x, y, hyper)
-        assert model.init_value == init_value
-        assert len(model.trees) == len(trees)
-        for actual, expected in zip(model.trees, trees):
-            assert_same_tree(actual, expected)
-        grid = np.random.default_rng(11).uniform(size=(PREDICT_BLOCK_ROWS + 5, 4))
-        for points in (grid, x, grid[:0]):
-            np.testing.assert_array_equal(
-                model.predict(points),
-                reference_ensemble_predict(init_value, trees,
-                                           hyper.learning_rate, points))
+        for x, y in (coarse_data(10, 150, 4, levels=5), design_data(1, 600, 2),
+                     design_data(7, 200, 6)):
+            model = GradientBoostedRegressor(hyper).fit(x, y)
+            init_value, trees = reference_boost(x, y, hyper)
+            assert model.init_value == init_value
+            assert len(model.trees) == len(trees)
+            for actual, expected in zip(model.trees, trees):
+                assert_same_tree(actual, expected)
+            k = x.shape[1]
+            grid = np.random.default_rng(11).uniform(
+                size=(PREDICT_BLOCK_ROWS + 5, k))
+            for points in (grid, x, grid[:0]):
+                np.testing.assert_array_equal(
+                    model.predict(points),
+                    reference_ensemble_predict(init_value, trees,
+                                               hyper.learning_rate, points))
 
     def test_ensemble_with_single_leaf_trees(self):
         """Identical rows with different targets: every tree is one leaf."""

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mergemix import simplex
 from mergemix.errors import BudgetExceededError, MergeMixError, SurfaceFileError
 from mergemix.gbt import BoostHyper, GradientBoostedRegressor
 from mergemix.hierarchy import HierarchyContext, MixtureNode, optimize_top_down
@@ -137,6 +138,55 @@ class TestSeedDesign:
         np.testing.assert_array_equal(design.configs, expected.configs)
         assert design.configs.dtype == expected.configs.dtype
         assert design.provenance == expected.provenance
+
+
+def scripted_draws(script):
+    """A stand-in for `dirichlet_points` that returns the scripted points in
+    order, then real draws: the same stream whatever the batch sizes."""
+    queue = [np.asarray(p, dtype=np.float64) for p in script]
+
+    def draws(k, n, rng):
+        head, queue[:] = queue[:n], queue[n:]
+        # Through the module: the test patches the name imported here.
+        rest = simplex.dirichlet_points(k, n - len(head), rng)
+        return np.concatenate([np.reshape(head, (-1, k)), rest])
+
+    return draws
+
+
+PRIOR = normalize_simplex([0.2, 0.3, 0.5])
+A = np.array([0.1, 0.2, 0.7])
+NEAR = np.array([0.8e-9, -0.8e-9, 0.0])  # within DUPLICATE_TOL
+
+
+class TestSeedDesignRepeats:
+    """The batched random fill keeps the rows, order and provenance of a
+    scan that adds one draw at a time, whatever the draws repeat."""
+
+    @pytest.mark.parametrize("script,added", [
+        # An in-batch repeat, exact and within tolerance.
+        ([A, A, A + NEAR, [0.3, 0.3, 0.4]], [0, 3]),
+        # A draw near a rejected one but not near the row that rejected it.
+        ([A, A + NEAR, A + 2 * NEAR], [0, 2]),
+        # Repeats of a prior, a grid point and a corner.
+        ([PRIOR, PRIOR + NEAR, [0.25, 0.25, 0.5], [0.0, 1.0, 0.0], A], [4]),
+        # Every scripted draw repeats an earlier one or a prior.
+        ([A, A, A, PRIOR, A + NEAR], [0]),
+    ])
+    def test_matches_single_draw_scan(self, monkeypatch, script, added):
+        k, n, priors = 3, 3 + 12 + 1 + 6, [[0.2, 0.3, 0.5]]
+        monkeypatch.setattr("mergemix.surface.dirichlet_points",
+                            scripted_draws(script))
+        design = sample_seed_configs(k, n, priors=priors, seed=1)
+        monkeypatch.setitem(reference_seed_configs.__globals__,
+                            "dirichlet_points", scripted_draws(script))
+        expected = reference_seed_configs(k, n, priors=priors, seed=1)
+        np.testing.assert_array_equal(design.configs, expected.configs)
+        assert design.provenance == expected.provenance
+        assert design.provenance.count("prior") == 1
+        random = design.configs[-6:]
+        np.testing.assert_array_equal(random[:len(added)],
+                                      np.array(script, dtype=float)[added])
 
 
 class TestCollectSamples:
