@@ -52,7 +52,7 @@ def rank_consistency(world: World, base: np.ndarray, experts,
     params = expert_params(experts)
     merged_raw = raw_capabilities(world, merge_many(base, params, ratios))
     trained = train_on_mixtures(world, ratios, base, train_config)
-    trained_raw = raw_capabilities(world, np.stack([a.final for a in trained]))
+    trained_raw = raw_capabilities(world, np.concatenate([c[:, -1] for _, c in trained]))
 
     # One normalization context per capability over both arms, so the two
     # score lists live in the same units and the offset is meaningful.

@@ -88,6 +88,16 @@ def _prepare_run_dir(cfg: RunConfig, out_dir: str | Path) -> Path:
     return run_dir
 
 
+def _train_experts(cfg: RunConfig, world: World, base: np.ndarray, *,
+                   all_checkpoints: bool = False):
+    """(train config, experts) of the run, trained from `base`; the experts
+    record only their final checkpoint unless `all_checkpoints`."""
+    train_cfg = cfg.train_config(stable_seed(cfg.seed, "train"))
+    if not all_checkpoints:
+        train_cfg = final_only(train_cfg)
+    return train_cfg, train_all_experts(world, base, train_cfg)
+
+
 def _world_block(cfg: RunConfig, world: World) -> dict:
     block = {"domains": list(world.names)}
     if "fixture" in cfg.world_spec:
@@ -105,10 +115,10 @@ def _write_expert_artifacts(run_dir: Path, world: World,
         header = (["step"]
                   + [f"raw_{n}" for n in world.names]
                   + [f"norm_{n}" for n in world.names])
-        raws = raw_capabilities(world, np.stack([p.params for p in artifact.trajectory]))
+        raws = raw_capabilities(world, artifact.checkpoints)
         contexts = [NormContext.from_samples(column) for column in raws.T]
         scores = np.hstack([raws, normalize(raws, contexts)]).tolist()
-        rows = [[point.step, *row] for point, row in zip(artifact.trajectory, scores)]
+        rows = [[step, *row] for step, row in zip(artifact.steps, scores)]
         write_csv(run_dir / "experts" / f"{artifact.name}.trajectory.csv",
                   header, rows)
     return digests
@@ -190,8 +200,7 @@ def recalibrate(cfg: RunConfig, world: World, midpoint: np.ndarray,
     Uses the same derived seeds as the first pass, so recalibrating from
     the untouched base reproduces the original optimum exactly.
     """
-    experts = train_all_experts(world, midpoint,
-                                cfg.train_config(stable_seed(cfg.seed, "train")))
+    _, experts = _train_experts(cfg, world, midpoint)
     stage = _flat_stage(cfg, world, midpoint, experts)
     alpha_new = stage.search.weights
     return {
@@ -205,24 +214,18 @@ def recalibrate(cfg: RunConfig, world: World, midpoint: np.ndarray,
 def _continuation_curves(cfg: RunConfig, world: World, midpoint: np.ndarray,
                          alpha_old: np.ndarray, alpha_new: np.ndarray,
                          remaining_steps: int, contexts) -> list[dict]:
-    spec = cfg.utility_spec
-    curves = {}
-    for label, weights, seed_label in (
-        ("static", alpha_old, "continue-static"),
-        ("dynamic", alpha_new, "continue-dynamic"),
-    ):
+    curves = []
+    for weights, seed_label in ((alpha_old, "continue-static"),
+                                (alpha_new, "continue-dynamic")):
         run_cfg = replace(cfg.train_config(stable_seed(cfg.seed, seed_label)),
                           steps=remaining_steps)
         artifact = train_on_mixture(world, weights, midpoint, run_cfg)
-        raws = raw_capabilities(world, np.stack([p.params for p in artifact.trajectory]))
-        curves[label] = dict(zip([p.step for p in artifact.trajectory],
-                                 utilities(normalize(raws, contexts), spec).tolist()))
-    steps = sorted(curves["static"])
+        raws = raw_capabilities(world, artifact.checkpoints)
+        curves.append(utilities(normalize(raws, contexts), cfg.utility_spec).tolist())
+    # The two runs differ only in weights and seed, so they share artifact.steps.
     return [
-        {"step": step,
-         "static_utility": curves["static"][step],
-         "dynamic_utility": curves["dynamic"][step]}
-        for step in steps
+        {"step": step, "static_utility": static, "dynamic_utility": dynamic}
+        for step, static, dynamic in zip(artifact.steps, *curves)
     ]
 
 
@@ -232,8 +235,7 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path) -> Path:
     run_dir = _prepare_run_dir(cfg, out_dir)
     base = world.base_params()
 
-    experts = train_all_experts(world, base,
-                                cfg.train_config(stable_seed(cfg.seed, "train")))
+    _, experts = _train_experts(cfg, world, base, all_checkpoints=True)
     expert_digests = _write_expert_artifacts(run_dir, world, experts)
     if cfg.export_datasets:
         _export_datasets(run_dir, world)
@@ -335,6 +337,8 @@ def _config_digest(cfg: RunConfig) -> str:
 
 def run_theory(cfg: RunConfig, out_dir: str | Path) -> Path:
     """Scaling check, discrepancy sweep, curvature and cosine matrices."""
+    if int(cfg.train["steps"]) == 0:  # every expert would equal the base
+        raise ConfigError("theory needs 'train.steps' >= 1")
     world = cfg.build_world()
     run_dir = _prepare_run_dir(cfg, out_dir)
     base = world.base_params()
@@ -351,8 +355,7 @@ def run_theory(cfg: RunConfig, out_dir: str | Path) -> Path:
     ctx = TaylorContext.from_world(world, base, lr * steps)
     scaling = horizon_scaling_check(world, weights, lr, steps, base, taylor=ctx)
 
-    train_cfg = final_only(cfg.train_config(stable_seed(cfg.seed, "train")))
-    experts = train_all_experts(world, base, train_cfg)
+    train_cfg, experts = _train_experts(cfg, world, base)
     params = expert_params(experts)
 
     curvature = relative_curvature(world, base, taylor=ctx)
@@ -402,11 +405,12 @@ def run_theory(cfg: RunConfig, out_dir: str | Path) -> Path:
 def run_consistency(cfg: RunConfig, out_dir: str | Path) -> tuple[Path, float]:
     if not cfg.consistency_ratios:
         raise ConfigError("consistency requires a non-empty 'consistency.ratios' list")
+    if int(cfg.train["steps"]) == 0:  # every expert would equal the base
+        raise ConfigError("consistency needs 'train.steps' >= 1")
     world = cfg.build_world()
     run_dir = _prepare_run_dir(cfg, out_dir)
     base = world.base_params()
-    train_cfg = final_only(cfg.train_config(stable_seed(cfg.seed, "train")))
-    experts = train_all_experts(world, base, train_cfg)
+    train_cfg, experts = _train_experts(cfg, world, base)
     result = rank_consistency(world, base, experts,
                               [np.asarray(r) for r in cfg.consistency_ratios],
                               train_cfg, cfg.utility_spec)

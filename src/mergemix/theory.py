@@ -12,16 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import islice
 
 import numpy as np
 
 from .errors import DegenerateInputError, DimensionError, MergeMixError, NumericError
 from .merging import merge, merge_rows
 from .params import as_params
-from .simplex import normalize_simplex, normalize_simplex_rows
+from .simplex import normalize_simplex
 from .training import (
-    MIXTURE_BLOCK_ROWS,
     TrainConfig,
     final_only,
     train_expert,
@@ -196,23 +194,18 @@ def discrepancy_sweep(world: World, base: np.ndarray, experts, grid,
 
     Returns an (n, 5) array of norms per row: delta, cross interference,
     self scaling, the observed gap and the residual observed - delta. The
-    whole grid trains in one `train_on_mixtures` call; each block of
-    MIXTURE_BLOCK_ROWS trained rows is merged and predicted as soon as it
-    is done, so memory stays bounded on large grids.
+    whole grid trains in one `train_on_mixtures` call; each block that
+    training yields is merged and predicted as soon as it is done, so
+    memory stays bounded on large grids.
     """
-    trained = train_on_mixtures(world, grid, base, train_config)
-    lams = normalize_simplex_rows(grid, ctx.num_domains)
-    norms = np.empty((lams.shape[0], 5))
-    for lo in range(0, lams.shape[0], MIXTURE_BLOCK_ROWS):
-        block = slice(lo, lo + MIXTURE_BLOCK_ROWS)
-        artifacts = list(islice(trained, MIXTURE_BLOCK_ROWS))
-        delta, cross, self_term = _discrepancy_parts(ctx, lams[block])
-        observed = (np.stack([artifact.final for artifact in artifacts])
-                    - merge_rows(base, experts, lams[block]))
-        norms[block] = np.column_stack([
+    norms = [np.empty((0, 5))]
+    for lams, checkpoints in train_on_mixtures(world, grid, base, train_config):
+        delta, cross, self_term = _discrepancy_parts(ctx, lams)
+        observed = checkpoints[:, -1] - merge_rows(base, experts, lams)
+        norms.append(np.column_stack([
             _row_norms(x) for x in (delta, cross, self_term, observed, observed - delta)
-        ])
-    return norms
+        ]))
+    return np.concatenate(norms)
 
 
 def _simulate_gap(world: World, weights, base: np.ndarray,

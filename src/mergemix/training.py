@@ -6,7 +6,7 @@ the full-batch analytic gradient; regression domains support seeded
 mini-batching. Mixture runs draw each mini-batch from domain k with
 probability lambda_k, or descend the exact mixed gradient when full-batch.
 
-Training reads a world only for gradients: a checkpoint is a step and its
+Training reads a world only for gradients: a run's checkpoints are its
 parameters, and a caller that reads capabilities scores them itself.
 
 Every run goes through one descent over an (n, P) stack of parameter
@@ -31,7 +31,7 @@ from .simplex import normalize_simplex_rows
 from .worlds import World
 
 # Full-batch mixtures descend in lockstep blocks of this many rows. Larger
-# blocks ran no faster on a 1,771-row sweep and hold more trajectories at once.
+# blocks ran no faster on a 1,771-row sweep and hold more checkpoints at once.
 MIXTURE_BLOCK_ROWS = 128
 
 
@@ -54,6 +54,11 @@ class TrainConfig:
         if self.batch_size != "full" and int(self.batch_size) < 1:
             raise MergeMixError("batch size must be 'full' or a positive integer")
 
+    @property
+    def checkpoint_steps(self) -> tuple[int, ...]:
+        """The steps a run records: 0, every interval, and the last step."""
+        return (*range(0, self.steps, self.checkpoint_interval), self.steps)
+
 
 def final_only(config: TrainConfig) -> TrainConfig:
     """The same training, recording no intermediate checkpoints."""
@@ -61,21 +66,17 @@ def final_only(config: TrainConfig) -> TrainConfig:
 
 
 @dataclass(frozen=True)
-class TrajectoryPoint:
-    step: int
-    params: np.ndarray
-
-
-@dataclass(frozen=True)
 class ExpertArtifact:
+    """One trained run: `checkpoints[i]` holds its parameters at `steps[i]`."""
+
     name: str
-    final: np.ndarray
-    trajectory: tuple[TrajectoryPoint, ...]
+    steps: tuple[int, ...]
+    checkpoints: np.ndarray
     mixture: tuple[float, ...] | None = None
 
     @property
-    def task_vector(self) -> np.ndarray:
-        return self.final - self.trajectory[0].params
+    def final(self) -> np.ndarray:
+        return self.checkpoints[-1]
 
 
 def expert_params(experts) -> list[np.ndarray]:
@@ -103,16 +104,20 @@ class _BatchStream:
 
 
 def _descend(grad_fn, base: np.ndarray, rows: int,
-             config: TrainConfig) -> list[tuple[np.ndarray, tuple[TrajectoryPoint, ...]]]:
-    """Descend `rows` runs from `base` in lockstep, one stack row per run.
+             config: TrainConfig) -> np.ndarray:
+    """Descend `rows` runs from `base` in lockstep, one stack row per run,
+    and return their (rows, C, P) checkpoints at `config.checkpoint_steps`.
 
     `grad_fn(theta)` returns the gradients of the stack `theta`, which
     holds the first m <= rows runs. Once a row turns non-finite, the rows
     after it are dropped, and the step of the first diverged row in input
     order is raised when the descent ends.
     """
+    schedule = config.checkpoint_steps
+    checkpoints = np.empty((rows, len(schedule), base.shape[0]))
+    checkpoints[:, 0] = base
     theta = np.repeat(base[None, :], rows, axis=0)
-    trajectories = [[TrajectoryPoint(0, base.copy())] for _ in range(rows)]
+    recorded = 1
     diverged_at = None
     for step in range(1, config.steps + 1):
         with np.errstate(over="ignore", invalid="ignore"):  # divergence is handled
@@ -123,14 +128,12 @@ def _descend(grad_fn, base: np.ndarray, rows: int,
             theta = theta[: int(np.argmin(finite))]
             if theta.shape[0] == 0:
                 break
-        if diverged_at is None and (step % config.checkpoint_interval == 0
-                                    or step == config.steps):
-            for trajectory, row in zip(trajectories, theta):
-                trajectory.append(TrajectoryPoint(step, row.copy()))
+        if diverged_at is None and step == schedule[recorded]:
+            checkpoints[:, recorded] = theta
+            recorded += 1
     if diverged_at is not None:
         raise TrainingDiverged(diverged_at)
-    return [(trajectory[-1].params.copy(), tuple(trajectory))
-            for trajectory in trajectories]
+    return checkpoints
 
 
 def _use_full_batch(world: World, config: TrainConfig) -> bool:
@@ -160,8 +163,8 @@ def train_expert(world: World, domain_index: int, base: np.ndarray,
         grad_fn = lambda theta: world.grad_on(
             domain_index, theta[0], stream.next_batch()
         )
-    [(final, trajectory)] = _descend(grad_fn, base, 1, config)
-    return ExpertArtifact(name, final, trajectory)
+    [checkpoints] = _descend(grad_fn, base, 1, config)
+    return ExpertArtifact(name, config.checkpoint_steps, checkpoints)
 
 
 def _mixed_grad_fn(world: World, lam: np.ndarray):
@@ -201,41 +204,39 @@ def _minibatch_grad_fn(world: World, lam: np.ndarray, config: TrainConfig):
 
 
 def train_on_mixtures(world: World, weights, base: np.ndarray,
-                      config: TrainConfig) -> Iterator[ExpertArtifact]:
+                      config: TrainConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Train one model per weight row on that lambda-weighted mixture of all
     domains, all from the same base.
 
-    The weights are validated up front; the artifacts are then yielded in
-    input order as training reaches them. Full-batch runs descend together
-    in blocks of MIXTURE_BLOCK_ROWS rows, so a caller that keeps only what
-    it reads holds one block of trajectories at a time. Mini-batch runs
-    draw from their own seeded streams and run one at a time. A diverging
-    run raises TrainingDiverged with the step of the first diverged run in
-    input order.
+    The weights are validated up front; then one `(lams, checkpoints)` pair
+    per lockstep block is yielded in input order: its (b, K) weight rows and
+    their (b, C, P) checkpoints. Full-batch blocks hold MIXTURE_BLOCK_ROWS
+    rows; mini-batch runs draw from their own seeded streams, one per block.
+    A diverging run raises TrainingDiverged with the step of the first
+    diverged run in input order.
     """
     base = _check_base(world, base)
     lams = normalize_simplex_rows(weights, world.num_domains)
-    return _mixture_artifacts(world, lams, base, config)
+    return _mixture_blocks(world, lams, base, config)
 
 
-def _mixture_artifacts(world: World, lams: np.ndarray, base: np.ndarray,
-                       config: TrainConfig) -> Iterator[ExpertArtifact]:
+def _mixture_blocks(world: World, lams: np.ndarray, base: np.ndarray,
+                    config: TrainConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     full_batch = _use_full_batch(world, config)
     size = MIXTURE_BLOCK_ROWS if full_batch else 1
     for i in range(0, lams.shape[0], size):
         block = lams[i : i + size]
         grad_fn = (_mixed_grad_fn(world, block) if full_batch
                    else _minibatch_grad_fn(world, block[0], config))
-        runs = _descend(grad_fn, base, block.shape[0], config)
-        for lam, (final, trajectory) in zip(block.tolist(), runs):
-            yield ExpertArtifact("mixture", final, trajectory, mixture=tuple(lam))
+        yield block, _descend(grad_fn, base, block.shape[0], config)
 
 
 def train_on_mixture(world: World, weights, base: np.ndarray,
                      config: TrainConfig) -> ExpertArtifact:
     """Train a single model on the lambda-weighted mixture of all domains."""
-    [artifact] = train_on_mixtures(world, [weights], base, config)
-    return artifact
+    [(lams, checkpoints)] = train_on_mixtures(world, [weights], base, config)
+    return ExpertArtifact("mixture", config.checkpoint_steps, checkpoints[0],
+                          mixture=tuple(lams[0].tolist()))
 
 
 def train_all_experts(world: World, base: np.ndarray,

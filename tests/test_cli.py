@@ -45,6 +45,27 @@ def write_config(tmp_path, payload, name="config.json") -> Path:
     return path
 
 
+def tree_bytes(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def assert_zero_steps_keep_earlier_run(tmp_path, capsys, command, payload):
+    """A rerun with `train.steps: 0` exits 2 before touching the earlier run:
+    every expert would equal the base, so the run could only fail."""
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, payload)
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    earlier = tree_bytes(out)
+    capsys.readouterr()
+    zero = write_config(tmp_path, dict(payload, train=dict(payload["train"], steps=0)),
+                        name="zero.json")
+    assert main([command, "--config", str(zero), "--out", str(out)]) == 2
+    assert (f"config error: {command} needs 'train.steps' >= 1"
+            in capsys.readouterr().err)
+    assert tree_bytes(out) == earlier
+
+
 @pytest.fixture(scope="module")
 def pipeline_run(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("pipe")
@@ -364,6 +385,10 @@ class TestTheoryCommand:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_zero_training_steps_exit_2_before_the_run_directory(
+            self, tmp_path, capsys):
+        assert_zero_steps_keep_earlier_run(tmp_path, capsys, "theory", QW2_THEORY)
+
     def test_report_failing_its_schema_exits_1_without_report(
             self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("mergemix.pipeline.THEORY_FORMAT", "mm-theory-v0")
@@ -399,6 +424,11 @@ class TestConsistencyCommand:
                      "--out", str(out)]) == 2
         assert "at least 3 ratios" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_zero_training_steps_exit_2_before_the_run_directory(
+            self, tmp_path, capsys):
+        assert_zero_steps_keep_earlier_run(tmp_path, capsys, "consistency",
+                                           QW2_CONSISTENCY)
 
     def test_empty_ratio_list_exits_2_with_usage(self, tmp_path, capsys):
         payload = dict(QW2_CONSISTENCY)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mergemix.training
 from mergemix.errors import DegenerateInputError, MergeMixError
 from mergemix.simplex import dirichlet_points, normalize_simplex, simplex_lattice
 from mergemix.theory import (
@@ -185,6 +186,20 @@ class TestBatchedSweepMatchesReference:
         got = discrepancy_sweep(world, base, params, grid, ctx, config)
         want = reference_sweep(world, base, params, grid, ctx, config)
         assert got.shape == (grid.shape[0], 5)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("block_rows", [1, 7])
+    def test_norms_independent_of_training_block_size(self, monkeypatch, qw4,
+                                                      block_rows):
+        """The sweep reads training's blocks as they come, whatever their size."""
+        base = qw4.base_params()
+        config = TrainConfig(learning_rate=0.01, steps=50, checkpoint_interval=50)
+        params = [e.final for e in train_all_experts(qw4, base, config)]
+        ctx = TaylorContext.from_world(qw4, base, 0.5)
+        grid = simplex_lattice(4, 7)  # 120 rows: 17 blocks of 7 and one of 1
+        want = discrepancy_sweep(qw4, base, params, grid, ctx, config)
+        monkeypatch.setattr(mergemix.training, "MIXTURE_BLOCK_ROWS", block_rows)
+        got = discrepancy_sweep(qw4, base, params, grid, ctx, config)
         assert got.tobytes() == want.tobytes()
 
     def test_one_row_discrepancy_matches_reference(self):

@@ -75,26 +75,34 @@ def reference_expert(world, k, base, config):
     return reference_descend(world, grad_fn, base, config)
 
 
-def assert_same_run(world, artifact, reference):
-    """Same checkpoints and parameters, and the checkpoints score as the
+def assert_same_run(world, steps, checkpoints, reference):
+    """Same checkpoint steps and parameters, and the checkpoints score as the
     reference's did while it trained."""
     final, trajectory = reference
-    assert artifact.final.tobytes() == final.tobytes()
-    assert len(artifact.trajectory) == len(trajectory)
-    for point, (step, params, scores) in zip(artifact.trajectory, trajectory):
-        assert point.step == step
-        assert point.params.tobytes() == params.tobytes()
-        got = raw_capabilities(world, point.params)
-        assert np.array(got).tobytes() == np.array(scores).tobytes()
+    assert checkpoints[-1].tobytes() == final.tobytes()
+    assert list(steps) == [step for step, _, _ in trajectory]
+    assert checkpoints.shape[0] == len(trajectory)
+    for got, (_, params, scores) in zip(checkpoints, trajectory):
+        assert got.tobytes() == params.tobytes()
+        assert (np.array(raw_capabilities(world, got)).tobytes()
+                == np.array(scores).tobytes())
 
 
 def assert_matches_reference(world, grid, config):
+    """Every row of every yielded block trains as the reference does, and
+    the blocks hold MIXTURE_BLOCK_ROWS rows (one per mini-batch run)."""
     base = world.base_params()
-    artifacts = list(train_on_mixtures(world, grid, base, config))
-    assert len(artifacts) == len(grid)
-    for lam, artifact in zip(grid, artifacts):
-        assert artifact.mixture == tuple(normalize_simplex(lam).tolist())
-        assert_same_run(world, artifact, reference_mixture(world, lam, base, config))
+    blocks = list(train_on_mixtures(world, grid, base, config))
+    full_batch = config.batch_size == "full" or world.train_size(0) == 0
+    size = MIXTURE_BLOCK_ROWS if full_batch else 1
+    assert [len(lams) for lams, _ in blocks] == [
+        min(size, len(grid) - i) for i in range(0, len(grid), size)]
+    rows = [(lam, run) for lams, checkpoints in blocks
+            for lam, run in zip(lams, checkpoints)]
+    for lam, (got_lam, run) in zip(grid, rows):
+        assert got_lam.tobytes() == normalize_simplex(lam).tobytes()
+        assert_same_run(world, config.checkpoint_steps, run,
+                        reference_mixture(world, lam, base, config))
 
 
 def closed_form_descent(minimizer, curvature, theta0, lr, steps):
@@ -108,7 +116,8 @@ class TestTrainExpert:
         cfg = TrainConfig(learning_rate=0.1, steps=0)
         art = train_expert(qw2, 0, qw2.base_params(), cfg)
         np.testing.assert_array_equal(art.final, qw2.base_params())
-        assert len(art.trajectory) == 1
+        assert art.steps == (0,)
+        assert art.checkpoints.shape == (1, qw2.dim)
 
     def test_single_exact_step(self, qw2):
         cfg = TrainConfig(learning_rate=0.1, steps=1)
@@ -124,32 +133,32 @@ class TestTrainExpert:
         cfg = TrainConfig(learning_rate=0.07, steps=37, checkpoint_interval=5)
         art = train_expert(qw2, 1, qw2.base_params(), cfg)
         q = qw2.quadratics[1]
-        for point in art.trajectory:
+        for step, params in zip(art.steps, art.checkpoints):
             expected = closed_form_descent(q.minimizer, q.curvature,
-                                           qw2.base_params(), 0.07, point.step)
-            np.testing.assert_allclose(point.params, expected, atol=1e-10)
+                                           qw2.base_params(), 0.07, step)
+            np.testing.assert_allclose(params, expected, atol=1e-10)
 
     def test_shared_initialization(self, qw2_experts, qw2):
         for art in qw2_experts:
-            assert art.trajectory[0].step == 0
-            np.testing.assert_array_equal(art.trajectory[0].params,
-                                          qw2.base_params())
+            assert art.steps[0] == 0
+            np.testing.assert_array_equal(art.checkpoints[0], qw2.base_params())
 
     def test_constant_step_norm(self, qw2):
         lr = 0.05
         cfg = TrainConfig(learning_rate=lr, steps=6, checkpoint_interval=1)
         art = train_expert(qw2, 0, qw2.base_params(), cfg)
-        for prev, cur in zip(art.trajectory, art.trajectory[1:]):
-            step_norm = np.linalg.norm(cur.params - prev.params)
-            grad_norm = np.linalg.norm(qw2.grad(0, prev.params))
+        for prev, cur in zip(art.checkpoints, art.checkpoints[1:]):
+            step_norm = np.linalg.norm(cur - prev)
+            grad_norm = np.linalg.norm(qw2.grad(0, prev))
             assert step_norm == pytest.approx(lr * grad_norm, rel=1e-12)
 
     def test_steps_strictly_increasing_final_matches(self, qw2):
         cfg = TrainConfig(learning_rate=0.05, steps=7, checkpoint_interval=3)
         art = train_expert(qw2, 0, qw2.base_params(), cfg)
-        steps = [p.step for p in art.trajectory]
+        steps = list(art.steps)
         assert steps == sorted(set(steps)) and steps[-1] == 7
-        np.testing.assert_array_equal(art.final, art.trajectory[-1].params)
+        assert art.checkpoints.shape == (len(steps), qw2.dim)
+        np.testing.assert_array_equal(art.final, art.checkpoints[-1])
 
     def test_determinism_bit_identical(self, qw2):
         cfg = TrainConfig(learning_rate=0.05, steps=9, checkpoint_interval=2,
@@ -157,10 +166,10 @@ class TestTrainExpert:
         a = train_expert(qw2, 1, qw2.base_params(), cfg)
         b = train_expert(qw2, 1, qw2.base_params(), cfg)
         assert np.array_equal(a.final, b.final)
-        for pa, pb in zip(a.trajectory, b.trajectory):
-            assert np.array_equal(pa.params, pb.params)
-            assert (np.array(raw_capabilities(qw2, pa.params)).tobytes()
-                    == np.array(raw_capabilities(qw2, pb.params)).tobytes())
+        assert a.checkpoints.tobytes() == b.checkpoints.tobytes()
+        for pa, pb in zip(a.checkpoints, b.checkpoints):
+            assert (np.array(raw_capabilities(qw2, pa)).tobytes()
+                    == np.array(raw_capabilities(qw2, pb)).tobytes())
 
     def test_divergence_reports_step(self, qw2):
         cfg = TrainConfig(learning_rate=3.0, steps=2000, checkpoint_interval=2000)
@@ -187,15 +196,19 @@ class TestTrainExpert:
 
 
 class TestTrainOnMixture:
-    def test_one_hot_equals_expert_bitwise(self, qw2):
+    @pytest.mark.parametrize("fixture", ["qw2", "qw4", "qw_sep", "toy_world"])
+    def test_one_hot_equals_expert_bitwise(self, request, fixture):
+        """Bytes, not values: np.array_equal would take -0.0 for 0.0."""
+        world = request.getfixturevalue(fixture)
         cfg = TrainConfig(learning_rate=0.05, steps=8, checkpoint_interval=2,
                           seed=5)
-        for k, lam in enumerate(([1.0, 0.0], [0.0, 1.0])):
-            mix = train_on_mixture(qw2, lam, qw2.base_params(), cfg)
-            exp = train_expert(qw2, k, qw2.base_params(), cfg)
-            assert np.array_equal(mix.final, exp.final)
-            for pm, pe in zip(mix.trajectory, exp.trajectory):
-                assert np.array_equal(pm.params, pe.params)
+        for k, lam in enumerate(np.eye(world.num_domains)):
+            mix = train_on_mixture(world, lam, world.base_params(), cfg)
+            exp = train_expert(world, k, world.base_params(), cfg)
+            assert mix.steps == exp.steps
+            assert len(mix.checkpoints) == len(exp.checkpoints)
+            for pm, pe in zip(mix.checkpoints, exp.checkpoints):
+                assert pm.tobytes() == pe.tobytes()
 
     def test_single_exact_mixture_step(self, qw2):
         cfg = TrainConfig(learning_rate=0.1, steps=1)
@@ -248,6 +261,13 @@ class TestConfigAndDefaults:
         with pytest.raises(MergeMixError):
             TrainConfig(learning_rate=0.1, steps=-1)
 
+    @pytest.mark.parametrize("steps,interval", [(0, 1), (6, 2), (7, 3), (5, 10)])
+    def test_checkpoint_steps_are_the_reference_schedule(self, qw2, steps, interval):
+        cfg = TrainConfig(learning_rate=0.05, steps=steps,
+                          checkpoint_interval=interval)
+        _, trajectory = reference_expert(qw2, 0, qw2.base_params(), cfg)
+        assert cfg.checkpoint_steps == tuple(step for step, _, _ in trajectory)
+
 
 class TestStackedMixturesMatchReference:
     @pytest.mark.parametrize("interval", [1, 3, 7])
@@ -271,9 +291,10 @@ class TestStackedMixturesMatchReference:
         for lam in (np.full(k, 1.0 / k), np.eye(k)[k - 1],
                     dirichlet_points(k, 1, rng_for(3, "one-row"))[0]):
             assert_matches_reference(world, [lam], cfg)
-            assert_same_run(world,
-                            train_on_mixture(world, lam, world.base_params(), cfg),
-                            reference_mixture(world, lam, world.base_params(), cfg))
+            art = train_on_mixture(world, lam, world.base_params(), cfg)
+            assert art.mixture == tuple(normalize_simplex(lam).tolist())
+            assert_same_run(world, art.steps, art.checkpoints, reference_mixture(
+                world, lam, world.base_params(), cfg))
 
     def test_theory_sweep_horizon(self, qw4):
         """The theory runner's grid and horizon: lr 0.01 x 50, finals only."""
@@ -308,7 +329,8 @@ class TestStackedMixturesMatchReference:
         cfg = TrainConfig(learning_rate=0.05, steps=6, batch_size=batch,
                           checkpoint_interval=4, seed=17)
         for k in range(world.num_domains):
-            assert_same_run(world, train_expert(world, k, world.base_params(), cfg),
+            art = train_expert(world, k, world.base_params(), cfg)
+            assert_same_run(world, art.steps, art.checkpoints,
                             reference_expert(world, k, world.base_params(), cfg))
 
 
@@ -348,11 +370,11 @@ class TestTrainingNeverScores:
 
     def test_train_expert(self, qw2):
         art = train_expert(qw2, 1, qw2.base_params(), self.CFG)
-        assert [p.step for p in art.trajectory] == [0, 2, 4, 6]
+        assert art.steps == (0, 2, 4, 6)
 
     def test_train_on_mixture(self, qw2):
         art = train_on_mixture(qw2, [0.3, 0.7], qw2.base_params(), self.CFG)
-        assert len(art.trajectory) == 4
+        assert art.checkpoints.shape == (4, qw2.dim)
 
     @pytest.mark.parametrize("fixture,batch", [("qw4", "full"), ("toy_world", 8)])
     def test_train_on_mixtures(self, request, fixture, batch):
@@ -360,8 +382,8 @@ class TestTrainingNeverScores:
         grid = simplex_lattice(world.num_domains, 2)
         cfg = TrainConfig(learning_rate=0.05, steps=6, batch_size=batch,
                           checkpoint_interval=2, seed=3)
-        artifacts = list(train_on_mixtures(world, grid, world.base_params(), cfg))
-        assert len(artifacts) == len(grid)
+        blocks = list(train_on_mixtures(world, grid, world.base_params(), cfg))
+        assert sum(len(checkpoints) for _, checkpoints in blocks) == len(grid)
 
 
 class TestStackedDivergence:
