@@ -43,9 +43,7 @@ from .stats import (
     utility,
 )
 from .surface import (
-    SeedDesign,
     SurfaceModel,
-    SurfaceSample,
     collect_samples,
     fit_surface,
     run_search_stage,

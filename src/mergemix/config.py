@@ -204,6 +204,13 @@ def _validate_cross_fields(cfg: RunConfig) -> None:
                 f"hierarchy leaves {sorted(leaves)} must cover exactly the "
                 f"world domains {sorted(world.names)}"
             )
+        # The root's split is the run's global search; one child leaves
+        # nothing to search.
+        if len(tree.children) < 2:
+            raise ConfigError(
+                f"hierarchy root {tree.name!r} needs at least 2 children, "
+                f"got {len(tree.children)}"
+            )
         search_sizes = [len(node.children) for node in tree.iter_internal()]
     steps = lattice_steps(cfg.resolution)
     for size in search_sizes:

@@ -143,9 +143,9 @@ def _collect_shares(node: MixtureNode, mass: float, names: list[str],
 class HierarchyContext:
     """Shared machinery for every per-node search.
 
-    Each search pass is recorded in stage_log, keyed by its seed labels
-    (("design",) for the global split, ("design", node name) for
-    within-cluster splits), so callers can persist the surfaces that
+    Each search pass's StageResult is recorded in stage_log, keyed by its
+    seed labels (("design",) for the global split, ("design", node name)
+    for within-cluster splits), so callers can persist the surfaces that
     produced the weights. A within-cluster surface maps only the cluster's
     capabilities.
     """
@@ -206,7 +206,7 @@ class HierarchyContext:
             resolution=self.resolution,
             budget=self.budget,
         )
-        self.stage_log[seed_labels] = {"stage": result, "experts": list(experts)}
+        self.stage_log[seed_labels] = result
         return result
 
 

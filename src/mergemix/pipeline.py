@@ -125,13 +125,12 @@ def _write_expert_artifacts(run_dir: Path, world: World,
 
 
 def _write_samples(run_dir: Path, stage: StageResult, world: World) -> None:
-    k = stage.design.configs.shape[1]
+    k = stage.configs.shape[1]
     header = ([f"alpha_{i + 1}" for i in range(k)]
               + [f"y_{i + 1}" for i in range(world.num_domains)]
               + ["digest"])
-    rows = []
-    for sample in stage.samples:
-        rows.append([*sample.weights.tolist(), *sample.scores, sample.digest])
+    rows = ([*weights, *scores, digest] for weights, scores, digest
+            in zip(stage.configs.tolist(), stage.scores.tolist(), stage.digests))
     write_csv(run_dir / SAMPLES_FILE, header, rows)
 
 
@@ -160,7 +159,7 @@ def _flat_stage(cfg: RunConfig, world: World, base: np.ndarray,
 
 def _optimize_hierarchy(cfg: RunConfig, world: World, base: np.ndarray,
                         experts: list[ExpertArtifact]):
-    """Optimized tree plus the global stage and the experts it searched over."""
+    """Optimized tree plus the global stage."""
     ctx = HierarchyContext(
         world=world, base=base, experts=experts,
         design_size=cfg.design_size, hyper=cfg.hyper,
@@ -170,10 +169,10 @@ def _optimize_hierarchy(cfg: RunConfig, world: World, base: np.ndarray,
     optimize = (optimize_top_down if cfg.mode == "hierarchical-top-down"
                 else optimize_bottom_up)
     tree = optimize(cfg.build_tree(), ctx)
-    logged = ctx.stage_log.get(("design",))
-    if logged is None:
+    stage = ctx.stage_log.get(("design",))
+    if stage is None:
         raise MergeMixError("hierarchy optimization never ran a root search")
-    return tree, logged["stage"], logged["experts"]
+    return tree, stage
 
 
 def _hierarchy_report(cfg: RunConfig, world: World, base: np.ndarray,
@@ -250,20 +249,20 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path) -> Path:
 
     tree = None
     if cfg.mode in HIERARCHICAL_MODES:
-        tree, stage, stage_experts = _optimize_hierarchy(cfg, world, base, experts)
+        tree, stage = _optimize_hierarchy(cfg, world, base, experts)
         leaf_names, shares = flatten_ratios(tree)
         by_name = dict(zip(leaf_names, shares.tolist()))
         weights = np.asarray([by_name[name] for name in world.names])
     else:
-        stage, stage_experts = _flat_stage(cfg, world, base, experts), experts
+        stage = _flat_stage(cfg, world, base, experts)
         weights = stage.search.weights
     _write_samples(run_dir, stage, world)
     write_json(run_dir / SURFACE_FILE, stage.model.lazy_dict())
-    report["optimum"] = verify_optimum(world, base, stage_experts,
+    report["optimum"] = verify_optimum(world, base, stage.experts,
                                        stage.model, stage.search)
     if tree is not None:
         hierarchy = _hierarchy_report(cfg, world, base, experts, tree, weights,
-                                      stage.contexts)
+                                      stage.model.contexts)
         report["hierarchy"] = hierarchy
         write_json(run_dir / "hierarchy.tree.json", tree.to_dict())
         write_csv(run_dir / "hierarchy.ratios.csv",
@@ -286,7 +285,7 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path) -> Path:
         recal = recalibrate(cfg, world, midpoint, weights)
         curve = _continuation_curves(
             cfg, world, midpoint, weights,
-            np.asarray(recal["alpha_new"]), total - half, stage.contexts)
+            np.asarray(recal["alpha_new"]), total - half, stage.model.contexts)
         recal["total_steps"] = total
         recal["midpoint_step"] = half
         recal["continuation"] = curve
@@ -337,8 +336,6 @@ def _config_digest(cfg: RunConfig) -> str:
 
 def run_theory(cfg: RunConfig, out_dir: str | Path) -> Path:
     """Scaling check, discrepancy sweep, curvature and cosine matrices."""
-    if int(cfg.train["steps"]) == 0:  # every expert would equal the base
-        raise ConfigError("theory needs 'train.steps' >= 1")
     world = cfg.build_world()
     run_dir = _prepare_run_dir(cfg, out_dir)
     base = world.base_params()
@@ -346,7 +343,7 @@ def run_theory(cfg: RunConfig, out_dir: str | Path) -> Path:
     k = world.num_domains
 
     lr = float(cfg.theory.get("learning_rate", cfg.train["learning_rate"]))
-    steps = int(cfg.theory.get("steps", max(1, int(cfg.train["steps"]))))
+    steps = int(cfg.theory.get("steps", cfg.train["steps"]))
     weights = np.asarray(cfg.theory.get("weights", uniform_weights(k)))
     sweep_res = float(cfg.theory.get("sweep_resolution", 0.1))
 
@@ -405,8 +402,6 @@ def run_theory(cfg: RunConfig, out_dir: str | Path) -> Path:
 def run_consistency(cfg: RunConfig, out_dir: str | Path) -> tuple[Path, float]:
     if not cfg.consistency_ratios:
         raise ConfigError("consistency requires a non-empty 'consistency.ratios' list")
-    if int(cfg.train["steps"]) == 0:  # every expert would equal the base
-        raise ConfigError("consistency needs 'train.steps' >= 1")
     world = cfg.build_world()
     run_dir = _prepare_run_dir(cfg, out_dir)
     base = world.base_params()

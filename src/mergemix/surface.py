@@ -49,16 +49,6 @@ READABLE_SURFACE_FORMATS = ("mm-surface-v1", SURFACE_FORMAT)
 DUPLICATE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SeedDesign:
-    configs: np.ndarray
-    provenance: tuple[str, ...]
-
-    @property
-    def size(self) -> int:
-        return self.configs.shape[0]
-
-
 def _close_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (i, j), j ascending, with max |a[i] - b[j]| <= DUPLICATE_TOL.
 
@@ -91,8 +81,9 @@ def _new_rows(taken: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     return added
 
 
-def sample_seed_configs(k: int, n: int, priors=(), seed: int = 0) -> SeedDesign:
-    """Corners, then a resolution-1/4 grid, then priors, then random fill.
+def sample_seed_configs(k: int, n: int, priors=(), seed: int = 0) -> np.ndarray:
+    """(n, k) design: corners, then a resolution-1/4 grid, then priors, then
+    random fill.
 
     Returns exactly n distinct simplex points; the grid is subsampled
     (seeded) when it alone would overflow the budget. The random fill is
@@ -105,42 +96,31 @@ def sample_seed_configs(k: int, n: int, priors=(), seed: int = 0) -> SeedDesign:
         raise MergeMixError(f"design size {n} cannot hold the {k} corners plus one")
     rng = rng_for(seed, "seed-design")
     rows = np.empty((n, k))
-    provenance: list[str] = []
-
-    def add(points: np.ndarray, label: str) -> None:
-        rows[len(provenance):len(provenance) + points.shape[0]] = points
-        provenance.extend([label] * points.shape[0])
-
-    add(np.eye(k), "corner")
+    rows[:k] = np.eye(k)
     lattice = simplex_lattice(k, 4)
     grid = np.delete(lattice, _close_pairs(rows[:k], lattice)[1], axis=0)
-    room = n - len(provenance)
-    if grid.shape[0] > room:
-        keep = sorted(rng.choice(grid.shape[0], size=room, replace=False).tolist())
+    if grid.shape[0] > n - k:
+        keep = sorted(rng.choice(grid.shape[0], size=n - k, replace=False).tolist())
         grid = grid[keep]
-    add(grid, "grid")
+    filled = k + grid.shape[0]
+    rows[k:filled] = grid
 
     for prior in priors:
-        if len(provenance) >= n:
+        if filled >= n:
             break
         p = normalize_simplex(prior)
         if p.shape[0] != k:
             raise DimensionError(f"prior has length {p.shape[0]}, expected {k}")
-        if _new_rows(rows[:len(provenance)], p[None])[0]:
-            add(p[None], "prior")
+        if _new_rows(rows[:filled], p[None])[0]:
+            rows[filled] = p
+            filled += 1
 
-    while len(provenance) < n:
-        draws = dirichlet_points(k, n - len(provenance), rng)
-        add(draws[_new_rows(rows[:len(provenance)], draws)], "random")
-
-    return SeedDesign(rows, tuple(provenance))
-
-
-@dataclass(frozen=True)
-class SurfaceSample:
-    weights: np.ndarray
-    scores: tuple[float, ...]  # normalized capability scores in [0, 1]
-    digest: str
+    while filled < n:
+        draws = dirichlet_points(k, n - filled, rng)
+        draws = draws[_new_rows(rows[:filled], draws)]
+        rows[filled:filled + draws.shape[0]] = draws
+        filled += draws.shape[0]
+    return rows
 
 
 def collect_raw_scores(world: World, base: np.ndarray, experts, configs):
@@ -150,23 +130,20 @@ def collect_raw_scores(world: World, base: np.ndarray, experts, configs):
     return raw_capabilities(world, merged), [params_digest(theta) for theta in merged]
 
 
-def collect_samples(world: World, base: np.ndarray, experts,
-                    design: SeedDesign) -> tuple[list[SurfaceSample], list[NormContext]]:
-    """Evaluate the whole design; the design population is the normalization
-    context for every capability."""
-    raws, digests = collect_raw_scores(world, base, experts, design.configs)
+def collect_samples(world: World, base: np.ndarray, experts, configs):
+    """Evaluate the design: (n, M) normalized scores, the contexts and the
+    merge digests. The design population is the normalization context for
+    every capability."""
+    raws, digests = collect_raw_scores(world, base, experts, configs)
     contexts = [NormContext.from_samples(column) for column in raws.T]
-    samples = [SurfaceSample(weights, tuple(scores), digest)
-               for weights, scores, digest
-               in zip(design.configs, normalize(raws, contexts).tolist(), digests)]
-    return samples, contexts
+    return normalize(raws, contexts), contexts, digests
 
 
-def _samples_digest(samples: list[SurfaceSample]) -> str:
+def _samples_digest(x: np.ndarray, scores: np.ndarray) -> str:
     h = hashlib.sha256()
-    for s in samples:
-        h.update(repr(s.weights.tolist()).encode())
-        h.update(repr(list(s.scores)).encode())
+    for weights, row in zip(x.tolist(), scores.tolist()):
+        h.update(repr(weights).encode())
+        h.update(repr(row).encode())
     return h.hexdigest()
 
 
@@ -295,27 +272,23 @@ def load_surface(path) -> SurfaceModel:
         raise SurfaceFileError(f"malformed surface file {path}: {exc}") from None
 
 
-def fit_surface(samples: list[SurfaceSample], capabilities: list[str],
+def fit_surface(x: np.ndarray, scores: np.ndarray, capabilities: list[str],
                 contexts: list[NormContext],
                 hyper: BoostHyper | None = None,
                 utility_spec: UtilitySpec | None = None) -> SurfaceModel:
-    """Train one boosted ensemble on (weights -> score) per capability the
-    utility reads (`utility_columns`); the others stay None."""
+    """Train one boosted ensemble on (x -> scores[:, m]) per capability m the
+    utility reads (`utility_columns`); the others stay None. `x` holds the
+    (n, K) weights, `scores` the (n, M) normalized scores."""
     hyper = hyper or BoostHyper()
     utility_spec = utility_spec or UtilitySpec()
-    if not samples:
-        raise MergeMixError("cannot fit a surface on zero samples")
-    k = samples[0].weights.shape[0]
-    if len(samples) < k + 1:
-        raise MergeMixError(
-            f"need at least {k + 1} samples for {k} domains, got {len(samples)}"
-        )
-    x = np.stack([s.weights for s in samples])
+    n, k = x.shape
+    if n < k + 1:
+        raise MergeMixError(f"need at least {k + 1} samples for {k} domains, got {n}")
     regressors: list[GradientBoostedRegressor | None] = [None] * len(capabilities)
     train_error: list[float | None] = [None] * len(capabilities)
     for m in utility_columns(utility_spec, len(capabilities)):
-        y = np.asarray([s.scores[m] for s in samples])
-        fitted = np.empty(y.shape[0])
+        y = scores[:, m]
+        fitted = np.empty(n)
         regressors[m] = GradientBoostedRegressor(hyper).fit(x, y, out=fitted)
         train_error[m] = float(np.max(np.abs(fitted - y)))
     return SurfaceModel(
@@ -324,9 +297,9 @@ def fit_surface(samples: list[SurfaceSample], capabilities: list[str],
         contexts=list(contexts),
         hyper=hyper,
         utility_spec=utility_spec,
-        sample_digest=_samples_digest(samples),
+        sample_digest=_samples_digest(x, scores),
         train_error=train_error,
-        num_samples=len(samples),
+        num_samples=n,
         input_dim=k,
     )
 
@@ -414,13 +387,16 @@ def search_optimum(model: SurfaceModel, utility_spec: UtilitySpec | None = None,
 
 @dataclass(frozen=True)
 class StageResult:
-    """Everything one design-collect-fit-search pass produces."""
+    """Everything one design-collect-fit-search pass produces: the (n, K)
+    design, its (n, M) normalized scores and merge digests, the surface and
+    its optimum, and the experts the stage merged."""
 
-    design: SeedDesign
-    samples: list[SurfaceSample]
-    contexts: list[NormContext]
+    configs: np.ndarray
+    scores: np.ndarray
+    digests: list[str]
     model: SurfaceModel
     search: SearchResult
+    experts: list
 
 
 def run_search_stage(world: World, base: np.ndarray, experts, *,
@@ -434,13 +410,12 @@ def run_search_stage(world: World, base: np.ndarray, experts, *,
     The flat pipeline and every node of a hierarchical search run this same
     code path, so a trivial hierarchy reproduces the flat result exactly.
     """
-    k = len(experts)
-    design = sample_seed_configs(k, design_size, priors=priors, seed=seed)
-    samples, contexts = collect_samples(world, base, experts, design)
-    model = fit_surface(samples, list(world.names), contexts,
+    configs = sample_seed_configs(len(experts), design_size, priors=priors, seed=seed)
+    scores, contexts, digests = collect_samples(world, base, experts, configs)
+    model = fit_surface(configs, scores, list(world.names), contexts,
                         hyper=hyper, utility_spec=utility_spec)
     search = search_optimum(model, resolution=resolution, budget=budget)
-    return StageResult(design, samples, contexts, model, search)
+    return StageResult(configs, scores, digests, model, search, experts)
 
 
 def merged_scores(world: World, base: np.ndarray, experts, weights,

@@ -19,13 +19,7 @@ from .errors import DegenerateInputError, DimensionError, MergeMixError, Numeric
 from .merging import merge, merge_rows
 from .params import as_params
 from .simplex import normalize_simplex
-from .training import (
-    TrainConfig,
-    final_only,
-    train_expert,
-    train_on_mixture,
-    train_on_mixtures,
-)
+from .training import TrainConfig, final_only, train_on_mixtures
 from .worlds import World
 
 
@@ -210,13 +204,18 @@ def discrepancy_sweep(world: World, base: np.ndarray, experts, grid,
 
 def _simulate_gap(world: World, weights, base: np.ndarray,
                   learning_rate: float, steps: int) -> np.ndarray:
-    """Exact (Theta_mix - Theta_merge) from real training runs."""
+    """Exact (Theta_mix - Theta_merge) from real training runs.
+
+    The mixture and the K experts (the corners of the simplex) train in one
+    `train_on_mixtures` call, mixture first, so a diverging run raises the
+    step of the mixture before any expert's.
+    """
     cfg = final_only(TrainConfig(learning_rate=learning_rate, steps=steps))
-    mixed = train_on_mixture(world, weights, base, cfg).final
-    experts = [train_expert(world, k, base, cfg).final
-               for k in range(world.num_domains)]
-    merged = merge(base, experts, weights)
-    return mixed - merged
+    runs = np.vstack([weights, np.eye(world.num_domains)])
+    finals = [checkpoints[:, -1] for _, checkpoints
+              in train_on_mixtures(world, runs, base, cfg)]
+    mixed, *experts = np.concatenate(finals)
+    return mixed - merge(base, experts, weights)
 
 
 def _shared_context(taylor: TaylorContext | None, theta0: np.ndarray):

@@ -148,7 +148,7 @@ class TestAcceptance:
         predictions = qw4_stage.model.predict_batch(held)
         rhos = []
         for m in range(4):
-            actual = [qw4_stage.contexts[m].apply(r) for r in raws[:, m]]
+            actual = [qw4_stage.model.contexts[m].apply(r) for r in raws[:, m]]
             rhos.append(spearman(predictions[:, m].tolist(), actual).rho)
         verdict(6, "per-capability surrogate fidelity on 20 held-out configs",
                 min(rhos) >= 0.9,
@@ -229,7 +229,7 @@ class TestAcceptance:
 
         def actual_utility(weights):
             merged = merge(base, [e.final for e in experts], weights)
-            scores = [sep_flat.contexts[m].apply(
+            scores = [sep_flat.model.contexts[m].apply(
                 -qw_sep.heldout_loss(m, merged)) for m in range(4)]
             return utility(scores, UtilitySpec())
 

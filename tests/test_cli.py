@@ -51,8 +51,9 @@ def tree_bytes(root: Path) -> dict:
 
 
 def assert_zero_steps_keep_earlier_run(tmp_path, capsys, command, payload):
-    """A rerun with `train.steps: 0` exits 2 before touching the earlier run:
-    every expert would equal the base, so the run could only fail."""
+    """A rerun with `train.steps: 0` exits 2 at parse, before touching the
+    earlier run: every expert would equal the base, so the run could measure
+    nothing."""
     out = tmp_path / "out"
     cfg = write_config(tmp_path, payload)
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
@@ -61,8 +62,8 @@ def assert_zero_steps_keep_earlier_run(tmp_path, capsys, command, payload):
     zero = write_config(tmp_path, dict(payload, train=dict(payload["train"], steps=0)),
                         name="zero.json")
     assert main([command, "--config", str(zero), "--out", str(out)]) == 2
-    assert (f"config error: {command} needs 'train.steps' >= 1"
-            in capsys.readouterr().err)
+    assert ("config error: config invalid at train.steps: 0 is less than the "
+            "minimum of 1" in capsys.readouterr().err)
     assert tree_bytes(out) == earlier
 
 
@@ -76,6 +77,11 @@ def pipeline_run(tmp_path_factory):
 
 
 class TestPipelineCommand:
+    def test_zero_training_steps_exit_2_before_the_run_directory(
+            self, tmp_path, capsys):
+        assert_zero_steps_keep_earlier_run(tmp_path, capsys, "pipeline",
+                                           QW2_PIPELINE)
+
     def test_artifacts_exist(self, pipeline_run):
         for name in ("samples.csv", "surface.model.json", "report.json",
                      "manifest.json", "merged.optimum.ckpt",
@@ -493,13 +499,12 @@ class TestHeatmapCommand:
         from mergemix.gbt import BoostHyper
         from mergemix.simplex import dirichlet_points
         from mergemix.stats import NormContext, UtilitySpec
-        from mergemix.surface import SurfaceSample, fit_surface
+        from mergemix.surface import fit_surface
         from mergemix.persist import write_json
 
         rng = np.random.default_rng(0)
-        samples = [SurfaceSample(w, (0.25,), "d")
-                   for w in dirichlet_points(2, 8, rng)]
-        model = fit_surface(samples, ["cap"], [NormContext(0, 1)],
+        model = fit_surface(dirichlet_points(2, 8, rng), np.full((8, 1), 0.25),
+                            ["cap"], [NormContext(0, 1)],
                             BoostHyper(), UtilitySpec(kind="single", index=0))
         surf = tmp_path / "s.json"
         write_json(surf, model.to_dict())
@@ -693,6 +698,29 @@ class TestHierarchicalAndRecalibrateModes:
         out = tmp_path / "out"
         assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
         assert "node 'root': weights sum to 1.4" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_child_root_exits_2_before_any_directory(self, tmp_path, capsys):
+        """A root with one child has no split to search; the run would
+        train and then fail without a root search."""
+        payload = {
+            "name": "qw-sep",
+            "seed": 11,
+            "mode": "hierarchical-top-down",
+            "world": {"fixture": "QW-SEP"},
+            "train": {"learning_rate": 0.1, "steps": 5},
+            "design": {"size": 12},
+            "search": {"resolution": 0.25},
+            "hierarchy": {"name": "root", "children": [
+                {"name": "all", "children": [
+                    {"name": d, "domain": d}
+                    for d in ("m-a", "m-b", "c-a", "c-b")]}]},
+        }
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
+        assert ("hierarchy root 'root' needs at least 2 children, got 1"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_diverging_run_exits_1_without_manifest(self, tmp_path):

@@ -164,7 +164,7 @@ def design_data(seed, n, k):
     """A seed design (corners, grid, Dirichlet fill) and a smooth noisy
     score, as a search stage fits them: 600 x 2 is sep-hier's stage size,
     200 x 6 k6-search's."""
-    x = sample_seed_configs(k, n, seed=seed).configs
+    x = sample_seed_configs(k, n, seed=seed)
     rng = np.random.default_rng(seed)
     y = (np.sin(3 * x[:, 0]) - x[:, -1] * x[:, 0]
          + 0.05 * rng.standard_normal(n))

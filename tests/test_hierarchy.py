@@ -272,7 +272,7 @@ class TestSeparableFixtureAgreement:
 
         def actual_utility(weights):
             merged = merge(base, [e.final for e in experts], weights)
-            scores = [flat.contexts[m].apply(raw_capability(qw_sep, m, merged))
+            scores = [flat.model.contexts[m].apply(raw_capability(qw_sep, m, merged))
                       for m in range(4)]
             return utility(scores, UtilitySpec())
 
@@ -339,11 +339,11 @@ class TestClusterStagesOverTheirDomains:
         ctx = _ctx(world, experts, design_size=40, resolution=0.1,
                    hyper=SMALL_HYPER)
         optimize(make_tree(), ctx)
-        assert ctx.stage_log[("design",)]["stage"].model.capabilities == world.names
+        assert ctx.stage_log[("design",)].model.capabilities == world.names
         for name, capabilities in clusters.items():
-            stage = ctx.stage_log[("design", name)]["stage"]
+            stage = ctx.stage_log[("design", name)]
             assert stage.model.capabilities == capabilities
-            assert len(stage.samples[0].scores) == len(capabilities)
+            assert stage.scores.shape == (40, len(capabilities))
             assert len(stage.model.utility_spec.weights) == len(capabilities)
 
 

@@ -27,9 +27,7 @@ from mergemix.surface import (
     DUPLICATE_TOL,
     SURFACE_FORMAT,
     SearchResult,
-    SeedDesign,
     SurfaceModel,
-    SurfaceSample,
     collect_raw_scores,
     collect_samples,
     fit_surface,
@@ -49,76 +47,79 @@ from tests.conftest import (
 )
 
 
-def reference_seed_configs(k, n, priors=(), seed=0) -> SeedDesign:
+def reference_seed_configs(k, n, priors=(), seed=0) -> np.ndarray:
     """The seed design with a list scan per duplicate check."""
 
     def is_duplicate(candidate, rows):
         return any(np.max(np.abs(candidate - r)) <= DUPLICATE_TOL for r in rows)
 
     rng = rng_for(seed, "seed-design")
-    rows, provenance = [], []
+    rows = []
     for i in range(k):
         corner = np.zeros(k)
         corner[i] = 1.0
         rows.append(corner)
-        provenance.append("corner")
     grid = [p for p in simplex_lattice(k, 4) if not is_duplicate(p, rows)]
     room = n - len(rows)
     if len(grid) > room:
         keep = sorted(rng.choice(len(grid), size=room, replace=False).tolist())
         grid = [grid[i] for i in keep]
-    for p in grid:
-        rows.append(p)
-        provenance.append("grid")
+    rows.extend(grid)
     for prior in priors:
         if len(rows) >= n:
             break
         p = normalize_simplex(prior)
         if not is_duplicate(p, rows):
             rows.append(p)
-            provenance.append("prior")
     while len(rows) < n:
         p = dirichlet_points(k, 1, rng)[0]
         if not is_duplicate(p, rows):
             rows.append(p)
-            provenance.append("random")
-    return SeedDesign(np.asarray(rows), tuple(provenance))
+    return np.asarray(rows)
+
+
+def count_close(rows, point) -> int:
+    """Rows within DUPLICATE_TOL of `point`."""
+    return int(np.sum(np.max(np.abs(rows - point), axis=1) <= DUPLICATE_TOL))
 
 
 class TestSeedDesign:
     def test_corners_always_present(self):
         design = sample_seed_configs(2, 5, seed=0)
-        rows = [tuple(r) for r in design.configs]
+        rows = [tuple(r) for r in design]
         assert (1.0, 0.0) in rows and (0.0, 1.0) in rows
 
     def test_rows_on_simplex(self):
         design = sample_seed_configs(4, 40, seed=3)
-        np.testing.assert_allclose(design.configs.sum(axis=1), 1.0, atol=1e-9)
-        assert np.all(design.configs >= 0)
+        np.testing.assert_allclose(design.sum(axis=1), 1.0, atol=1e-9)
+        assert np.all(design >= 0)
 
     def test_deterministic(self):
         a = sample_seed_configs(4, 40, seed=123)
         b = sample_seed_configs(4, 40, seed=123)
-        np.testing.assert_array_equal(a.configs, b.configs)
-        assert a.provenance == b.provenance
+        np.testing.assert_array_equal(a, b)
 
     def test_exact_size_and_distinct(self):
         design = sample_seed_configs(3, 25, seed=9)
-        assert design.size == 25
+        assert design.shape == (25, 3)
         for i in range(25):
             for j in range(i + 1, 25):
-                assert np.max(np.abs(design.configs[i] - design.configs[j])) > 1e-9
+                assert np.max(np.abs(design[i] - design[j])) > 1e-9
 
     def test_provenance_structure(self):
+        """The 4 corners, then the 31 other quarter-lattice points, then
+        random fill off that lattice."""
         design = sample_seed_configs(4, 40, seed=1)
-        assert design.provenance[:4] == ("corner",) * 4
-        assert "grid" in design.provenance and "random" in design.provenance
+        np.testing.assert_array_equal(design[:4], np.eye(4))
+        on_grid = np.all(design * 4 == np.round(design * 4), axis=1)
+        assert on_grid[:35].all() and not on_grid[35:].any()
 
     def test_priors_included(self):
         prior = [0.7, 0.1, 0.1, 0.1]
         design = sample_seed_configs(4, 40, priors=[prior], seed=1)
-        assert any(np.allclose(row, prior) for row in design.configs)
-        assert "prior" in design.provenance
+        # After the 4 corners and 31 grid points, before the random fill.
+        np.testing.assert_array_equal(design[35], normalize_simplex(prior))
+        assert count_close(design, normalize_simplex(prior)) == 1
 
     def test_too_small_rejected(self):
         with pytest.raises(MergeMixError):
@@ -135,9 +136,9 @@ class TestSeedDesign:
     def test_matches_list_scan_reference(self, k, n, priors, seed):
         design = sample_seed_configs(k, n, priors=priors, seed=seed)
         expected = reference_seed_configs(k, n, priors=priors, seed=seed)
-        np.testing.assert_array_equal(design.configs, expected.configs)
-        assert design.configs.dtype == expected.configs.dtype
-        assert design.provenance == expected.provenance
+        np.testing.assert_array_equal(design, expected)
+        assert design.dtype == expected.dtype
+        np.testing.assert_array_equal(design[:k], np.eye(k))
 
 
 def scripted_draws(script):
@@ -160,8 +161,8 @@ NEAR = np.array([0.8e-9, -0.8e-9, 0.0])  # within DUPLICATE_TOL
 
 
 class TestSeedDesignRepeats:
-    """The batched random fill keeps the rows, order and provenance of a
-    scan that adds one draw at a time, whatever the draws repeat."""
+    """The batched random fill keeps the rows and order of a scan that adds
+    one draw at a time, whatever the draws repeat."""
 
     @pytest.mark.parametrize("script,added", [
         # An in-batch repeat, exact and within tolerance.
@@ -181,19 +182,20 @@ class TestSeedDesignRepeats:
         monkeypatch.setitem(reference_seed_configs.__globals__,
                             "dirichlet_points", scripted_draws(script))
         expected = reference_seed_configs(k, n, priors=priors, seed=1)
-        np.testing.assert_array_equal(design.configs, expected.configs)
-        assert design.provenance == expected.provenance
-        assert design.provenance.count("prior") == 1
-        random = design.configs[-6:]
+        np.testing.assert_array_equal(design, expected)
+        np.testing.assert_array_equal(design[:k], np.eye(k))
+        assert count_close(design, PRIOR) == 1
+        random = design[-6:]
         np.testing.assert_array_equal(random[:len(added)],
                                       np.array(script, dtype=float)[added])
 
 
 class TestCollectSamples:
     def test_sample_count_and_range(self, qw4, qw4_experts, qw4_stage):
-        assert len(qw4_stage.samples) == 40
-        for sample in qw4_stage.samples:
-            assert all(0.0 <= s <= 1.0 for s in sample.scores)
+        assert qw4_stage.configs.shape == (40, 4)
+        assert qw4_stage.scores.shape == (40, 4)
+        assert len(qw4_stage.digests) == 40
+        assert np.all((qw4_stage.scores >= 0.0) & (qw4_stage.scores <= 1.0))
 
     def test_corner_sample_maximizes_own_capability(self, qw4, qw4_experts):
         corners = np.eye(4)
@@ -204,32 +206,30 @@ class TestCollectSamples:
     def test_identical_experts_constant_scores(self, qw2, qw2_experts):
         clones = [qw2_experts[0], qw2_experts[0]]
         design = sample_seed_configs(2, 6, seed=4)
-        samples, _ = collect_samples(qw2, qw2.base_params(), clones, design)
-        first = samples[0].scores
-        assert all(s.scores == first for s in samples)
+        scores, _, _ = collect_samples(qw2, qw2.base_params(), clones, design)
+        assert np.all(scores == scores[0])
 
 
 class TestFitAndPredict:
     def test_constant_targets_fit_exactly(self):
         rng = np.random.default_rng(0)
-        samples = [SurfaceSample(w, (0.4, 0.4), "d")
-                   for w in dirichlet_points(3, 10, rng)]
-        model = fit_surface(samples, ["a", "b"],
+        model = fit_surface(dirichlet_points(3, 10, rng), np.full((10, 2), 0.4),
+                            ["a", "b"],
                             [NormContext(0, 1), NormContext(0, 1)])
         np.testing.assert_array_equal(model.predict([0.2, 0.2, 0.6]), [0.4, 0.4])
 
     def test_too_few_samples_rejected(self):
-        samples = [SurfaceSample(np.array([0.5, 0.3, 0.2]), (0.1,), "d")]
-        with pytest.raises(MergeMixError):
-            fit_surface(samples, ["a"], [NormContext(0, 1)])
+        with pytest.raises(MergeMixError, match="need at least 4 samples"):
+            fit_surface(np.array([[0.5, 0.3, 0.2]]), np.array([[0.1]]), ["a"],
+                        [NormContext(0, 1)])
 
     def test_predict_reproduces_training_targets_within_reported_error(
             self, qw4_stage):
         model = qw4_stage.model
-        for sample in qw4_stage.samples:
-            pred = model.predict(sample.weights)
+        for weights, scores in zip(qw4_stage.configs, qw4_stage.scores):
+            pred = model.predict(weights)
             for m in range(4):
-                assert abs(pred[m] - sample.scores[m]) <= model.train_error[m] + 1e-12
+                assert abs(pred[m] - scores[m]) <= model.train_error[m] + 1e-12
 
     def test_predict_deterministic(self, qw4_stage):
         w = [0.25, 0.25, 0.25, 0.25]
@@ -244,7 +244,7 @@ class TestFitAndPredict:
         raws, _ = collect_raw_scores(qw4, qw4.base_params(), qw4_experts, held)
         predictions = qw4_stage.model.predict_batch(held)
         for m in range(4):
-            actual = [qw4_stage.contexts[m].apply(r) for r in raws[:, m]]
+            actual = [qw4_stage.model.contexts[m].apply(r) for r in raws[:, m]]
             rho = spearman(predictions[:, m].tolist(), actual).rho
             assert rho >= 0.9, f"capability {m}: rho={rho}"
 
@@ -272,9 +272,9 @@ class TestSearch:
 
     def test_surrogate_fit_localizes_parabola_peak(self):
         xs = np.linspace(0, 1, 51)
-        samples = [SurfaceSample(np.array([x, 1.0 - x]),
-                                 (1.0 - (x - 0.3) ** 2,), "d") for x in xs]
-        model = fit_surface(samples, ["cap"], [NormContext(0.0, 1.0)],
+        model = fit_surface(np.column_stack([xs, 1.0 - xs]),
+                            (1.0 - (xs - 0.3) ** 2)[:, None], ["cap"],
+                            [NormContext(0.0, 1.0)],
                             utility_spec=UtilitySpec(kind="single", index=0))
         res = search_optimum(model, resolution=0.05)
         assert abs(res.weights[0] - 0.3) <= 0.05 / 5 + 1e-12
@@ -383,9 +383,7 @@ def synthetic_surface(m: int, k: int = 3, n: int = 30,
     rng = np.random.default_rng(100 + m)
     x = dirichlet_points(k, n, rng)
     columns = [np.sin((j + 2) * x[:, j % k]) - 0.4 * (j % 2) for j in range(m)]
-    samples = [SurfaceSample(w, tuple(float(c[i]) for c in columns), "d")
-               for i, w in enumerate(x)]
-    return fit_surface(samples, [f"c{j}" for j in range(m)],
+    return fit_surface(x, np.column_stack(columns), [f"c{j}" for j in range(m)],
                        [NormContext(0, 1)] * m,
                        hyper=BoostHyper(n_trees=12, max_depth=2), utility_spec=spec)
 
@@ -483,9 +481,9 @@ class TestReadColumnsSearch:
                                      for x in "ab"]} for c in "mc"]})
         optimize_top_down(tree, ctx)
         assert len(ctx.stage_log) == 3
-        for entry in ctx.stage_log.values():
-            model = entry["stage"].model
-            assert_same_search(entry["stage"].search, reference_search_optimum(
+        for stage in ctx.stage_log.values():
+            model = stage.model
+            assert_same_search(stage.search, reference_search_optimum(
                 model, model.utility_spec, 0.1))
 
     def test_qw4_stage(self, qw4_stage):
@@ -577,12 +575,11 @@ class TestVerify:
     def test_reevaluation_matches_stored_sample(self, qw4, qw4_experts,
                                                 qw4_stage):
         """Verifying at a seed-design point reproduces the stored scores."""
-        sample = qw4_stage.samples[7]
         raws, _ = collect_raw_scores(qw4, qw4.base_params(), qw4_experts,
-                                     [sample.weights])
-        renormed = tuple(qw4_stage.contexts[m].apply(raws[0, m])
-                         for m in range(4))
-        assert renormed == sample.scores
+                                     qw4_stage.configs[7:8])
+        renormed = [qw4_stage.model.contexts[m].apply(raws[0, m])
+                    for m in range(4)]
+        assert renormed == qw4_stage.scores[7].tolist()
 
     def test_report_structure_and_gap(self, qw4, qw4_experts, qw4_stage):
         report = verify_optimum(qw4, qw4.base_params(), qw4_experts,
@@ -683,7 +680,8 @@ class TestReadColumnsFit:
                                  seed=stable_seed(RUN_SEED, "design"),
                                  utility_spec=spec)
         assert stage.model.fitted_columns == [2, 3]
-        full = replace(fit_surface(stage.samples, list(qw4.names), stage.contexts),
+        full = replace(fit_surface(stage.configs, stage.scores, list(qw4.names),
+                                   stage.model.contexts),
                        utility_spec=spec)
         assert full.fitted_columns == [0, 1, 2, 3]
         expected = search_optimum(full, spec)

@@ -3,6 +3,7 @@ import pytest
 
 import mergemix.training
 from mergemix.errors import DegenerateInputError, MergeMixError
+from mergemix.merging import merge
 from mergemix.simplex import dirichlet_points, normalize_simplex, simplex_lattice
 from mergemix.theory import (
     TaylorContext,
@@ -231,6 +232,46 @@ class TestHorizonScaling:
         report = horizon_scaling_check(world, [0.5, 0.5], 0.004, 50)
         assert 3.2 <= report["gap_ratio"] <= 4.8
         assert 6.0 <= report["residual_ratio"] <= 10.0
+
+
+def reference_gap(world, lam, base, lr, steps):
+    """The simulated gap from one mixture run, then one run per expert."""
+    cfg = TrainConfig(learning_rate=lr, steps=steps, checkpoint_interval=steps)
+    mixed = mergemix.training.train_on_mixture(world, lam, base, cfg).final
+    experts = [e.final for e in train_all_experts(world, base, cfg)]
+    return mixed - merge(base, experts, lam)
+
+
+class TestSimulatedGap:
+    """One lockstep call trains the mixture and the experts as separate
+    runs would, and diverges at the step the mixture run diverges at."""
+
+    @pytest.mark.parametrize("name", ["QW-2", "QW-4", "QW-SEP", "TOY-2"])
+    @pytest.mark.parametrize("lr,steps", [(0.004, 20), (0.001, 40), (0.1, 7),
+                                          (0.05, 60)])
+    def test_gap_matches_separate_runs(self, name, lr, steps):
+        from mergemix.theory import _simulate_gap
+        from mergemix.worlds import FIXTURES
+
+        world = FIXTURES[name]()
+        base = world.base_params()
+        k = world.num_domains
+        lam = normalize_simplex(np.arange(1.0, k + 1) / (k * (k + 1) / 2))
+        got = _simulate_gap(world, lam, base, lr, steps)
+        assert got.tobytes() == reference_gap(world, lam, base, lr, steps).tobytes()
+
+    def test_diverging_mixture_raises_its_own_step(self):
+        from mergemix.errors import TrainingDiverged
+        from mergemix.theory import _simulate_gap
+
+        world = fixture_qw2()
+        base = world.base_params()
+        for lam in ([1.0, 0.0], [0.5, 0.5]):
+            with pytest.raises(TrainingDiverged) as expected:
+                reference_gap(world, lam, base, 1e4, 200)
+            with pytest.raises(TrainingDiverged) as actual:
+                _simulate_gap(world, normalize_simplex(lam), base, 1e4, 200)
+            assert str(actual.value) == str(expected.value)
 
 
 def reference_relative_curvature(world, theta0) -> np.ndarray:
