@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError, MergeMixError, SchemaViolation, SimplexError
 from .gbt import BoostHyper
 from .hierarchy import MixtureNode
-from .models import ToyNet
+from .models import Quadratic, ToyNet
 from .schema import validate
 from .simplex import (
     DEFAULT_POINT_BUDGET,
@@ -35,7 +35,6 @@ from .worlds import (
     RegressionWorld,
     World,
 )
-from .models import Quadratic
 
 DEFAULT_DESIGN_SIZE = 40
 DEFAULT_RESOLUTION = 0.05
@@ -88,19 +87,17 @@ class RunConfig:
         )
 
 
-def _build_domain(data: dict) -> DomainSpec:
-    kind = data["kind"]
-    if kind == "quadratic":
+def _build_domain(data: dict) -> DomainSpec | None:
+    """Check that a domain has the keys its kind needs; return a regression
+    domain's DomainSpec, or None for a quadratic domain. `build_world`
+    builds the `Quadratic`s once every domain is quadratic, so a mix of
+    kinds is reported before any curvature check."""
+    if data["kind"] == "quadratic":
         if "minimizer" not in data or "curvature" not in data:
             raise ConfigError(
                 f"quadratic domain {data['name']!r} needs minimizer and curvature"
             )
-        return DomainSpec(
-            name=data["name"],
-            kind="quadratic",
-            minimizer=np.asarray(data["minimizer"], dtype=np.float64),
-            curvature=np.asarray(data["curvature"], dtype=np.float64),
-        )
+        return None
     required = ("target_weight", "input_dim", "train_size", "heldout_size")
     missing = [key for key in required if key not in data]
     if missing:
@@ -109,7 +106,6 @@ def _build_domain(data: dict) -> DomainSpec:
         )
     return DomainSpec(
         name=data["name"],
-        kind="regression",
         target_weight=np.asarray(data["target_weight"], dtype=np.float64),
         noise=float(data.get("noise", 0.0)),
         input_dim=int(data["input_dim"]),
@@ -128,17 +124,20 @@ def build_world(spec: dict) -> World:
             )
         return FIXTURES[name]()
     try:
-        domains = [_build_domain(d) for d in spec["domains"]]
-        kinds = {d.kind for d in domains}
+        data = spec["domains"]
+        specs = [_build_domain(d) for d in data]
+        kinds = {d["kind"] for d in data}
         if kinds == {"quadratic"}:
-            quads = [Quadratic(d.minimizer, d.curvature) for d in domains]
-            return QuadraticWorld([d.name for d in domains], quads)
+            quads = [Quadratic(np.asarray(d["minimizer"], dtype=np.float64),
+                               np.asarray(d["curvature"], dtype=np.float64))
+                     for d in data]
+            return QuadraticWorld([d["name"] for d in data], quads)
         if kinds == {"regression"}:
             model = spec.get("model", {})
-            input_dim = domains[0].input_dim
-            out_dim = domains[0].target_weight.shape[0]
+            input_dim = specs[0].input_dim
+            out_dim = specs[0].target_weight.shape[0]
             net = ToyNet(input_dim, int(model.get("hidden_dim", 8)), out_dim)
-            return RegressionWorld(net, domains,
+            return RegressionWorld(net, specs,
                                    init_seed=int(model.get("init_seed", 0)))
         raise ConfigError("cannot mix quadratic and regression domains")
     except MergeMixError as exc:
@@ -197,6 +196,12 @@ def _validate_cross_fields(cfg: RunConfig) -> None:
         raise ConfigError("utility capability index out of range")
     search_sizes = [k]
     if cfg.mode in HIERARCHICAL_MODES:
+        if cfg.priors:
+            raise ConfigError(
+                f"design.priors are not read in mode {cfg.mode!r}: a prior "
+                f"weights the world's domains, but each hierarchical stage "
+                f"searches over one node's children"
+            )
         tree = cfg.build_tree()
         leaves = [leaf.domain for leaf in tree.iter_leaves()]
         if sorted(leaves) != sorted(world.names):

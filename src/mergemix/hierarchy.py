@@ -225,15 +225,16 @@ def _identical_vectors(parts: list[np.ndarray]) -> bool:
 
 
 def _searched_weights(ctx: HierarchyContext, experts: list[np.ndarray],
-                      labels: tuple[str, ...],
-                      cluster: MixtureNode | None) -> np.ndarray:
+                      node: MixtureNode) -> np.ndarray:
+    """Weights for a node below the root. The root's split always runs its
+    stage: the run reports that stage's surface and search."""
     if len(experts) == 1:
         return np.array([1.0])
     if _identical_vectors(experts):
         # Any split of identical experts merges to the same model; the
         # canonical answer is the uniform one.
         return uniform_weights(len(experts))
-    return ctx.stage(experts, labels, cluster).search.weights
+    return ctx.stage(experts, ("design", node.name), node).search.weights
 
 
 def _snapshot(ctx: HierarchyContext, node: MixtureNode, frozen: dict) -> None:
@@ -256,8 +257,7 @@ def _refine(ctx: HierarchyContext, frozen: dict, node: MixtureNode, mass: float,
         return
     parts = [frozen[id(child)] for child in node.children]
     virtual = [rest + mass * (p - ctx.base) for p in parts]
-    node.weights = _searched_weights(
-        ctx, virtual, ("design", node.name), node)
+    node.weights = _searched_weights(ctx, virtual, node)
     _refine_children(ctx, frozen, node, mass, rest)
 
 
@@ -288,8 +288,8 @@ def optimize_top_down(tree: MixtureNode, ctx: HierarchyContext) -> MixtureNode:
     # Uniform-internal consolidations, captured before any weights change.
     frozen: dict[int, np.ndarray] = {}
     _snapshot(ctx, tree, frozen)
-    tree.weights = _searched_weights(
-        ctx, [frozen[id(c)] for c in tree.children], ("design",), None)
+    tree.weights = ctx.stage(
+        [frozen[id(c)] for c in tree.children], ("design",), None).search.weights
     _refine_children(ctx, frozen, tree, 1.0, ctx.base)  # 1.0 * w is exactly w
     tree.validate()
     return tree
@@ -301,8 +301,7 @@ def _settle(ctx: HierarchyContext, node: MixtureNode) -> np.ndarray:
     if node.is_leaf:
         return ctx.expert_vector(node.domain)
     parts = [_settle(ctx, child) for child in node.children]
-    node.weights = _searched_weights(
-        ctx, parts, ("design", node.name), node)
+    node.weights = _searched_weights(ctx, parts, node)
     return merge(ctx.base, parts, node.weights)
 
 
@@ -311,6 +310,6 @@ def optimize_bottom_up(tree: MixtureNode, ctx: HierarchyContext) -> MixtureNode:
     tree = tree.copy()
     tree.validate()
     consolidated = [_settle(ctx, child) for child in tree.children]
-    tree.weights = _searched_weights(ctx, consolidated, ("design",), None)
+    tree.weights = ctx.stage(consolidated, ("design",), None).search.weights
     tree.validate()
     return tree

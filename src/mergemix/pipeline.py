@@ -169,10 +169,7 @@ def _optimize_hierarchy(cfg: RunConfig, world: World, base: np.ndarray,
     optimize = (optimize_top_down if cfg.mode == "hierarchical-top-down"
                 else optimize_bottom_up)
     tree = optimize(cfg.build_tree(), ctx)
-    stage = ctx.stage_log.get(("design",))
-    if stage is None:
-        raise MergeMixError("hierarchy optimization never ran a root search")
-    return tree, stage
+    return tree, ctx.stage_log[("design",)]
 
 
 def _hierarchy_report(cfg: RunConfig, world: World, base: np.ndarray,

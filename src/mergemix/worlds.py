@@ -1,10 +1,10 @@
 """Synthetic data domains and capability scoring.
 
-A world bundles a model family with K domains. Quadratic worlds are fully
-analytic (empty datasets, exact derivatives); regression worlds pair one
-shared feed-forward net with per-domain generated datasets. Capability on a
-domain is the negative held-out loss, min-max normalized over a declared
-reference population.
+A world bundles a model family with K domains. A quadratic world's domains
+are their analytic objectives, with exact derivatives and no data; a
+regression world pairs one shared feed-forward net with per-domain generated
+datasets. Capability on a domain is the negative held-out loss, min-max
+normalized over a declared reference population.
 """
 
 from __future__ import annotations
@@ -21,13 +21,10 @@ from .params import as_params
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Declarative description of one synthetic data domain."""
+    """Declarative description of one generated regression domain."""
 
     name: str
-    kind: str  # "quadratic" | "regression"
-    minimizer: np.ndarray | None = None
-    curvature: np.ndarray | None = None
-    target_weight: np.ndarray | None = None
+    target_weight: np.ndarray
     noise: float = 0.0
     input_dim: int = 0
     train_size: int = 0
@@ -35,31 +32,22 @@ class DomainSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind == "quadratic":
-            if self.minimizer is None or self.curvature is None:
-                raise DimensionError("quadratic domain needs minimizer and curvature")
-        elif self.kind == "regression":
-            if self.target_weight is None:
-                raise DimensionError("regression domain needs a target weight matrix")
-            if not (np.isfinite(self.noise) and self.noise >= 0):
-                raise DimensionError(f"noise must be finite and >= 0, got {self.noise}")
-            if self.train_size < 1 or self.heldout_size < 1:
-                raise DimensionError("regression domain sizes must be >= 1")
-            w = np.asarray(self.target_weight, dtype=np.float64)
-            if w.ndim != 2 or w.shape[1] != self.input_dim:
-                raise DimensionError(
-                    f"target weight must be (out x {self.input_dim}), got {w.shape}"
-                )
-            object.__setattr__(self, "target_weight", w)
-        else:
-            raise DimensionError(f"unknown domain kind {self.kind!r}")
+        if not (np.isfinite(self.noise) and self.noise >= 0):
+            raise DimensionError(f"noise must be finite and >= 0, got {self.noise}")
+        if self.train_size < 1 or self.heldout_size < 1:
+            raise DimensionError("regression domain sizes must be >= 1")
+        w = np.asarray(self.target_weight, dtype=np.float64)
+        if w.ndim != 2 or w.shape[1] != self.input_dim:
+            raise DimensionError(
+                f"target weight must be (out x {self.input_dim}), got {w.shape}"
+            )
+        object.__setattr__(self, "target_weight", w)
 
 
 @dataclass(frozen=True)
 class Dataset:
     inputs: np.ndarray
     targets: np.ndarray
-    split: str  # "train" | "heldout"
 
     def __post_init__(self):
         if self.inputs.shape[0] != self.targets.shape[0]:
@@ -76,18 +64,15 @@ class Dataset:
 def generate_domain(spec: DomainSpec) -> tuple[Dataset, Dataset]:
     """Generate (train, heldout) datasets, fully determined by the domain
     description and its seed."""
-    if spec.kind == "quadratic":
-        empty = np.zeros((0, 0))
-        return Dataset(empty, empty, "train"), Dataset(empty, empty, "heldout")
     rng = np.random.default_rng(spec.seed)
     w = spec.target_weight
     out = []
-    for size, split in ((spec.train_size, "train"), (spec.heldout_size, "heldout")):
+    for size in (spec.train_size, spec.heldout_size):
         x = rng.standard_normal((size, spec.input_dim))
         y = x @ w.T
         if spec.noise > 0:
             y = y + spec.noise * rng.standard_normal(y.shape)
-        out.append(Dataset(x, y, split))
+        out.append(Dataset(x, y))
     return out[0], out[1]
 
 
@@ -139,9 +124,6 @@ class QuadraticWorld:
     def base_params(self) -> np.ndarray:
         return np.zeros(self.dim)
 
-    def loss(self, k: int, theta: np.ndarray) -> float:
-        return self.quadratics[k].loss(theta)
-
     def grad(self, k: int, theta: np.ndarray) -> np.ndarray:
         """Gradient at one vector, or row-wise at an (n, P) stack."""
         return self.quadratics[k].grad(theta)
@@ -150,7 +132,7 @@ class QuadraticWorld:
         return self.quadratics[k].hvp(direction)
 
     def heldout_loss(self, k: int, theta: np.ndarray) -> float:
-        return self.loss(k, theta)
+        return self.quadratics[k].loss(theta)
 
     def restrict(self, names) -> "QuadraticWorld":
         """The world over the named domains only, in this world's order,
@@ -174,12 +156,9 @@ class RegressionWorld:
     def __init__(self, net: ToyNet, specs: list[DomainSpec], init_seed: int = 0):
         datasets = generate_world(specs)
         for spec in specs:
-            if spec.kind != "regression":
-                raise DimensionError("RegressionWorld requires regression domains")
             if spec.input_dim != net.input_dim:
                 raise DimensionError("domain input dim does not match the net")
         self.net = net
-        self.specs = list(specs)
         self.names = [s.name for s in specs]
         self.train = [d[0] for d in datasets]
         self.heldout = [d[1] for d in datasets]
@@ -192,10 +171,6 @@ class RegressionWorld:
 
     def base_params(self) -> np.ndarray:
         return self.net.init_params(np.random.default_rng(self.init_seed))
-
-    def loss(self, k: int, theta: np.ndarray) -> float:
-        d = self.train[k]
-        return self.net.loss(theta, d.inputs, d.targets)
 
     def grad(self, k: int, theta: np.ndarray) -> np.ndarray:
         """Full-batch gradient at one vector, or row by row at an (n, P) stack."""
@@ -221,7 +196,6 @@ class RegressionWorld:
         data is not generated again)."""
         keep = _kept_indices(self.names, names)
         out = copy.copy(self)
-        out.specs = [self.specs[k] for k in keep]
         out.names = [self.names[k] for k in keep]
         out.train = [self.train[k] for k in keep]
         out.heldout = [self.heldout[k] for k in keep]
@@ -343,10 +317,10 @@ def fixture_toy() -> RegressionWorld:
     w1[:, 0] = [1.0, -0.5]
     w2[:, 1] = [-0.8, 1.2]
     specs = [
-        DomainSpec("t1", "regression", target_weight=w1, noise=0.0,
+        DomainSpec("t1", target_weight=w1, noise=0.0,
                    input_dim=in_dim, train_size=64, heldout_size=32,
                    seed=int(rng.integers(2**31))),
-        DomainSpec("t2", "regression", target_weight=w2, noise=0.0,
+        DomainSpec("t2", target_weight=w2, noise=0.0,
                    input_dim=in_dim, train_size=64, heldout_size=32,
                    seed=int(rng.integers(2**31))),
     ]

@@ -723,6 +723,47 @@ class TestHierarchicalAndRecalibrateModes:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["hierarchical-top-down",
+                                      "hierarchical-bottom-up"])
+    def test_identical_root_children_search_like_flat(self, tmp_path, mode):
+        """Root children that train to identical experts still get the root
+        search, so the run completes and picks what a flat run picks."""
+        same = {"kind": "quadratic", "minimizer": [1.0, 0.0],
+                "curvature": [[1.0, 0.0], [0.0, 1.0]]}
+        flat = {"name": "twins", "seed": 3,
+                "world": {"domains": [dict(same, name="a"), dict(same, name="b")]},
+                "train": {"learning_rate": 0.05, "steps": 10},
+                "design": {"size": 12}, "search": {"resolution": 0.25}}
+        hier = dict(flat, mode=mode, hierarchy={
+            "name": "root", "children": [{"name": "a", "domain": "a"},
+                                         {"name": "b", "domain": "b"}]})
+        runs = {}
+        for label, payload in (("flat", flat), ("hier", hier)):
+            cfg = write_config(tmp_path, payload, f"{label}.json")
+            out = tmp_path / label
+            assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+            assert (out / "twins" / "manifest.json").is_file()
+            runs[label] = read_json(out / "twins" / "report.json")
+        flat_weights = runs["flat"]["optimum"]["weights"]
+        assert runs["hier"]["hierarchy"]["tree"]["weights"] == flat_weights
+        assert runs["hier"]["optimum"]["weights"] == flat_weights
+
+    @pytest.mark.parametrize("mode", ["hierarchical-top-down",
+                                      "hierarchical-bottom-up"])
+    def test_priors_exit_2_before_any_directory(self, tmp_path, capsys, mode):
+        """A prior weights the world's domains, but each hierarchical stage
+        searches over one node's children: no stage could read it."""
+        payload = dict(QW2_PIPELINE, mode=mode,
+                       design={"size": 12, "priors": [[0.7, 0.3]]},
+                       hierarchy={"name": "root", "children": [
+                           {"name": "d1", "domain": "d1"},
+                           {"name": "d2", "domain": "d2"}]})
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "design.priors" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_diverging_run_exits_1_without_manifest(self, tmp_path):
         cfg_payload = dict(QW2_PIPELINE)
         cfg_payload["train"] = {"learning_rate": 3.0, "steps": 2000,

@@ -480,6 +480,40 @@ class TestConfigValidation:
         assert _config_digest(plain) != _config_digest(exporting)
         assert _config_digest(plain) == _config_digest(parse_config(dict(BASE_CONFIG)))
 
+    # Inline domains: (first domain, second domain, the exact message).
+    # A domain's own errors report in domain order before a mix of kinds,
+    # and a mix reports before any quadratic's matrix checks.
+    _QUAD = {"name": "b", "kind": "quadratic", "minimizer": [0.0, 1.0],
+             "curvature": [[1.0, 0.0], [0.0, 1.0]]}
+    _REG = {"name": "b", "kind": "regression", "target_weight": [[0.0, 1.0]],
+            "input_dim": 2, "train_size": 8, "heldout_size": 4}
+    _NOT_PD = dict(_QUAD, name="a", curvature=[[1.0, 0.0], [0.0, -1.0]])
+
+    @pytest.mark.parametrize("first,second,message", [
+        ({"name": "a", "kind": "quadratic", "minimizer": [1.0, 0.0]}, _QUAD,
+         "quadratic domain 'a' needs minimizer and curvature"),
+        ({"name": "a", "kind": "regression", "target_weight": [[1.0, 0.0]],
+          "input_dim": 2}, _REG,
+         "regression domain 'a' is missing ['train_size', 'heldout_size']"),
+        (dict(_QUAD, name="a"), _REG,
+         "cannot mix quadratic and regression domains"),
+        (_NOT_PD, _REG, "cannot mix quadratic and regression domains"),
+        (_NOT_PD, _QUAD, "curvature matrix must be positive definite"),
+        (dict(_REG, name="a", target_weight=[[1.0, 0.0, 0.0]]), _REG,
+         "target weight must be (out x 2), got (1, 3)"),
+        ({"name": "a", "kind": "quadratic", "curvature": [[1.0]]}, _REG,
+         "quadratic domain 'a' needs minimizer and curvature"),
+        (dict(_REG, name="a", target_weight=[[1.0, 0.0, 0.0]]), _QUAD,
+         "target weight must be (out x 2), got (1, 3)"),
+    ], ids=["quadratic-keys", "regression-keys", "mixed", "mixed-not-pd",
+            "not-pd", "target-shape", "mixed-quadratic-keys",
+            "mixed-target-shape"])
+    def test_inline_domain_errors(self, first, second, message):
+        cfg = dict(BASE_CONFIG, world={"domains": [first, second]})
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(cfg)
+        assert str(excinfo.value) == message
+
     def test_custom_quadratic_world(self):
         cfg = parse_config({
             "name": "custom",

@@ -20,7 +20,7 @@ from tests.conftest import QW2_TRAIN
 
 
 def _regression_spec(seed=3, noise=0.0):
-    return DomainSpec("r", "regression",
+    return DomainSpec(name="r",
                       target_weight=np.array([[1.0, -2.0], [0.5, 0.0]]),
                       noise=noise, input_dim=2, train_size=10,
                       heldout_size=6, seed=seed)
@@ -43,12 +43,6 @@ class TestGeneration:
     def test_bad_noise_rejected(self, noise):
         with pytest.raises(MergeMixError, match="noise must be finite and >= 0"):
             _regression_spec(noise=noise)
-
-    def test_quadratic_domains_have_empty_datasets(self):
-        spec = DomainSpec("q", "quadratic", minimizer=np.zeros(2),
-                          curvature=np.eye(2))
-        train, held = generate_domain(spec)
-        assert len(train) == 0 and len(held) == 0
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(MergeMixError):
@@ -81,7 +75,7 @@ class TestCapability:
         base = qw2.base_params()
         raw = raw_capabilities(qw2, base)
         assert raw.shape == (2,) and qw2.names[1] == "d2"
-        assert raw[1] == -qw2.loss(1, base)
+        assert raw[1] == -qw2.heldout_loss(1, base)
         assert 0.0 <= normalize(raw, [NormContext(-2.0, 0.0)] * 2)[1] <= 1.0
 
     def test_merged_score_continuous_in_weights(self, qw2, qw2_experts):
@@ -189,7 +183,7 @@ class TestRestrict:
         if isinstance(world, QuadraticWorld):
             assert sub.quadratics[0] is world.quadratics[-1]
         else:
-            assert sub.net is world.net and sub.specs[0] is world.specs[-1]
+            assert sub.net is world.net
             assert sub.train[0] is world.train[-1]
             assert sub.heldout[0] is world.heldout[-1]
 
