@@ -87,6 +87,17 @@ class RunConfig:
         )
 
 
+def _inline_array(data: dict, key: str) -> np.ndarray:
+    """A domain's inline number array; rows of unequal lengths, which the
+    schema accepts, are a config error naming the domain and the key."""
+    try:
+        return np.asarray(data[key], dtype=np.float64)
+    except ValueError:
+        raise ConfigError(
+            f"{data['kind']} domain {data['name']!r}: {key} has rows of unequal lengths"
+        ) from None
+
+
 def _build_domain(data: dict) -> DomainSpec | None:
     """Check that a domain has the keys its kind needs; return a regression
     domain's DomainSpec, or None for a quadratic domain. `build_world`
@@ -106,7 +117,7 @@ def _build_domain(data: dict) -> DomainSpec | None:
         )
     return DomainSpec(
         name=data["name"],
-        target_weight=np.asarray(data["target_weight"], dtype=np.float64),
+        target_weight=_inline_array(data, "target_weight"),
         noise=float(data.get("noise", 0.0)),
         input_dim=int(data["input_dim"]),
         train_size=int(data["train_size"]),
@@ -128,8 +139,7 @@ def build_world(spec: dict) -> World:
         specs = [_build_domain(d) for d in data]
         kinds = {d["kind"] for d in data}
         if kinds == {"quadratic"}:
-            quads = [Quadratic(np.asarray(d["minimizer"], dtype=np.float64),
-                               np.asarray(d["curvature"], dtype=np.float64))
+            quads = [Quadratic(_inline_array(d, "minimizer"), _inline_array(d, "curvature"))
                      for d in data]
             return QuadraticWorld([d["name"] for d in data], quads)
         if kinds == {"regression"}:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MergeMixError
-from .merging import merge_many
+from .merging import merge
 from .simplex import normalize_simplex_rows
 from .stats import (
     CorrelationReport,
@@ -50,7 +50,7 @@ def rank_consistency(world: World, base: np.ndarray, experts,
         raise MergeMixError(f"need at least 3 ratios, got {ratios.shape[0]}")
     spec = utility_spec or UtilitySpec()
     params = expert_params(experts)
-    merged_raw = raw_capabilities(world, merge_many(base, params, ratios))
+    merged_raw = raw_capabilities(world, merge(base, params, ratios))
     trained = train_on_mixtures(world, ratios, base, train_config)
     trained_raw = raw_capabilities(world, np.concatenate([c[:, -1] for _, c in trained]))
 

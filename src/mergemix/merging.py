@@ -15,28 +15,26 @@ def merge(base: np.ndarray, experts: Sequence[np.ndarray],
           weights) -> np.ndarray:
     """Interpolate experts around a shared base: base + sum_k w_k (expert_k - base).
 
-    One-hot weights return the selected expert bit-exactly (no float
-    round trip through the subtraction).
-    """
-    return merge_many(base, experts, [weights])[0]
-
-
-def merge_many(base: np.ndarray, experts: Sequence[np.ndarray],
-               weights) -> np.ndarray:
-    """`merge` at every weight row, as an (n, P) stack in input order.
-
-    Each row goes through the same vector-matrix kernel as a single
-    `w @ (stack - base)`, so row i is bit-identical to merging at weights[i]
-    alone.
+    One weight vector gives one (P,) vector; an (n, K) stack of weight rows
+    gives the (n, P) stack in input order, row i bit-identical to merging at
+    weights[i] alone, and the first bad row in row order raises. One-hot
+    weights return the selected expert bit-exactly (no float round trip
+    through the subtraction).
     """
     if len(experts) == 0:
         raise DimensionError("merge requires at least one expert")
-    return merge_rows(base, experts, normalize_simplex_rows(weights, len(experts)))
+    try:
+        stacked = np.ndim(weights) >= 2
+    except ValueError:  # rows of unequal lengths
+        stacked = True
+    w = normalize_simplex_rows(weights if stacked else [weights], len(experts))
+    merged = merge_rows(base, experts, w)
+    return merged if stacked else merged[0]
 
 
 def merge_rows(base: np.ndarray, experts: Sequence[np.ndarray],
                w: np.ndarray) -> np.ndarray:
-    """`merge_many` at an (n, len(experts)) stack that `normalize_simplex_rows`
+    """`merge` at an (n, len(experts)) stack that `normalize_simplex_rows`
     returned, used as it is: validating it again would renormalize it a
     second time."""
     base = as_params(base)

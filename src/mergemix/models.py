@@ -43,9 +43,18 @@ class Quadratic:
     def dim(self) -> int:
         return self.minimizer.shape[0]
 
-    def loss(self, theta: np.ndarray) -> float:
+    def loss(self, theta: np.ndarray) -> float | np.ndarray:
+        """Loss at one vector, or an (n,) array of losses at an (n, P) stack.
+
+        A stacked row takes `A d` from `grad`'s kernel and `d . (A d)` from a
+        stacked row-by-column product, so it is bit-identical to the
+        single-vector loss.
+        """
         d = theta - self.minimizer
-        return 0.5 * float(d @ (self.curvature @ d))
+        if d.ndim == 1:
+            return 0.5 * float(d @ (self.curvature @ d))
+        ad = np.matmul(self.curvature, d[:, :, None])
+        return 0.5 * np.matmul(d[:, None, :], ad)[:, 0, 0]
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
         """Gradient at one vector, or row-wise at an (n, P) stack.

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionError, MergeMixError, SurfaceFileError
 from .gbt import BoostHyper, GradientBoostedRegressor
-from .merging import merge, merge_many
+from .merging import merge
 from .params import params_digest
 from .persist import read_json
 from .seeding import rng_for
@@ -124,9 +124,9 @@ def sample_seed_configs(k: int, n: int, priors=(), seed: int = 0) -> np.ndarray:
 
 
 def collect_raw_scores(world: World, base: np.ndarray, experts, configs):
-    """Merge at each config and score every capability: (n, K) raws, digests."""
-    params = expert_params(experts)
-    merged = np.stack([merge(base, params, weights) for weights in configs])
+    """Merge at each config and score every capability: (n, K) raws, digests.
+    The design is merged as one stack and scored as one stack per domain."""
+    merged = merge(base, expert_params(experts), configs)
     return raw_capabilities(world, merged), [params_digest(theta) for theta in merged]
 
 
@@ -421,7 +421,7 @@ def run_search_stage(world: World, base: np.ndarray, experts, *,
 def merged_scores(world: World, base: np.ndarray, experts, weights,
                   contexts) -> np.ndarray:
     """Merge at each weight row and score every capability in the given units."""
-    merged = merge_many(base, expert_params(experts), weights)
+    merged = merge(base, expert_params(experts), weights)
     return normalize(raw_capabilities(world, merged), contexts)
 
 

@@ -131,7 +131,8 @@ class QuadraticWorld:
     def hvp(self, k: int, theta: np.ndarray, direction: np.ndarray) -> np.ndarray:
         return self.quadratics[k].hvp(direction)
 
-    def heldout_loss(self, k: int, theta: np.ndarray) -> float:
+    def heldout_loss(self, k: int, theta: np.ndarray) -> float | np.ndarray:
+        """Loss at one vector, or an (n,) array at an (n, P) stack."""
         return self.quadratics[k].loss(theta)
 
     def restrict(self, names) -> "QuadraticWorld":
@@ -186,8 +187,11 @@ class RegressionWorld:
     def hvp(self, k: int, theta: np.ndarray, direction: np.ndarray) -> np.ndarray:
         return hvp_finite_difference(lambda t: self.grad(k, t), theta, direction)
 
-    def heldout_loss(self, k: int, theta: np.ndarray) -> float:
+    def heldout_loss(self, k: int, theta: np.ndarray) -> float | np.ndarray:
+        """Loss at one vector, or row by row at an (n, P) stack."""
         d = self.heldout[k]
+        if np.ndim(theta) == 2:
+            return np.array([self.net.loss(row, d.inputs, d.targets) for row in theta])
         return self.net.loss(theta, d.inputs, d.targets)
 
     def restrict(self, names) -> "RegressionWorld":
@@ -216,25 +220,47 @@ class RegressionWorld:
 World = QuadraticWorld | RegressionWorld
 
 
-def raw_capability(world: World, k: int, theta: np.ndarray) -> float:
+def raw_capability(world: World, k: int, theta: np.ndarray) -> float | np.ndarray:
     """Negative held-out loss; larger is better, 0 is the quadratic maximum.
-    A loss that overflows, even at finite parameters, raises NumericError."""
-    loss = world.heldout_loss(k, as_params(theta))
-    if not np.isfinite(loss):
+
+    One parameter vector gives one float, an (n, P) stack an (n,) array. A
+    loss that overflows, even at finite parameters, raises NumericError. On
+    a stack, the first bad row raises what it would raise alone; no row
+    after a non-finite one is scored.
+    """
+    stacked = np.ndim(theta) == 2
+    theta = np.asarray(theta, dtype=np.float64) if stacked else as_params(theta)
+    if theta.shape[-1] != world.dim:  # a quadratic loss would broadcast it
+        raise DimensionError(f"expected {world.dim} parameters, got {theta.shape[-1]}")
+    if not stacked:
+        loss = world.heldout_loss(k, theta)
+        if not np.isfinite(loss):
+            raise NumericError(f"held-out loss on domain {world.names[k]!r} is {loss}")
+        return -loss
+    bad = ~np.isfinite(theta).all(axis=1)
+    scored = int(bad.argmax()) if bad.any() else theta.shape[0]
+    losses = world.heldout_loss(k, theta[:scored])
+    overflow = ~np.isfinite(losses)
+    if overflow.any():
+        loss = float(losses[overflow.argmax()])
         raise NumericError(f"held-out loss on domain {world.names[k]!r} is {loss}")
-    return -loss
+    if scored < theta.shape[0]:
+        as_params(theta[scored])  # raises the one-vector error for this row
+    return -losses
 
 
 def raw_capabilities(world: World, theta: np.ndarray) -> np.ndarray:
     """Raw capability on every domain, in domain order: a (K,) vector for one
-    parameter vector, an (n, K) matrix for an (n, P) stack, row by row."""
+    parameter vector, an (n, K) matrix for an (n, P) stack, scored as one
+    stack per domain, so the lowest-index domain with a bad row raises, for
+    its first bad row."""
     theta = np.asarray(theta, dtype=np.float64)
-    rows = theta if theta.ndim == 2 else theta[None]
+    rows = theta if theta.ndim == 2 else as_params(theta)[None]
     # An overflowing loss raises NumericError below; numpy's warning on the
     # way there would only precede that error.
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.array([[raw_capability(world, k, row) for k in range(world.num_domains)]
-                        for row in rows]).reshape(len(rows), world.num_domains)
+        out = np.stack([raw_capability(world, k, rows) for k in range(world.num_domains)],
+                       axis=1)
     return out if theta.ndim == 2 else out[0]
 
 

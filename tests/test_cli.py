@@ -245,6 +245,24 @@ class TestPipelineCommand:
         assert "duplicate domain names" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("domain,key", [
+        ({"name": "a", "kind": "quadratic", "minimizer": [1.0, 0.0],
+          "curvature": [[1.0, 0.0], [0.0]]}, "curvature"),
+        ({"name": "a", "kind": "regression", "target_weight": [[1.0, 0.0], [0.0]],
+          "input_dim": 2, "train_size": 6, "heldout_size": 4}, "target_weight"),
+    ])
+    def test_ragged_inline_array_exit_2_before_any_directory(
+            self, tmp_path, capsys, domain, key):
+        payload = dict(QW2_PIPELINE, world={"domains": [
+            domain, dict(domain, name="b")]})
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert f"domain 'a': {key} has rows of unequal lengths" in err
+        assert not out.exists()
+
     def test_failed_rerun_removes_stale_manifest(self, tmp_path):
         out = tmp_path / "out"
         good = write_config(tmp_path, QW2_PIPELINE, "good.json")

@@ -351,6 +351,8 @@ class Unscorable(Quadratic):
     """A domain that trains normally but whose loss is never finite."""
 
     def loss(self, theta):
+        if np.ndim(theta) == 2:  # a stack of parameter rows
+            return np.full(len(theta), np.inf)
         return float("inf")
 
 

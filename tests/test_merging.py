@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mergemix.errors import BudgetExceededError, DimensionError, SimplexError
-from mergemix.merging import merge, merge_many, soup
+from mergemix.merging import merge, soup
 from mergemix.simplex import (
     REFINE_RADIUS,
     SIMPLEX_TOL,
@@ -101,7 +101,7 @@ def reference_is_one_hot(weights: np.ndarray) -> int | None:
 
 
 def reference_merge(base, experts, weights) -> np.ndarray:
-    """One-vector merge as it stood before `merge_many`."""
+    """One-vector merge as it stood before merging took stacks."""
     w = reference_normalize_simplex(weights)
     stack = np.stack(experts)
     hot = reference_is_one_hot(w)
@@ -344,7 +344,7 @@ class TestMerge:
             merge(np.zeros(2), [np.zeros(3)], [1.0])
 
 
-class TestMergeManyMatchesReference:
+class TestMergeStackMatchesReference:
     @pytest.mark.parametrize("k,dim", [(1, 3), (2, 2), (4, 8), (6, 16), (3, 26)])
     def test_rows_bit_identical(self, k, dim):
         rng = np.random.default_rng(k * 100 + dim)
@@ -352,25 +352,26 @@ class TestMergeManyMatchesReference:
         experts = [rng.standard_normal(dim) for _ in range(k)]
         grid = np.concatenate([simplex_lattice(k, 6), np.eye(k),
                                dirichlet_points(k, 200, rng)])
-        stacked = merge_many(base, experts, grid)
+        stacked = merge(base, experts, grid)
         assert stacked.shape == (grid.shape[0], dim)
         for row, w in zip(stacked, grid):
             assert row.tobytes() == reference_merge(base, experts, w).tobytes()
             assert row.tobytes() == merge(base, experts, w).tobytes()
+        assert merge(base, experts, grid.tolist()).tobytes() == stacked.tobytes()
 
     def test_one_hot_rows_return_the_expert(self):
         rng = np.random.default_rng(1)
         base = rng.standard_normal(16) * 1e6
         experts = [rng.standard_normal(16) for _ in range(3)]
-        out = merge_many(base, experts, np.eye(3))
+        out = merge(base, experts, np.eye(3))
         for k in range(3):
             assert out[k].tobytes() == experts[k].tobytes()
 
     def test_rejects_bad_rows(self):
         with pytest.raises(SimplexError):
-            merge_many(np.zeros(2), [np.zeros(2)] * 2, [[0.5, 0.5], [0.7, 0.7]])
+            merge(np.zeros(2), [np.zeros(2)] * 2, [[0.5, 0.5], [0.7, 0.7]])
         with pytest.raises(DimensionError):
-            merge_many(np.zeros(2), [np.zeros(2)], [[1.0], [0.5, 0.5]])
+            merge(np.zeros(2), [np.zeros(2)], [[1.0], [0.5, 0.5]])
 
 
 class TestWeightRowsMatchReference:
@@ -392,7 +393,7 @@ class TestWeightRowsMatchReference:
             assert want[0] is SimplexError
             assert raised(normalize_simplex_rows, stack) == want
             experts = [np.zeros(3)] * stack.shape[1]
-            assert raised(merge_many, np.zeros(3), experts, stack) == want
+            assert raised(merge, np.zeros(3), experts, stack) == want
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_stack_row_sums_are_the_row_sums(self, seed):
@@ -411,7 +412,7 @@ class TestWeightRowsMatchReference:
             k = stack.shape[1]
             base = rng.standard_normal(5) * 1e6
             experts = [rng.standard_normal(5) for _ in range(k)]
-            merged = merge_many(base, experts, stack)
+            merged = merge(base, experts, stack)
             for row, w in zip(merged, stack):
                 assert row.tobytes() == reference_merge(base, experts, w).tobytes()
                 one_hot += reference_is_one_hot(reference_normalize_simplex(w)) is not None
@@ -419,11 +420,17 @@ class TestWeightRowsMatchReference:
 
     def test_empty_and_ragged_input(self):
         assert normalize_simplex_rows([], 3).shape == (0, 3)
-        assert merge_many(np.zeros(2), [np.zeros(2)] * 3, []).shape == (0, 2)
+        assert merge(np.zeros(2), [np.zeros(2)] * 3, np.empty((0, 3))).shape == (0, 2)
         # Every row is checked before any length: the bad second row wins.
         want = raised(reference_normalize_simplex, [0.5, 0.6])
         assert raised(normalize_simplex_rows, [[1.0], [0.5, 0.6]]) == want
         assert raised(normalize_simplex_rows, [[1.0], [0.5, 0.5]])[0] is DimensionError
+        # Ragged rows are a stack to `merge` too, checked the same way.
+        experts = [np.zeros(2)] * 2
+        assert raised(merge, np.zeros(2), experts, [[1.0], [0.5, 0.6]]) == want
+        assert raised(merge, np.zeros(2), experts, [[1.0], [0.5, 0.5]])[0] is DimensionError
+        # An empty weight vector is one bad vector, not an empty stack.
+        assert raised(merge, np.zeros(2), experts, [])[0] is SimplexError
         assert raised(normalize_simplex_rows, [[0.5, 0.5]], 3)[0] is DimensionError
         for not_rows in ([0.5, 0.5], [[[0.5, 0.5]]], [[]]):
             want = raised(lambda: [reference_normalize_simplex(r) for r in not_rows])

@@ -505,9 +505,16 @@ class TestConfigValidation:
          "quadratic domain 'a' needs minimizer and curvature"),
         (dict(_REG, name="a", target_weight=[[1.0, 0.0, 0.0]]), _QUAD,
          "target weight must be (out x 2), got (1, 3)"),
+        (_QUAD, dict(_QUAD, name="a", curvature=[[1.0, 0.0], [0.0]]),
+         "quadratic domain 'a': curvature has rows of unequal lengths"),
+        (_REG, dict(_REG, name="a", target_weight=[[1.0, 0.0], [0.0]]),
+         "regression domain 'a': target_weight has rows of unequal lengths"),
+        (dict(_QUAD, name="a", curvature=[[1.0, 0.0], [0.0]]), _REG,
+         "cannot mix quadratic and regression domains"),
     ], ids=["quadratic-keys", "regression-keys", "mixed", "mixed-not-pd",
             "not-pd", "target-shape", "mixed-quadratic-keys",
-            "mixed-target-shape"])
+            "mixed-target-shape", "ragged-curvature", "ragged-target",
+            "mixed-ragged-curvature"])
     def test_inline_domain_errors(self, first, second, message):
         cfg = dict(BASE_CONFIG, world={"domains": [first, second]})
         with pytest.raises(ConfigError) as excinfo:

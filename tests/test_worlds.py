@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import mergemix.worlds
-from mergemix.errors import MergeMixError, NumericError
-from mergemix.merging import merge_many
+from mergemix.errors import DimensionError, MergeMixError, NumericError
+from mergemix.merging import merge
 from mergemix.models import Quadratic
+from mergemix.simplex import dirichlet_points, simplex_lattice
 from mergemix.stats import NormContext, normalize
 from mergemix.worlds import (
     DomainSpec,
@@ -87,7 +88,7 @@ class TestCapability:
         for _ in range(25):
             a = rng.uniform(0.05, 0.95)
             da = rng.uniform(-1e-3, 1e-3)
-            merged = merge_many(base, experts, [[a, 1 - a], [a + da, 1 - a - da]])
+            merged = merge(base, experts, [[a, 1 - a], [a + da, 1 - a - da]])
             s1, s2 = normalize(raw_capabilities(qw2, merged), contexts)[:, 0]
             assert abs(s1 - s2) <= 1e-2
 
@@ -129,25 +130,135 @@ class TestRawCapabilitiesStack:
         assert raw_capabilities(world, stack[:0]).shape == (0, world.num_domains)
 
     def test_scores_through_raw_capability(self, world_and_stack, monkeypatch):
-        """Each (row, domain) pair is one raw_capability call, so its checks
-        and call counts hold for stacks too."""
+        """Each domain is one raw_capability call on the whole stack, so its
+        checks hold for stacks too."""
         world, stack = world_and_stack
         calls = []
         original = mergemix.worlds.raw_capability
 
         def counted(*args):
-            calls.append(args[1])
+            calls.append((args[1], args[2].shape))
             return original(*args)
 
         monkeypatch.setattr(mergemix.worlds, "raw_capability", counted)
         raw_capabilities(world, stack[:5])
-        assert calls == list(range(world.num_domains)) * 5
+        assert calls == [(k, (5, world.dim)) for k in range(world.num_domains)]
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_row_names_its_domain(self, qw2):
         stack = np.array([[0.0, 0.0], [1e200, 0.0]])
         with pytest.raises(NumericError, match="'d1'"):
             raw_capabilities(qw2, stack)
+
+
+def rotated_world(k: int, dim: int, seed: int) -> QuadraticWorld:
+    """k quadratic domains over `dim` parameters, each with its own randomly
+    rotated SPD curvature and minimizer: the shape of a seeded K=6, P=16 run."""
+    rng = np.random.default_rng(seed)
+    quads = []
+    for _ in range(k):
+        q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+        q = q * np.sign(np.diag(r))
+        a = (q * rng.uniform(0.3, 2.0, size=dim)) @ q.T
+        quads.append(Quadratic(rng.standard_normal(dim), 0.5 * (a + a.T)))
+    return QuadraticWorld([f"d{i}" for i in range(k)], quads)
+
+
+class TestStackedScoringMatchesPerRow:
+    """A design merged as one stack and scored as one stack per domain gives
+    the bytes that merging and scoring each row alone gives."""
+
+    @pytest.fixture(params=["QW-4", "QW-SEP", "K6-P16"])
+    def design(self, request):
+        if request.param == "K6-P16":
+            world = rotated_world(6, 16, seed=3)
+        else:
+            world = fixture_by_name(request.param)
+        k = world.num_domains
+        rng = np.random.default_rng(k * 7 + world.dim)
+        base = world.base_params()
+        experts = [q.minimizer + 0.1 * rng.standard_normal(world.dim)
+                   for q in world.quadratics]
+        configs = np.concatenate([np.eye(k), simplex_lattice(k, 4),
+                                  dirichlet_points(k, 150, rng)])
+        return world, base, experts, configs
+
+    def test_merge(self, design):
+        world, base, experts, configs = design
+        stacked = merge(base, experts, configs)
+        assert stacked.shape == (configs.shape[0], world.dim)
+        for row, weights in zip(stacked, configs):
+            assert row.tobytes() == merge(base, experts, weights).tobytes()
+
+    def test_quadratic_loss(self, design):
+        world, base, experts, configs = design
+        stacked = merge(base, experts, configs)
+        for q in world.quadratics:
+            losses = q.loss(stacked)
+            assert losses.shape == (configs.shape[0],)
+            assert losses.tobytes() == np.array([q.loss(t) for t in stacked]).tobytes()
+
+    def test_raw_capabilities(self, design):
+        world, base, experts, configs = design
+        stacked = merge(base, experts, configs)
+        got = raw_capabilities(world, stacked)
+        assert got.shape == (configs.shape[0], world.num_domains)
+        assert got.tobytes() == raw_capabilities_reference(world, stacked).tobytes()
+
+
+@pytest.mark.parametrize("name", ["QW-4", "TOY-2"])
+def test_wrong_parameter_count_rejected(name):
+    """A quadratic loss would broadcast a short vector; every world refuses it."""
+    world = fixture_by_name(name)
+    for theta in (np.array([0.3]), np.zeros((2, 1)), np.zeros((2, world.dim + 1))):
+        with pytest.raises(DimensionError, match=f"expected {world.dim} parameters"):
+            raw_capability(world, 0, theta)
+        with pytest.raises(DimensionError, match=f"expected {world.dim} parameters"):
+            raw_capabilities(world, theta)
+
+
+class TestStackErrors:
+    """On a stack, the lowest-index domain with a bad row raises, for that
+    domain's first bad row, the error that row raises alone."""
+
+    @pytest.fixture
+    def axis_world(self):
+        # Domain "a" barely curves along axis 0 and "b" along axis 1, so a
+        # far point along one axis overflows only the other domain's loss.
+        a = Quadratic(np.zeros(2), np.diag([1e-300, 1.0]))
+        b = Quadratic(np.zeros(2), np.diag([1.0, 1e-300]))
+        return QuadraticWorld(["a", "b"], [a, b])
+
+    @pytest.mark.filterwarnings("error")
+    def test_lowest_domain_with_a_bad_row_raises(self, axis_world):
+        stack = np.array([[1e160, 0.0], [0.0, 1e160]])
+        with np.errstate(over="ignore"):
+            assert np.isfinite(raw_capability(axis_world, 0, stack[0]))
+            assert np.isfinite(raw_capability(axis_world, 1, stack[1]))
+        # Row 0 fails only on "b" and row 1 only on "a": domain by domain,
+        # "a" raises first.
+        with pytest.raises(NumericError, match=r"^held-out loss on domain 'a' is inf$"):
+            raw_capabilities(axis_world, stack)
+        with pytest.raises(NumericError, match="'b'"):
+            raw_capabilities(axis_world, stack[:1])
+
+    @pytest.mark.filterwarnings("error")
+    def test_first_bad_row_raises_its_own_error(self, axis_world):
+        overflow, nan = [0.0, 1e160], [np.nan, 0.0]
+        with pytest.raises(NumericError, match="held-out loss on domain 'a'"):
+            raw_capabilities(axis_world, np.array([[0.0, 0.0], overflow, nan]))
+        with pytest.raises(NumericError, match="parameter vector contains NaN or Inf"):
+            raw_capabilities(axis_world, np.array([[0.0, 0.0], nan, overflow]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_rows_after_a_non_finite_one_are_not_scored(self, toy_world):
+        """A regression loss checks its own parameters row by row; an
+        overflowing row still raises before a later non-finite one."""
+        overflow = toy_world.base_params()
+        overflow[-1] = 1e200  # an output bias that squares past the float range
+        nan = np.full(toy_world.dim, np.nan)
+        with pytest.raises(NumericError, match=r"^held-out loss on domain 't1' is inf$"):
+            raw_capabilities(toy_world, np.stack([toy_world.base_params(), overflow, nan]))
 
 
 class TestRestrict:
