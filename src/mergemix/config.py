@@ -21,7 +21,6 @@ from .models import Quadratic, ToyNet
 from .schema import validate
 from .simplex import (
     DEFAULT_POINT_BUDGET,
-    REFINE_RADIUS,
     lattice_size,
     lattice_steps,
     normalize_simplex,
@@ -229,14 +228,11 @@ def _validate_cross_fields(cfg: RunConfig) -> None:
         search_sizes = [len(node.children) for node in tree.iter_internal()]
     steps = lattice_steps(cfg.resolution)
     for size in search_sizes:
-        coarse = lattice_size(size, steps)
-        refine = lattice_size(size, REFINE_RADIUS)  # the box around a corner
-        if coarse + refine > cfg.budget:
+        points = lattice_size(size, steps)
+        if points > cfg.budget:
             raise ConfigError(
-                f"a {size}-way search at resolution {cfg.resolution} needs "
-                f"{coarse} coarse lattice points plus at least {refine} "
-                f"refinement points, exceeding the budget of {cfg.budget} "
-                f"(a larger refinement box can still exceed it during the search)"
+                f"a {size}-way search at resolution {cfg.resolution} covers "
+                f"{points} lattice points, exceeding the budget of {cfg.budget}"
             )
     if cfg.mode == "dynamic-recalibrate" and cfg.recalibrate_steps is None:
         raise ConfigError("dynamic-recalibrate mode requires a 'recalibrate' section")

@@ -417,7 +417,7 @@ class GradientBoostedRegressor:
     # (learning rate, trees, routes) of the last predict; see _routes.
     _route_cache: tuple | None = field(default=None, init=False, repr=False,
                                        compare=False)
-    # (routes, leaf boxes, masks per lattice steps); see _bound_tables.
+    # (routes, leaf boxes, lattice steps, masks); see _bound_tables.
     _bound_cache: tuple | None = field(default=None, init=False, repr=False,
                                        compare=False)
 
@@ -474,16 +474,16 @@ class GradientBoostedRegressor:
         return out
 
     def _bound_tables(self, steps: int) -> tuple:
-        """(leaf boxes, lattice masks at `steps`), rebuilt with the routes."""
+        """(leaf boxes, lattice masks at `steps`): the boxes are rebuilt with
+        the routes, the masks with the routes or the steps."""
         routes = self._routes()
         cache = self._bound_cache
         if cache is None or cache[0] is not routes:
-            cache = self._bound_cache = (routes, _LeafBoxes.from_routes(routes),
-                                         {})
-        masks = cache[2].get(steps)
-        if masks is None:
-            masks = cache[2][steps] = cache[1].masks(steps)
-        return cache[1], masks
+            cache = (routes, _LeafBoxes.from_routes(routes), None, None)
+        if cache[2] != steps:
+            cache = (routes, cache[1], steps, cache[1].masks(steps))
+        self._bound_cache = cache
+        return cache[1], cache[3]
 
     def lattice_bound(self, lo: np.ndarray, hi: np.ndarray,
                       steps: int) -> np.ndarray:

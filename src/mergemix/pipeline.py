@@ -34,7 +34,13 @@ from .persist import (
 )
 from .schema import validate
 from .seeding import stable_seed
-from .simplex import lattice_steps, simplex_lattice, uniform_weights
+from .simplex import (
+    DEFAULT_POINT_BUDGET,
+    lattice_size,
+    lattice_steps,
+    simplex_lattice,
+    uniform_weights,
+)
 from .stats import (
     NormContext,
     cost_accounting,
@@ -451,8 +457,10 @@ def export_heatmap(surface_path: str | Path, capability: str,
 
     The utility is predicted from the capabilities it reads, every other
     column 0.0, as the search predicts it. Bad arguments fail before the
-    surface is read or anything is predicted, and a capability the surface
-    did not fit with a SurfaceFileError that names the fitted ones."""
+    surface is read or anything is predicted, a lattice over the point
+    budget with a ConfigError once the surface gives its domain count, and
+    a capability the surface did not fit with a SurfaceFileError that names
+    the fitted ones."""
     if top_percent is not None and not 0 < top_percent <= 100:
         raise ConfigError(f"top percentile must be in (0, 100], got {top_percent}")
     try:
@@ -460,6 +468,13 @@ def export_heatmap(surface_path: str | Path, capability: str,
     except SimplexError as exc:
         raise ConfigError(f"heatmap {exc}") from None
     model = load_surface(surface_path)
+    k = model.input_dim
+    points = lattice_size(k, steps)
+    if points > DEFAULT_POINT_BUDGET:
+        raise ConfigError(
+            f"heatmap resolution {resolution} gives {points} lattice points "
+            f"over {k} domains, exceeding the budget of {DEFAULT_POINT_BUDGET}"
+        )
     index = None
     if capability != "utility":
         if capability.isdigit():
@@ -482,7 +497,6 @@ def export_heatmap(surface_path: str | Path, capability: str,
         # load_surface checked that the utility's capabilities are fitted.
         columns = utility_columns(model.utility_spec, model.num_capabilities)
 
-    k = model.input_dim
     grid = simplex_lattice(k, steps)
     predictions = model.predict_batch(grid, columns)
     values = (utilities(predictions, model.utility_spec) if index is None

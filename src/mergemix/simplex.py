@@ -1,18 +1,16 @@
 """Probability-simplex utilities: validation, lattices, sampling.
 
-The full simplex lattice and the box around a coarse optimum come from one
-non-recursive enumerator, `_lattice`: it builds the points coordinate by
-coordinate with `np.repeat`, checks the budget before building anything
-larger, and writes the rows in ascending lexicographic order into one
-preallocated array. The search builds neither: `box_size` counts a
-lattice's points, and `lattice_argmax` branches on the same per-coordinate
-ranges (`_level`, `_expand`), keeping only the prefixes whose bound can
-still reach the best value.
+Lattices come from one non-recursive enumerator, `_lattice`: it builds the
+points coordinate by coordinate with `np.repeat`, checks the budget before
+building anything larger, and writes the rows in ascending lexicographic
+order into one preallocated array. The search builds no lattice: its size
+is `lattice_size`, and `lattice_argmax` branches on the same
+lexicographic levels (`_expand`), keeping only the prefixes whose bound
+can still reach the best value.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
 from math import comb
 
 import numpy as np
@@ -21,10 +19,6 @@ from .errors import BudgetExceededError, DimensionError, SimplexError
 
 SIMPLEX_TOL = 1e-9
 DEFAULT_POINT_BUDGET = 2_000_000
-# Refinement searches an L-inf box of this many steps at 1/(5 * steps)
-# around the coarse optimum; the box around a corner is the smallest, with
-# lattice_size(k, REFINE_RADIUS) points.
-REFINE_RADIUS = 5
 
 
 def normalize_simplex(weights) -> np.ndarray:
@@ -198,39 +192,18 @@ def simplex_lattice(k: int, steps: int,
                     steps, budget, "simplex lattice") / steps
 
 
-def box_limits(center: np.ndarray, steps: int,
-               radius: int) -> tuple[np.ndarray, np.ndarray]:
-    """Integer limits of the lattice box at `1/steps` within `radius` steps
-    (L-inf) of `center`, clipped to [0, steps]; `center` must lie on the
-    lattice."""
-    center_units = np.rint(center * steps).astype(np.int64)
-    return (np.maximum(center_units - radius, 0),
-            np.minimum(center_units + radius, steps))
-
-
 def boxed_lattice(center: np.ndarray, steps: int, radius: int,
                   budget: int = DEFAULT_POINT_BUDGET) -> np.ndarray:
-    """Lattice points at `1/steps` within `radius` steps (L-inf) of `center`.
+    """Lattice points at `1/steps` within `radius` steps (L-inf) of `center`,
+    clipped to the simplex; `center` must itself lie on the lattice.
 
-    Used for the local refinement pass around a coarse optimum; `center`
-    must itself lie on the lattice.
+    The package's search does not call it; `perfbench/spans.py` traces it
+    by name.
     """
-    lo, hi = box_limits(center, steps, radius)
-    return _lattice(lo, hi, steps, budget, "refinement lattice") / steps
-
-
-def box_size(lo: np.ndarray, hi: np.ndarray, steps: int, budget: int,
-             label: str) -> int:
-    """How many rows `_lattice(lo, hi, steps, ...)` has, without building
-    any; raises its BudgetExceededError when they exceed `budget`."""
-    ways = [1] + [0] * steps  # ways[s]: prefixes summing to s
-    for a, b in zip(lo.tolist(), hi.tolist()):
-        below = list(accumulate(ways, initial=0))  # below[s] = sum(ways[:s])
-        # A prefix sums to s with c in [a, b] from prefixes at s - b .. s - a.
-        ways = [below[max(s - a + 1, 0)] - below[max(s - b, 0)]
-                for s in range(steps + 1)]
-    _over_budget(ways[steps], budget, label)
-    return ways[steps]
+    center_units = np.rint(center * steps).astype(np.int64)
+    lo = np.maximum(center_units - radius, 0)
+    hi = np.minimum(center_units + radius, steps)
+    return _lattice(lo, hi, steps, budget, "boxed lattice") / steps
 
 
 def incumbent_seeds(k: int, steps: int) -> np.ndarray:
@@ -243,10 +216,9 @@ def incumbent_seeds(k: int, steps: int) -> np.ndarray:
                     DEFAULT_POINT_BUDGET, "seed lattice") * (steps // 4)
 
 
-def lattice_argmax(lo: np.ndarray, hi: np.ndarray, steps: int, bound,
-                   seeds: np.ndarray) -> np.ndarray:
-    """The lexicographically first maximizer of a value over the integer
-    points `lo <= c <= hi` with `sum(c) == steps`, by branch and bound.
+def lattice_argmax(k: int, steps: int, bound, seeds: np.ndarray) -> np.ndarray:
+    """The lexicographically first maximizer of a value over the simplex
+    lattice {c/steps}, as the integer point c, by branch and bound.
 
     `bound(box_lo, box_hi)` maps (n, k) integer boxes to an upper bound of
     the value over each box; on a single point (`box_lo == box_hi`) it must
@@ -260,25 +232,21 @@ def lattice_argmax(lo: np.ndarray, hi: np.ndarray, steps: int, bound,
     first of them in ascending lexicographic order is the first maximum an
     exhaustive sweep finds.
     """
-    k = lo.shape[0]
     seed_values = bound(seeds, seeds)
     incumbent = int(np.argmax(seed_values))
     best = seed_values[incumbent]
     order = np.lexsort((np.arange(k), -seeds[incumbent]))
     unorder = np.argsort(order)
-    lo, hi = lo[order], hi[order]
-    tails = tail_lo, tail_hi = _tails(lo, hi)
     rest = np.array([steps])
     fixed = np.empty((1, 0), dtype=np.int64)  # chosen coordinates, in order
     for pos in range(k - 1):
-        value, parent = _expand(*_level(lo, hi, tails, pos, rest))
+        # A coordinate with a free one after it takes any value up to `rest`.
+        value, parent = _expand(np.zeros_like(rest), rest + 1)
         fixed = np.column_stack((fixed[parent], value))
         rest = rest[parent] - value
-        # A free coordinate holds at least what the other free ones cannot
-        # take, and at most what they leave.
-        free_lo, free_hi = lo[pos + 1:], hi[pos + 1:]
-        box_lo = np.maximum(free_lo, rest[:, None] - (tail_hi[pos + 1] - free_hi))
-        box_hi = np.minimum(free_hi, rest[:, None] - (tail_lo[pos + 1] - free_lo))
+        # Each free coordinate holds 0 to `rest`; the last one holds `rest`.
+        box_hi = np.repeat(rest[:, None], k - pos - 1, axis=1)
+        box_lo = box_hi if pos == k - 2 else np.zeros_like(box_hi)
         bounds = bound(np.column_stack((fixed, box_lo))[:, unorder],
                        np.column_stack((fixed, box_hi))[:, unorder])
         if pos == k - 2:  # one free coordinate left: every box is a point

@@ -3,12 +3,12 @@
 Seed configurations (corners + coarse grid + priors + random fill) are
 merged and evaluated to produce training samples; one boosted-tree
 regressor per capability the utility reads approximates the landscape, and
-the capabilities it does not read are left unfitted; a lattice search with
-one local refinement pass finds the utility optimum, which is then
-re-checked by actually merging and evaluating. The search is exact branch
-and bound over the trees' leaf boxes: it bounds boxes of lattice points,
-scores only the points it cannot rule out, and picks what an exhaustive
-sweep of the same lattices picks.
+the capabilities it does not read are left unfitted; a search of one
+simplex lattice finds the utility optimum, which is then re-checked by
+actually merging and evaluating. The search is exact branch and bound over
+the trees' leaf boxes: it bounds boxes of lattice points, scores only the
+points it cannot rule out, and picks what an exhaustive sweep of the
+lattice picks.
 """
 
 from __future__ import annotations
@@ -27,13 +27,12 @@ from .persist import read_json
 from .seeding import rng_for
 from .simplex import (
     DEFAULT_POINT_BUDGET,
-    REFINE_RADIUS,
     _expand,
-    box_limits,
-    box_size,
+    _over_budget,
     dirichlet_points,
     incumbent_seeds,
     lattice_argmax,
+    lattice_size,
     lattice_steps,
     normalize_simplex,
     simplex_lattice,
@@ -329,16 +328,16 @@ def _utility_bound(model: SurfaceModel, spec: UtilitySpec, read: list[int],
 def search_optimum(model: SurfaceModel, utility_spec: UtilitySpec | None = None,
                    resolution: float = 0.05,
                    budget: int = DEFAULT_POINT_BUDGET) -> SearchResult:
-    """The utility's lattice optimum, refined once at resolution/5.
+    """The utility's optimum over the simplex lattice at `resolution`.
 
-    Finds what an exhaustive sweep of the coarse lattice and then of the
-    refinement box around its optimum finds, ties going to the
-    lexicographically smallest point, without predicting either: both are
+    Finds what an exhaustive sweep of the lattice finds, ties going to the
+    lexicographically smallest point, without predicting it: the lattice is
     searched by branch and bound (`simplex.lattice_argmax`) over the
-    surrogate's tree leaves (`GradientBoostedRegressor.lattice_bound`).
-    The coarse search starts from the best corner or quarter-lattice point,
-    the box search from the coarse optimum. `evaluated_points` and the
-    budget still count every point of the coarse lattice and of the box.
+    surrogate's tree leaves (`GradientBoostedRegressor.lattice_bound`),
+    starting from the best corner or quarter-lattice point.
+    `evaluated_points` counts every point of the lattice, and a lattice
+    larger than `budget` raises BudgetExceededError before any bound is
+    computed.
 
     Bounds and values use only the capabilities the utility reads
     (`utility_columns`) and leave the others 0.0; a zero weight times 0.0
@@ -358,24 +357,16 @@ def search_optimum(model: SurfaceModel, utility_spec: UtilitySpec | None = None,
     model.require_fitted(read)
     k = model.input_dim
     steps = lattice_steps(resolution)
-    lo, hi = np.zeros(k, dtype=np.int64), np.full(k, steps, dtype=np.int64)
-    evaluated = box_size(lo, hi, steps, budget, "simplex lattice")
-    coarse = lattice_argmax(lo, hi, steps,
-                            partial(_utility_bound, model, spec, read, steps),
-                            incumbent_seeds(k, steps))
-
-    fine_steps = steps * 5
-    lo, hi = box_limits(coarse / steps, fine_steps, REFINE_RADIUS)
-    evaluated += box_size(lo, hi, fine_steps, max(0, budget - evaluated),
-                          "refinement lattice")
-    fine = lattice_argmax(lo, hi, fine_steps,
-                          partial(_utility_bound, model, spec, read, fine_steps),
-                          coarse[None, :] * 5) / fine_steps
+    evaluated = lattice_size(k, steps)
+    _over_budget(evaluated, budget, "simplex lattice")
+    point = lattice_argmax(k, steps,
+                           partial(_utility_bound, model, spec, read, steps),
+                           incumbent_seeds(k, steps)) / steps
 
     # The winning lattice point and its renormalized weights, every fitted
     # capability predicted.
-    weights = normalize_simplex(fine)
-    scores = model.predict_batch(np.stack([fine, weights]))
+    weights = normalize_simplex(point)
+    scores = model.predict_batch(np.stack([point, weights]))
     return SearchResult(
         weights=weights,
         predicted_utility=float(utilities(scores[:1], spec)[0]),

@@ -158,28 +158,26 @@ class TestPipelineCommand:
         assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
         assert not (out / "qw2" / "experts").exists()
 
-    def test_budget_without_room_for_refinement_exits_2(self, tmp_path):
-        """21 points hold the coarse 2-way lattice but no refinement box."""
+    def test_budget_of_exactly_the_lattice_runs(self, tmp_path):
+        """The 2-way lattice at resolution 0.05 has 21 points; a budget of 21
+        holds the whole search."""
         payload = dict(QW2_PIPELINE)
         payload["search"] = {"resolution": 0.05, "budget": 21}
         cfg = write_config(tmp_path, payload)
         out = tmp_path / "out"
-        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
-        assert not (out / "qw2" / "experts").exists()
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "qw2" / "manifest.json").is_file()
 
-    def test_refinement_over_budget_fails_after_training(self, tmp_path, capsys):
-        """27 points hold the coarse 2-way lattice plus the 6-point corner
-        box, so parsing passes; the box around the interior optimum has 11
-        points and the search fails once the experts are written."""
+    def test_budget_one_below_the_lattice_exits_2_before_training(
+            self, tmp_path, capsys):
         payload = dict(QW2_PIPELINE)
-        payload["search"] = {"resolution": 0.05, "budget": 27}
+        payload["search"] = {"resolution": 0.05, "budget": 20}
         cfg = write_config(tmp_path, payload)
         out = tmp_path / "out"
-        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 1
-        assert ("refinement lattice exceeds the budget of 6"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
+        assert ("covers 21 lattice points, exceeding the budget of 20"
                 in capsys.readouterr().err)
-        assert (out / "qw2" / "experts").is_dir()
-        assert not (out / "qw2" / "manifest.json").exists()
+        assert not (out / "qw2" / "experts").exists()
 
     @pytest.mark.parametrize("prior,message", [
         ([float("nan"), 0.5], "non-finite"),
@@ -546,6 +544,26 @@ class TestHeatmapCommand:
         # 21 lattice points at resolution 0.05 for two domains; 15% -> 3 rows
         assert len(lines) - 1 <= 15
         assert len(lines) - 1 == 3
+
+    def test_lattice_over_the_budget_exits_2_before_predicting(
+            self, pipeline_run, tmp_path, capsys, monkeypatch):
+        """Resolution 4e-7 puts 2,500,001 points on the 2-way lattice, over
+        the budget of 2,000,000."""
+        from mergemix.surface import SurfaceModel
+
+        def no_predict(self, configs, columns=None):
+            raise AssertionError("predicted a lattice over the budget")
+
+        monkeypatch.setattr(SurfaceModel, "predict_batch", no_predict)
+        out_csv = tmp_path / "x.csv"
+        assert main(["export-heatmap",
+                     "--surface", str(pipeline_run / "surface.model.json"),
+                     "--resolution", "4e-7", "--out", str(out_csv)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("config error: heatmap resolution 4e-07 gives 2500001 "
+                       "lattice points over 2 domains, exceeding the budget "
+                       "of 2000000\n")
+        assert not out_csv.exists()
 
     def test_unknown_capability_errors(self, pipeline_run, tmp_path):
         assert main(["export-heatmap",

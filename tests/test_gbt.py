@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mergemix.errors import BudgetExceededError, MergeMixError
+from mergemix.errors import MergeMixError
 from mergemix.gbt import (
     PREDICT_BLOCK_ROWS,
     BoostHyper,
@@ -13,14 +13,7 @@ from mergemix.gbt import (
     _grow_tree,
     _presort,
 )
-from mergemix.simplex import (
-    DEFAULT_POINT_BUDGET,
-    box_limits,
-    box_size,
-    boxed_lattice,
-    dirichlet_points,
-    simplex_lattice,
-)
+from mergemix.simplex import dirichlet_points, simplex_lattice
 from mergemix.stats import spearman
 from mergemix.surface import sample_seed_configs
 
@@ -609,22 +602,15 @@ class TestLatticeBound:
             inside = np.all((points >= a) & (points <= b), axis=1)
             assert np.all(bounds[i] >= truncated[inside])
 
-    def test_box_size_counts_the_boxed_lattice(self):
-        steps = 50
-        for k in (2, 3, 4):
-            for center in simplex_lattice(k, 5):  # corners, faces, interior
-                for radius in (0, 1, 5, 12):
-                    lo, hi = box_limits(center, steps, radius)
-                    n = boxed_lattice(center, steps, radius).shape[0]
-                    assert box_size(lo, hi, steps, DEFAULT_POINT_BUDGET,
-                                    "box") == n
-                    with pytest.raises(BudgetExceededError,
-                                       match=f"^box exceeds the budget of {n - 1}$"):
-                        box_size(lo, hi, steps, n - 1, "box")
-        lo, hi = box_limits(np.full(3, 1 / 3), 30, 5)
-        assert np.all(lo > 0) and np.all(hi < 30)  # unclipped
-        lo, hi = box_limits(np.array([0.0, 0.5, 0.5]), 30, 5)
-        assert lo[0] == 0 and hi[0] == 5  # clipped at the face
+    def test_alternating_lattices_rebuild_the_masks(self):
+        """The tables hold one lattice's masks; bounding another lattice
+        rebuilds them, and coming back gives the first lattice's values."""
+        lattices = {steps: lattice_units(3, steps) for steps in (10, 12)}
+        for model in bound_models(3):
+            for steps in (10, 12, 10):
+                points = lattices[steps]
+                assert (model.lattice_bound(points, points, steps).tobytes()
+                        == model.predict(points / steps).tobytes())
 
 
 class TestNoReferenceCycles:

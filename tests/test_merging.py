@@ -4,10 +4,11 @@ import pytest
 from mergemix.errors import BudgetExceededError, DimensionError, SimplexError
 from mergemix.merging import merge, soup
 from mergemix.simplex import (
-    REFINE_RADIUS,
     SIMPLEX_TOL,
     boxed_lattice,
     dirichlet_points,
+    incumbent_seeds,
+    lattice_argmax,
     lattice_size,
     normalize_simplex,
     normalize_simplex_rows,
@@ -245,10 +246,23 @@ class TestSimplexValidation:
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("steps", [4, 10])
-    def test_smallest_refinement_box_is_a_corner_box(self, k, steps):
-        sizes = [boxed_lattice(p, steps * 5, REFINE_RADIUS).shape[0]
-                 for p in simplex_lattice(k, steps)]
-        assert min(sizes) == lattice_size(k, REFINE_RADIUS)
+    def test_lattice_argmax_is_the_first_maximum_of_a_sweep(self, k, steps):
+        # A separable value sum_i g_i(c_i) with small integer tables, so many
+        # points tie; its exact box bound sums each table's range maximum.
+        rng = np.random.default_rng(100 * k + steps)
+        tables = rng.integers(0, 4, size=(k, steps + 1))
+        range_max = np.full((k, steps + 1, steps + 1), -1)
+        for a in range(steps + 1):
+            for b in range(a, steps + 1):
+                range_max[:, a, b] = tables[:, a:b + 1].max(axis=1)
+
+        def bound(box_lo, box_hi):
+            return range_max[np.arange(k), box_lo, box_hi].sum(axis=1)
+
+        units = np.rint(simplex_lattice(k, steps) * steps).astype(np.int64)
+        values = tables[np.arange(k), units].sum(axis=1)
+        got = lattice_argmax(k, steps, bound, incumbent_seeds(k, steps))
+        np.testing.assert_array_equal(got, units[np.argmax(values)])
 
     def test_dirichlet_deterministic(self):
         a = dirichlet_points(3, 4, np.random.default_rng(5))

@@ -461,16 +461,18 @@ class TestConfigValidation:
         })
         assert parse_config(hier).budget == 100
 
-    def test_search_budget_covers_smallest_refinement_box(self):
-        """QW-2 at resolution 0.05: 21 coarse points plus the 6-point box
-        around a corner."""
+    def test_search_budget_is_the_lattice_size(self):
+        """QW-2 at resolution 0.05: the search covers exactly its 21 lattice
+        points."""
         cfg = {"name": "b", "seed": 1, "world": {"fixture": "QW-2"},
                "train": {"learning_rate": 0.05, "steps": 2},
-               "search": {"resolution": 0.05, "budget": 26}}
-        with pytest.raises(ConfigError, match="refinement"):
+               "search": {"resolution": 0.05, "budget": 20}}
+        with pytest.raises(ConfigError, match="^a 2-way search at resolution "
+                           "0.05 covers 21 lattice points, exceeding the "
+                           "budget of 20$"):
             parse_config(cfg)
-        cfg["search"] = {"resolution": 0.05, "budget": 27}
-        assert parse_config(cfg).budget == 27
+        cfg["search"] = {"resolution": 0.05, "budget": 21}
+        assert parse_config(cfg).budget == 21
 
     def test_config_digest_covers_export_datasets(self):
         from mergemix.pipeline import _config_digest

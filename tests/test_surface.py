@@ -1,21 +1,20 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mergemix import simplex
+from mergemix.config import load_config
 from mergemix.errors import BudgetExceededError, MergeMixError, SurfaceFileError
 from mergemix.gbt import BoostHyper, GradientBoostedRegressor
 from mergemix.hierarchy import HierarchyContext, MixtureNode, optimize_top_down
 from mergemix.models import Quadratic
-from mergemix.persist import read_json, write_json
+from mergemix.persist import load_checkpoint, read_json, write_json
+from mergemix.pipeline import run_pipeline
 from mergemix.seeding import rng_for, stable_seed
 from mergemix.simplex import (
-    DEFAULT_POINT_BUDGET,
-    REFINE_RADIUS,
-    box_limits,
-    boxed_lattice,
     dirichlet_points,
     lattice_size,
     lattice_steps,
@@ -32,6 +31,7 @@ from mergemix.surface import (
     collect_samples,
     fit_surface,
     load_surface,
+    merged_scores,
     run_search_stage,
     sample_seed_configs,
     search_optimum,
@@ -286,8 +286,8 @@ class TestSearch:
         np.testing.assert_array_equal(res.weights, [0.0, 1.0, 0.0, 0.0])
 
     def test_corner_dominant_capability_on_qw4(self, qw4, qw4_experts):
-        """A single-capability objective lands at (or one refined step from)
-        that capability's own corner."""
+        """A single-capability objective lands on that capability's own
+        corner."""
         stage = run_search_stage(
             qw4, qw4.base_params(), qw4_experts, design_size=40,
             seed=stable_seed(RUN_SEED, "design"),
@@ -340,29 +340,18 @@ class TestSearch:
 
 
 def reference_search_optimum(model: SurfaceModel, spec: UtilitySpec,
-                             resolution: float,
-                             budget: int = DEFAULT_POINT_BUDGET) -> SearchResult:
-    """The search with every capability predicted at every lattice point and
-    the winner's sweep value as its predicted utility."""
+                             resolution: float) -> SearchResult:
+    """The search as an exhaustive sweep: every capability predicted at every
+    lattice point, and the winner's sweep value as its predicted utility."""
     steps = lattice_steps(resolution)
-    coarse = simplex_lattice(model.input_dim, steps, budget)
-    coarse_vals = utilities(model.predict_batch(coarse), spec)
-    best = int(np.argmax(coarse_vals))
-    fine = boxed_lattice(coarse[best], steps * 5, radius=REFINE_RADIUS,
-                         budget=max(0, budget - coarse.shape[0]))
-    fine_vals = utilities(model.predict_batch(fine), spec)
-    best_fine = int(np.argmax(fine_vals))
-    weights = normalize_simplex(fine[best_fine])
+    lattice = simplex_lattice(model.input_dim, steps)
+    values = utilities(model.predict_batch(lattice), spec)
+    best = int(np.argmax(values))
+    weights = normalize_simplex(lattice[best])
     scores = model.predict_batch(weights[None, :])[0]
-    return SearchResult(weights, float(fine_vals[best_fine]),
+    return SearchResult(weights, float(values[best]),
                         tuple(float(v) for v in scores), 1.0 / steps,
-                        coarse.shape[0] + fine.shape[0])
-
-
-def reference_coarse_optimum(model: SurfaceModel, spec: UtilitySpec,
-                             resolution: float) -> np.ndarray:
-    coarse = simplex_lattice(model.input_dim, lattice_steps(resolution))
-    return coarse[int(np.argmax(utilities(model.predict_batch(coarse), spec)))]
+                        lattice.shape[0])
 
 
 def assert_same_search(actual: SearchResult, expected: SearchResult):
@@ -520,20 +509,6 @@ class TestReadColumnsSearch:
             assert_same_search(result, reference_search_optimum(model, spec, 0.1))
             np.testing.assert_array_equal(result.weights, [0, 0, 0, 0, 1])
 
-    def test_optimum_on_a_face_clips_the_refinement_box(self):
-        """Falling in x0 and peaked at x1 = 0.38: the coarse optimum has
-        x0 = 0, so its refinement box is cut off at that face."""
-        model = surface_of(3, staircase_regressor(
-            (0, lambda x: -x), (1, lambda x: -(x - 0.38) ** 2)))
-        spec = model.utility_spec
-        result = search_optimum(model, spec, resolution=0.1)
-        assert_same_search(result, reference_search_optimum(model, spec, 0.1))
-        np.testing.assert_allclose(result.weights, [0.0, 0.38, 0.62],
-                                   atol=1e-12)
-        coarse = reference_coarse_optimum(model, spec, 0.1)
-        lo, hi = box_limits(coarse, 50, REFINE_RADIUS)
-        assert coarse[0] == 0.0 and lo[0] == 0 and hi[0] == REFINE_RADIUS
-
     def test_coarse_lattice_over_budget_raises_before_any_bound(
             self, monkeypatch):
         model = synthetic_surface(3, k=6)
@@ -546,29 +521,46 @@ class TestReadColumnsSearch:
             search_optimum(model, resolution=0.1, budget=budget)
         assert bounded == []
 
-    def test_refinement_box_over_budget_raises_after_the_coarse_search(
-            self, monkeypatch):
+    def test_default_budget_holds_the_k8_lattice(self):
+        """An 8-way search at 0.05 covers 888,030 points, which the default
+        budget holds; the search counts exactly those. The surrogate is
+        fitted to a bowl around the uniform point, so its optimum has many
+        nonzero weights."""
+        x = dirichlet_points(8, 60, np.random.default_rng(1))
+        y = -np.sum((x - 1 / 8) ** 2, axis=1)
+        model = fit_surface(x, y[:, None], ["bowl"], [NormContext(0, 1)],
+                            hyper=BoostHyper(n_trees=12, max_depth=2),
+                            utility_spec=UtilitySpec(kind="single", index=0))
+        result = search_optimum(model, resolution=0.05)
+        assert result.evaluated_points == lattice_size(8, 20) == 888030
+        units = result.weights * 20
+        np.testing.assert_array_equal(units, np.rint(units))
+
+    def test_budget_of_exactly_the_lattice_is_enough(self):
         model = synthetic_surface(3, k=4)
         spec = model.utility_spec
-        full = reference_search_optimum(model, spec, 0.1).evaluated_points
-        budget = full - 1
-        with pytest.raises(BudgetExceededError) as expected:
-            reference_search_optimum(model, spec, 0.1, budget)
-        assert str(expected.value).startswith("refinement lattice exceeds")
-        bounded = []
-        inner = GradientBoostedRegressor.lattice_bound
+        assert_same_search(search_optimum(model, spec, resolution=0.1,
+                                          budget=lattice_size(4, 10)),
+                           reference_search_optimum(model, spec, 0.1))
 
-        def counted(reg, lo, hi, steps):
-            bounded.append(steps)
-            return inner(reg, lo, hi, steps)
 
-        monkeypatch.setattr(GradientBoostedRegressor, "lattice_bound", counted)
-        with pytest.raises(BudgetExceededError) as actual:
-            search_optimum(model, spec, resolution=0.1, budget=budget)
-        assert str(actual.value) == str(expected.value)
-        assert bounded and set(bounded) == {10}  # the coarse search, no box
-        assert search_optimum(model, spec, resolution=0.1,
-                              budget=full).evaluated_points == full
+def test_qw2_flat_pick_is_the_best_point_of_its_lattice(tmp_path):
+    """The shipped qw2-flat run reports the point of its 0.05 lattice whose
+    merged utility, in the run's own units, is the largest."""
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs"
+                      / "qw2-flat.json")
+    run_dir = run_pipeline(cfg, tmp_path)
+    world = cfg.build_world()
+    experts = [load_checkpoint(run_dir / "experts" / f"{name}.ckpt")[0]
+               for name in world.names]
+    contexts = load_surface(run_dir / "surface.model.json").contexts
+    lattice = simplex_lattice(2, 20)
+    values = utilities(merged_scores(world, world.base_params(), experts,
+                                     lattice, contexts), cfg.utility_spec)
+    pick = np.asarray(read_json(run_dir / "report.json")["optimum"]["weights"])
+    units = np.rint(pick * 20)
+    np.testing.assert_allclose(pick, units / 20, rtol=0, atol=1e-12)
+    assert values[int(units[0])] == values.max()  # row c holds (c, 20 - c) / 20
 
 
 class TestVerify:
