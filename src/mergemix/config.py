@@ -26,6 +26,7 @@ from .simplex import (
     normalize_simplex,
 )
 from .stats import UtilitySpec
+from .surface import is_exact_stage
 from .training import TrainConfig
 from .worlds import (
     DomainSpec,
@@ -37,6 +38,7 @@ from .worlds import (
 
 DEFAULT_DESIGN_SIZE = 40
 DEFAULT_RESOLUTION = 0.05
+DEFAULT_SWEEP_RESOLUTION = 0.1
 HIERARCHICAL_MODES = ("hierarchical-top-down", "hierarchical-bottom-up")
 
 
@@ -70,6 +72,11 @@ class RunConfig:
 
     def build_world(self) -> World:
         return build_world(self.world_spec)
+
+    @property
+    def sweep_resolution(self) -> float:
+        """Resolution of the theory sweep's simplex grid."""
+        return float(self.theory.get("sweep_resolution", DEFAULT_SWEEP_RESOLUTION))
 
     def build_tree(self) -> MixtureNode:
         if self.hierarchy is None:
@@ -170,13 +177,22 @@ def _validate_cross_fields(cfg: RunConfig) -> None:
         except MergeMixError as exc:
             raise ConfigError(f"theory {exc}") from exc
     # JSON's NaN passes the schema's bounds too.
-    if "sweep_resolution" in cfg.theory:
-        try:
-            lattice_steps(float(cfg.theory["sweep_resolution"]))
-        except SimplexError as exc:
-            raise ConfigError(f"theory sweep {exc}") from exc
+    try:
+        sweep_steps = lattice_steps(cfg.sweep_resolution)
+    except SimplexError as exc:
+        raise ConfigError(f"theory sweep {exc}") from exc
     world = cfg.build_world()  # resolves fixture names and domain specs
     k = world.num_domains
+    # A config with a theory section runs the sweep, which builds its whole
+    # grid under the default point budget.
+    if cfg.theory:
+        points = lattice_size(k, sweep_steps)
+        if points > DEFAULT_POINT_BUDGET:
+            raise ConfigError(
+                f"theory sweep resolution {cfg.sweep_resolution} gives {points} "
+                f"lattice points over {k} domains, exceeding the budget of "
+                f"{DEFAULT_POINT_BUDGET}"
+            )
     if cfg.design_size < k + 1:
         raise ConfigError(
             f"design size {cfg.design_size} too small for {k} domains"
@@ -234,6 +250,13 @@ def _validate_cross_fields(cfg: RunConfig) -> None:
                 f"a {size}-way search at resolution {cfg.resolution} covers "
                 f"{points} lattice points, exceeding the budget of {cfg.budget}"
             )
+    if cfg.priors and is_exact_stage(k, steps, cfg.design_size):
+        raise ConfigError(
+            f"design.priors are not read: the {k}-way lattice at resolution "
+            f"{cfg.resolution} has {lattice_size(k, steps)} points, no more "
+            f"than design.size {cfg.design_size}, so the search scores every "
+            f"lattice point and draws no design"
+        )
     if cfg.mode == "dynamic-recalibrate" and cfg.recalibrate_steps is None:
         raise ConfigError("dynamic-recalibrate mode requires a 'recalibrate' section")
 

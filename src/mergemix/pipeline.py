@@ -36,6 +36,7 @@ from .schema import validate
 from .seeding import stable_seed
 from .simplex import (
     DEFAULT_POINT_BUDGET,
+    _over_budget,
     lattice_size,
     lattice_steps,
     simplex_lattice,
@@ -74,7 +75,7 @@ from .training import (
 )
 from .worlds import World, raw_capabilities
 
-REPORT_FORMAT = "mm-report-v1"
+REPORT_FORMAT = "mm-report-v2"
 MANIFEST_FORMAT = "mm-manifest-v1"
 THEORY_FORMAT = "mm-theory-v1"
 SURFACE_FILE = "surface.model.json"
@@ -340,15 +341,19 @@ def _config_digest(cfg: RunConfig) -> str:
 def run_theory(cfg: RunConfig, out_dir: str | Path) -> Path:
     """Scaling check, discrepancy sweep, curvature and cosine matrices."""
     world = cfg.build_world()
+    k = world.num_domains
+    sweep_res = cfg.sweep_resolution
+    # Counted before the run directory is made, so a grid over the point
+    # budget fails before anything is trained or written.
+    _over_budget(lattice_size(k, lattice_steps(sweep_res)), DEFAULT_POINT_BUDGET,
+                 "simplex lattice")
     run_dir = _prepare_run_dir(cfg, out_dir)
     base = world.base_params()
     names = world.names
-    k = world.num_domains
 
     lr = float(cfg.theory.get("learning_rate", cfg.train["learning_rate"]))
     steps = int(cfg.theory.get("steps", cfg.train["steps"]))
     weights = np.asarray(cfg.theory.get("weights", uniform_weights(k)))
-    sweep_res = float(cfg.theory.get("sweep_resolution", 0.1))
 
     # One context at base: its K x K curvature table serves the scaling
     # check, the curvature matrix and the sweep.
@@ -457,10 +462,11 @@ def export_heatmap(surface_path: str | Path, capability: str,
 
     The utility is predicted from the capabilities it reads, every other
     column 0.0, as the search predicts it. Bad arguments fail before the
-    surface is read or anything is predicted, a lattice over the point
-    budget with a ConfigError once the surface gives its domain count, and
-    a capability the surface did not fit with a SurfaceFileError that names
-    the fitted ones."""
+    surface is read or anything is predicted. An exact stage's surface,
+    which fits no regressor, is a SurfaceFileError once it is read; a
+    lattice over the point budget is a ConfigError once the surface gives
+    its domain count, and a capability the surface did not fit a
+    SurfaceFileError that names the fitted ones."""
     if top_percent is not None and not 0 < top_percent <= 100:
         raise ConfigError(f"top percentile must be in (0, 100], got {top_percent}")
     try:
@@ -468,6 +474,11 @@ def export_heatmap(surface_path: str | Path, capability: str,
     except SimplexError as exc:
         raise ConfigError(f"heatmap {exc}") from None
     model = load_surface(surface_path)
+    if model.exact:
+        raise SurfaceFileError(
+            f"{surface_path}: the stage scored its lattice exactly and fitted "
+            f"no regressor, so there is nothing to predict"
+        )
     k = model.input_dim
     points = lattice_size(k, steps)
     if points > DEFAULT_POINT_BUDGET:

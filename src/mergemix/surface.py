@@ -9,6 +9,10 @@ actually merging and evaluating. The search is exact branch and bound over
 the trees' leaf boxes: it bounds boxes of lattice points, scores only the
 points it cannot rule out, and picks what an exhaustive sweep of the
 lattice picks.
+
+A stage whose lattice has no more points than its design is exact: it
+merges and scores every lattice point instead, fits nothing and picks the
+best actual utility, so it never merges more rows than the design would.
 """
 
 from __future__ import annotations
@@ -170,6 +174,12 @@ class SurfaceModel:
     def fitted_columns(self) -> list[int]:
         return [m for m, r in enumerate(self.regressors) if r is not None]
 
+    @property
+    def exact(self) -> bool:
+        """An exact stage's surface: it scored its whole lattice and holds
+        only the contexts, with no regressor fitted."""
+        return not self.fitted_columns
+
     def require_fitted(self, columns) -> None:
         """MergeMixError unless every capability in `columns` is fitted."""
         missing = [self.capabilities[m] for m in columns
@@ -229,8 +239,8 @@ class SurfaceModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SurfaceModel":
-        """A v2 or v1 surface; every capability its utility reads must be
-        fitted."""
+        """A v2 or v1 surface; unless it is exact, every capability its
+        utility reads must be fitted."""
         if data.get("format") not in READABLE_SURFACE_FORMATS:
             raise MergeMixError(
                 f"unsupported surface format {data.get('format')!r}"
@@ -250,7 +260,8 @@ class SurfaceModel:
         m = model.num_capabilities
         if not len(model.regressors) == len(model.train_error) == m:
             raise MergeMixError(f"{m} capabilities need {m} regressor slots")
-        model.require_fitted(utility_columns(model.utility_spec, m))
+        if not model.exact:
+            model.require_fitted(utility_columns(model.utility_spec, m))
         return model
 
 
@@ -305,11 +316,29 @@ def fit_surface(x: np.ndarray, scores: np.ndarray, capabilities: list[str],
 
 @dataclass(frozen=True)
 class SearchResult:
+    """The pick of a stage. An exact stage predicts nothing: its
+    `predicted_utility` and every `predicted_scores` entry are None."""
+
     weights: np.ndarray
-    predicted_utility: float
-    predicted_scores: tuple[float, ...]
+    predicted_utility: float | None
+    predicted_scores: tuple[float | None, ...]
     resolution: float
     evaluated_points: int
+
+
+def _search_steps(resolution: float) -> int:
+    """Lattice steps of a search at `resolution`, which must be in (0, 0.25]."""
+    if not 0 < resolution <= 0.25:
+        raise MergeMixError(
+            f"search resolution must be in (0, 0.25], got {resolution}"
+        )
+    return lattice_steps(resolution)
+
+
+def is_exact_stage(k: int, steps: int, design_size: int) -> bool:
+    """Whether a k-way stage at `steps` scores its whole lattice: it does
+    when the lattice has no more points than the design."""
+    return lattice_size(k, steps) <= design_size
 
 
 def _utility_bound(model: SurfaceModel, spec: UtilitySpec, read: list[int],
@@ -348,15 +377,11 @@ def search_optimum(model: SurfaceModel, utility_spec: UtilitySpec | None = None,
     predicted score is 0.0. A spec that reads an unfitted capability raises
     MergeMixError before any bound is computed.
     """
-    if not 0 < resolution <= 0.25:
-        raise MergeMixError(
-            f"search resolution must be in (0, 0.25], got {resolution}"
-        )
+    steps = _search_steps(resolution)
     spec = utility_spec or model.utility_spec
     read = utility_columns(spec, model.num_capabilities)
     model.require_fitted(read)
     k = model.input_dim
-    steps = lattice_steps(resolution)
     evaluated = lattice_size(k, steps)
     _over_budget(evaluated, budget, "simplex lattice")
     point = lattice_argmax(k, steps,
@@ -398,15 +423,59 @@ def run_search_stage(world: World, base: np.ndarray, experts, *,
                      budget: int = DEFAULT_POINT_BUDGET) -> StageResult:
     """One full surface pass over a set of expert vectors.
 
+    A stage whose lattice at `resolution` has no more points than
+    `design_size` is exact (`is_exact_stage`): it merges and scores the
+    whole lattice, reads no `priors` and fits nothing (`_exact_stage`).
+    Any other stage draws its design, fits the surface and searches it.
+
     The flat pipeline and every node of a hierarchical search run this same
     code path, so a trivial hierarchy reproduces the flat result exactly.
     """
-    configs = sample_seed_configs(len(experts), design_size, priors=priors, seed=seed)
+    k = len(experts)
+    steps = _search_steps(resolution)
+    if is_exact_stage(k, steps, design_size):
+        return _exact_stage(world, base, experts, steps, budget,
+                            hyper or BoostHyper(), utility_spec or UtilitySpec())
+    configs = sample_seed_configs(k, design_size, priors=priors, seed=seed)
     scores, contexts, digests = collect_samples(world, base, experts, configs)
     model = fit_surface(configs, scores, list(world.names), contexts,
                         hyper=hyper, utility_spec=utility_spec)
     search = search_optimum(model, resolution=resolution, budget=budget)
     return StageResult(configs, scores, digests, model, search, experts)
+
+
+def _exact_stage(world: World, base: np.ndarray, experts, steps: int,
+                 budget: int, hyper: BoostHyper,
+                 spec: UtilitySpec) -> StageResult:
+    """Merge and score every point of the lattice {c/steps} as one stack and
+    pick the best actual utility, ties going to the first row: the lattice
+    is in ascending order, so that is the lexicographically first point, as
+    in `search_optimum`. The rows are the normalization context, and the
+    surface holds only the contexts."""
+    lattice = simplex_lattice(len(experts), steps, budget)
+    scores, contexts, digests = collect_samples(world, base, experts, lattice)
+    n, k = lattice.shape
+    m = len(world.names)
+    model = SurfaceModel(
+        capabilities=list(world.names),
+        regressors=[None] * m,
+        contexts=contexts,
+        hyper=hyper,
+        utility_spec=spec,
+        sample_digest=_samples_digest(lattice, scores),
+        train_error=[None] * m,
+        num_samples=n,
+        input_dim=k,
+    )
+    best = int(np.argmax(utilities(scores, spec)))
+    search = SearchResult(
+        weights=normalize_simplex(lattice[best]),
+        predicted_utility=None,
+        predicted_scores=(None,) * m,
+        resolution=1.0 / steps,
+        evaluated_points=n,
+    )
+    return StageResult(lattice, scores, digests, model, search, experts)
 
 
 def merged_scores(world: World, base: np.ndarray, experts, weights,
@@ -435,7 +504,9 @@ def verify_optimum(world: World, base: np.ndarray, experts,
     normalization context, so the report shows whether the optimized
     mixture actually beats the obvious baselines. Every capability is
     scored; an unfitted one has None as its prediction and gap, and
-    `max_abs_gap` is over the fitted ones.
+    `max_abs_gap` is over the fitted ones. `search_kind` is "exact" for an
+    exact stage, whose predictions, gaps, `max_abs_gap` and
+    `predicted_utility` are all None, and "surrogate" otherwise.
     """
     spec = model.utility_spec
     scores = merged_scores(world, base, experts, [result.weights], model.contexts)
@@ -446,12 +517,13 @@ def verify_optimum(world: World, base: np.ndarray, experts,
     baselines = baseline_utilities(world, base, experts, model.contexts, spec)
 
     return {
+        "search_kind": "exact" if model.exact else "surrogate",
         "weights": result.weights.tolist(),
         "capabilities": list(model.capabilities),
         "predicted_scores": predicted,
         "actual_scores": actual,
         "per_capability_gap": gaps,
-        "max_abs_gap": max(abs(g) for g in gaps if g is not None),
+        "max_abs_gap": max((abs(g) for g in gaps if g is not None), default=None),
         "predicted_utility": result.predicted_utility,
         "actual_utility": float(utilities(scores, spec)[0]),
         "baseline_utilities": baselines,

@@ -179,6 +179,20 @@ class TestPipelineCommand:
                 in capsys.readouterr().err)
         assert not (out / "qw2" / "experts").exists()
 
+    def test_priors_with_an_exact_search_exit_2_before_any_directory(
+            self, tmp_path, capsys):
+        """The 11-point lattice at 0.1 fits in a design of 12, so the stage
+        scores the lattice and would drop the prior."""
+        payload = dict(QW2_PIPELINE, design={"size": 12, "priors": [[0.7, 0.3]]},
+                       search={"resolution": 0.1})
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: design.priors are not read")
+        assert "has 11 points, no more than design.size 12" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("prior,message", [
         ([float("nan"), 0.5], "non-finite"),
         ([0.5, 0.3], "sum to 0.8"),
@@ -410,6 +424,39 @@ class TestTheoryCommand:
     def test_zero_training_steps_exit_2_before_the_run_directory(
             self, tmp_path, capsys):
         assert_zero_steps_keep_earlier_run(tmp_path, capsys, "theory", QW2_THEORY)
+
+    def test_sweep_over_the_point_budget_exits_2_before_any_directory(
+            self, tmp_path, capsys):
+        """QW-4 at 0.004 is a 2,667,126-point grid. Before the parse-time
+        check the run trained its experts, then exited 1 and left an empty
+        run directory."""
+        payload = dict(QW2_THEORY, world={"fixture": "QW-4"},
+                       theory=dict(QW2_THEORY["theory"], sweep_resolution=0.004))
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["theory", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: theory sweep resolution 0.004 gives 2667126 lattice "
+            "points over 4 domains, exceeding the budget of 2000000"]
+        assert not out.exists()
+
+    def test_sweep_of_a_config_without_theory_section_fails_before_training(
+            self, tmp_path, capsys):
+        """Without a theory section the config parses, and the theory
+        command sweeps at 0.1: 3,268,760 points over 16 domains. It fails
+        before anything is trained or written."""
+        domains = [{"name": f"d{i}", "kind": "quadratic",
+                    "minimizer": [i / 16], "curvature": [[1.0]]}
+                   for i in range(16)]
+        payload = {"name": "k16", "seed": 7, "world": {"domains": domains},
+                   "train": {"learning_rate": 0.05, "steps": 2},
+                   "search": {"resolution": 0.25}}
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["theory", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: simplex lattice exceeds the budget of 2000000"]
+        assert not out.exists()
 
     def test_report_failing_its_schema_exits_1_without_report(
             self, tmp_path, capsys, monkeypatch):
@@ -663,6 +710,93 @@ class TestHeatmapCommand:
                      "--surface", str(tmp_path / "missing.json"),
                      *flags, "--out", str(out_csv)]) == 2
         assert message in capsys.readouterr().err
+        assert not out_csv.exists()
+
+
+QW2_EXACT = dict(QW2_PIPELINE, name="qw2-exact", search={"resolution": 0.1})
+
+
+@pytest.fixture(scope="module")
+def exact_run(tmp_path_factory):
+    """A QW-2 run whose 11-point lattice fits in its design of 12."""
+    tmp = tmp_path_factory.mktemp("exact")
+    cfg = write_config(tmp, QW2_EXACT)
+    assert main(["pipeline", "--config", str(cfg), "--out", str(tmp)]) == 0
+    return tmp / "qw2-exact"
+
+
+class TestExactStageRun:
+    def test_samples_are_the_scored_lattice(self, exact_run):
+        lines = (exact_run / "samples.csv").read_text().splitlines()
+        assert lines[0] == "alpha_1,alpha_2,y_1,y_2,digest"
+        assert [line.split(",")[0] for line in lines[1:]] == [
+            str(c / 10) for c in range(11)]
+
+    def test_surface_holds_only_the_contexts(self, exact_run):
+        surface = read_json(exact_run / "surface.model.json")
+        assert surface["format"] == "mm-surface-v2"
+        assert surface["regressors"] == [None, None]
+        assert surface["train_error"] == [None, None]
+        assert len(surface["contexts"]) == 2
+        assert surface["num_samples"] == 11
+
+    def test_report_names_the_exact_search(self, exact_run):
+        report = read_json(exact_run / "report.json")
+        assert report["format"] == "mm-report-v2"
+        optimum = report["optimum"]
+        assert optimum["search_kind"] == "exact"
+        for key in ("predicted_utility", "max_abs_gap"):
+            assert optimum[key] is None, key
+        for key in ("predicted_scores", "per_capability_gap"):
+            assert optimum[key] == [None, None], key
+        assert optimum["evaluated_points"] == 11
+        assert optimum["actual_utility"] >= max(
+            optimum["baseline_utilities"].values())
+
+    def test_surrogate_report_names_its_search(self, pipeline_run):
+        report = read_json(pipeline_run / "report.json")
+        assert report["format"] == "mm-report-v2"
+        assert report["optimum"]["search_kind"] == "surrogate"
+
+    def test_reproducible_byte_identical(self, exact_run, tmp_path):
+        cfg = write_config(tmp_path, QW2_EXACT)
+        assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        again = tree_bytes(tmp_path / "qw2-exact")
+        first = tree_bytes(exact_run)
+        del again["manifest.json"], first["manifest.json"]
+        assert again == first
+
+    def test_depth_one_tree_matches_flat(self, exact_run, tmp_path):
+        hier = dict(QW2_EXACT, mode="hierarchical-top-down", hierarchy={
+            "name": "root", "children": [{"name": "d1", "domain": "d1"},
+                                         {"name": "d2", "domain": "d2"}]})
+        cfg = write_config(tmp_path, hier)
+        assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        run = tmp_path / "qw2-exact"
+        for name in ("samples.csv", "surface.model.json"):
+            assert (run / name).read_bytes() == (exact_run / name).read_bytes()
+        flat_report = read_json(exact_run / "report.json")
+        hier_report = read_json(run / "report.json")
+        assert (hier_report["hierarchy"]["ratios_by_domain"]
+                == dict(zip(["d1", "d2"], flat_report["optimum"]["weights"])))
+
+    @pytest.mark.parametrize("capability", ["utility", "d1"])
+    def test_heatmap_of_an_exact_surface_exits_2(self, exact_run, tmp_path,
+                                                 capsys, monkeypatch,
+                                                 capability):
+        from mergemix.surface import SurfaceModel
+
+        def no_predict(self, configs, columns=None):
+            raise AssertionError("predicted from an exact surface")
+
+        monkeypatch.setattr(SurfaceModel, "predict_batch", no_predict)
+        out_csv = tmp_path / "x.csv"
+        assert main(["export-heatmap",
+                     "--surface", str(exact_run / "surface.model.json"),
+                     "--capability", capability, "--out", str(out_csv)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("surface error: ") and err.count("\n") == 1
+        assert "scored its lattice exactly and fitted no regressor" in err
         assert not out_csv.exists()
 
 

@@ -335,8 +335,10 @@ class TestClusterStagesOverTheirDomains:
 
     @pytest.mark.parametrize("optimize", [optimize_top_down, optimize_bottom_up])
     def test_cluster_surfaces_map_only_their_capabilities(self, case, optimize):
+        """At 0.01 a two-way lattice has 101 points, more than the design, so
+        every stage fits a surface."""
         world, experts, make_tree, clusters = case
-        ctx = _ctx(world, experts, design_size=40, resolution=0.1,
+        ctx = _ctx(world, experts, design_size=40, resolution=0.01,
                    hyper=SMALL_HYPER)
         optimize(make_tree(), ctx)
         assert ctx.stage_log[("design",)].model.capabilities == world.names

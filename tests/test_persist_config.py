@@ -414,7 +414,9 @@ class TestConfigValidation:
 
     def test_weight_vectors_within_tolerance_parse(self):
         drift = [0.5, 0.5 + 5e-10]
-        cfg = parse_config(dict(BASE_CONFIG, design={"priors": [drift]},
+        # A design of 12 is smaller than the 21-point lattice, so it reads
+        # its priors.
+        cfg = parse_config(dict(BASE_CONFIG, design={"size": 12, "priors": [drift]},
                                 consistency={"ratios": [drift, [0.2, 0.8],
                                                         [0.8, 0.2]]},
                                 theory={"weights": drift}))

@@ -10,6 +10,7 @@ from mergemix.config import load_config
 from mergemix.errors import BudgetExceededError, MergeMixError, SurfaceFileError
 from mergemix.gbt import BoostHyper, GradientBoostedRegressor
 from mergemix.hierarchy import HierarchyContext, MixtureNode, optimize_top_down
+from mergemix.merging import merge
 from mergemix.models import Quadratic
 from mergemix.persist import load_checkpoint, read_json, write_json
 from mergemix.pipeline import run_pipeline
@@ -37,8 +38,8 @@ from mergemix.surface import (
     search_optimum,
     verify_optimum,
 )
-from mergemix.training import TrainConfig, train_expert
-from mergemix.worlds import QuadraticWorld
+from mergemix.training import TrainConfig, expert_params, train_expert
+from mergemix.worlds import QuadraticWorld, raw_capability
 from tests.conftest import (
     RUN_SEED,
     constant_regressor,
@@ -451,20 +452,22 @@ class TestReadColumnsSearch:
         world, spec = ctx.cluster_scope(cluster)
         assert world.names == ["m-a", "m-b"]
         assert spec.weights == (0.5, 0.5)
+        # 101 two-way lattice points at 0.01, more than the design of 60.
         stage = run_search_stage(world, base, experts[:2], design_size=60,
                                  seed=stable_seed(RUN_SEED, "design", "m"),
-                                 utility_spec=spec, resolution=0.1)
+                                 utility_spec=spec, resolution=0.01)
         assert stage.model.capabilities == ["m-a", "m-b"]
         assert_same_search(stage.search,
-                           reference_search_optimum(stage.model, spec, 0.1))
+                           reference_search_optimum(stage.model, spec, 0.01))
 
     def test_every_stage_of_a_qw_sep_top_down_run(self, qw_sep):
         base = qw_sep.base_params()
         cfg = TrainConfig(learning_rate=0.1, steps=60, checkpoint_interval=60,
                           seed=stable_seed(RUN_SEED, "train"))
         experts = [train_expert(qw_sep, k, base, cfg) for k in range(4)]
+        # 201 two-way lattice points at 0.005, more than the design of 120.
         ctx = HierarchyContext(world=qw_sep, base=base, experts=experts,
-                               design_size=120, resolution=0.1, seed=RUN_SEED)
+                               design_size=120, resolution=0.005, seed=RUN_SEED)
         tree = MixtureNode.from_dict({"name": "root", "children": [
             {"name": c, "children": [{"name": f"{c}-{x}", "domain": f"{c}-{x}"}
                                      for x in "ab"]} for c in "mc"]})
@@ -473,7 +476,7 @@ class TestReadColumnsSearch:
         for stage in ctx.stage_log.values():
             model = stage.model
             assert_same_search(stage.search, reference_search_optimum(
-                model, model.utility_spec, 0.1))
+                model, model.utility_spec, 0.005))
 
     def test_qw4_stage(self, qw4_stage):
         for spec in read_specs(4):
@@ -561,6 +564,126 @@ def test_qw2_flat_pick_is_the_best_point_of_its_lattice(tmp_path):
     units = np.rint(pick * 20)
     np.testing.assert_allclose(pick, units / 20, rtol=0, atol=1e-12)
     assert values[int(units[0])] == values.max()  # row c holds (c, 20 - c) / 20
+
+
+class TestExactStage:
+    """A stage whose lattice has no more points than its design scores the
+    whole lattice and fits nothing."""
+
+    def test_pick_is_the_brute_force_argmax_in_the_lattice_contexts(
+            self, qw4, qw4_experts):
+        """35 points at 0.25 against a design of 40. The contexts are built
+        from the lattice rows merged and scored one at a time."""
+        base = qw4.base_params()
+        lattice = simplex_lattice(4, 4)
+        raws = np.array([[raw_capability(qw4, m, merge(base, expert_params(qw4_experts), w))
+                          for m in range(4)] for w in lattice])
+        contexts = [NormContext(float(c.min()), float(c.max())) for c in raws.T]
+        scores = merged_scores(qw4, base, qw4_experts, lattice, contexts)
+        for spec in read_specs(4):
+            stage = run_search_stage(qw4, base, qw4_experts, design_size=40,
+                                     seed=stable_seed(RUN_SEED, "design"),
+                                     utility_spec=spec, resolution=0.25)
+            assert stage.model.contexts == contexts
+            best = int(np.argmax(utilities(scores, spec)))
+            assert (stage.search.weights.tobytes()
+                    == normalize_simplex(lattice[best]).tobytes())
+            assert stage.configs.tobytes() == lattice.tobytes()
+            assert stage.scores.tobytes() == scores.tobytes()
+            assert stage.model.exact and stage.model.regressors == [None] * 4
+            assert stage.model.train_error == [None] * 4
+            assert stage.search.predicted_utility is None
+            assert stage.search.predicted_scores == (None,) * 4
+            assert stage.search.evaluated_points == 35
+            assert stage.search.resolution == 0.25
+
+    def test_ties_pick_the_lexicographically_first_point(self, qw2, qw2_experts):
+        """Two copies of one expert merge to the same model at every point,
+        so every lattice point ties."""
+        twins = [qw2_experts[0], qw2_experts[0]]
+        stage = run_search_stage(qw2, qw2.base_params(), twins, design_size=40,
+                                 resolution=0.1)
+        assert len(set(utilities(stage.scores, UtilitySpec()).tolist())) == 1
+        np.testing.assert_array_equal(stage.search.weights, [0.0, 1.0])
+
+    @pytest.mark.parametrize("design,exact", [(11, True), (10, False)])
+    def test_lattice_of_the_design_size_is_exact(self, qw2, qw2_experts,
+                                                 design, exact):
+        """11 points at 0.1: a design of 11 takes the exact path, one of 10
+        the surrogate path."""
+        assert lattice_size(2, lattice_steps(0.1)) == 11
+        stage = run_search_stage(qw2, qw2.base_params(), qw2_experts,
+                                 design_size=design,
+                                 seed=stable_seed(RUN_SEED, "design"),
+                                 resolution=0.1)
+        assert stage.model.exact is exact
+        assert stage.configs.shape == (11 if exact else design, 2)
+        assert stage.model.fitted_columns == ([] if exact else [0, 1])
+        assert (stage.search.predicted_utility is None) is exact
+
+    def test_merges_exactly_the_lattice(self, qw4, qw4_experts, monkeypatch):
+        """286 points at 0.1 against a design of 600: 286 rows are merged,
+        and no design is drawn, no surface fitted and none searched."""
+        import mergemix.surface as surface
+
+        merged_rows = []
+
+        def counting_merge(base, experts, weights):
+            merged_rows.append(np.atleast_2d(weights).shape[0])
+            return merge(base, experts, weights)
+
+        def unused(*args, **kwargs):
+            raise AssertionError("an exact stage called the surrogate path")
+
+        monkeypatch.setattr(surface, "merge", counting_merge)
+        for name in ("sample_seed_configs", "fit_surface", "search_optimum"):
+            monkeypatch.setattr(surface, name, unused)
+        stage = run_search_stage(qw4, qw4.base_params(), qw4_experts,
+                                 design_size=600, resolution=0.1)
+        assert merged_rows == [lattice_size(4, 10)] == [286]
+        assert stage.search.evaluated_points == 286
+
+    def test_two_stages_are_bit_identical(self, qw4, qw4_experts):
+        runs = [run_search_stage(qw4, qw4.base_params(), qw4_experts,
+                                 design_size=300, resolution=0.1)
+                for _ in range(2)]
+        a, b = runs
+        assert a.configs.tobytes() == b.configs.tobytes()
+        assert a.scores.tobytes() == b.scores.tobytes()
+        assert a.digests == b.digests
+        assert a.model.to_dict() == b.model.to_dict()
+        assert a.search.weights.tobytes() == b.search.weights.tobytes()
+
+    def test_verify_reports_an_exact_search(self, qw4, qw4_experts):
+        base = qw4.base_params()
+        stage = run_search_stage(qw4, base, qw4_experts, design_size=40,
+                                 resolution=0.25)
+        report = verify_optimum(qw4, base, qw4_experts, stage.model, stage.search)
+        assert report["search_kind"] == "exact"
+        assert report["predicted_scores"] == [None] * 4
+        assert report["per_capability_gap"] == [None] * 4
+        assert report["max_abs_gap"] is None
+        assert report["predicted_utility"] is None
+        best = utilities(stage.scores, stage.model.utility_spec).max()
+        assert report["actual_utility"] == pytest.approx(best, abs=1e-12)
+        assert json.loads(json.dumps(report)) == report
+
+    def test_exact_surface_round_trips(self, qw4, qw4_experts, tmp_path):
+        """An exact surface holds only its contexts; it loads, and it cannot
+        be searched."""
+        stage = run_search_stage(qw4, qw4.base_params(), qw4_experts,
+                                 design_size=40, resolution=0.25)
+        path = tmp_path / "surface.model.json"
+        write_json(path, stage.model.lazy_dict())
+        data = read_json(path)
+        assert data["format"] == SURFACE_FORMAT
+        assert data["regressors"] == [None] * 4
+        assert data["num_samples"] == 35
+        clone = load_surface(path)
+        assert clone.exact and clone.contexts == stage.model.contexts
+        with pytest.raises(MergeMixError, match="not fitted; this surface "
+                                                r"fits only \[\]"):
+            search_optimum(clone, resolution=0.25)
 
 
 class TestVerify:
