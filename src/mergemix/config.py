@@ -272,11 +272,12 @@ def parse_config(data: dict) -> RunConfig:
     search = data.get("search", {})
     utility = data.get("utility", {})
     try:
+        default = BoostHyper()
         hyper = BoostHyper(
-            n_trees=int(surface.get("n_trees", 200)),
-            max_depth=int(surface.get("max_depth", 3)),
-            learning_rate=float(surface.get("learning_rate", 0.05)),
-            min_leaf=int(surface.get("min_leaf", 2)),
+            n_trees=int(surface.get("n_trees", default.n_trees)),
+            max_depth=int(surface.get("max_depth", default.max_depth)),
+            learning_rate=float(surface.get("learning_rate", default.learning_rate)),
+            min_leaf=int(surface.get("min_leaf", default.min_leaf)),
         )
         utility_spec = UtilitySpec(
             kind=utility.get("kind", "macro"),

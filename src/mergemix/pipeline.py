@@ -75,7 +75,7 @@ from .training import (
 )
 from .worlds import World, raw_capabilities
 
-REPORT_FORMAT = "mm-report-v2"
+REPORT_FORMAT = "mm-report-v3"
 MANIFEST_FORMAT = "mm-manifest-v1"
 THEORY_FORMAT = "mm-theory-v1"
 SURFACE_FILE = "surface.model.json"
@@ -201,7 +201,9 @@ def recalibrate(cfg: RunConfig, world: World, midpoint: np.ndarray,
     checkpoint and compare the fresh optimum with the original one.
 
     Uses the same derived seeds as the first pass, so recalibrating from
-    the untouched base reproduces the original optimum exactly.
+    the untouched base reproduces the original optimum exactly. `alpha_new`
+    is the fresh stage's answer, and `predicted_utility_new` its search
+    pick's predicted utility.
     """
     _, experts = _train_experts(cfg, world, midpoint)
     stage = _flat_stage(cfg, world, midpoint, experts)

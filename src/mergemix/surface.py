@@ -13,12 +13,17 @@ lattice picks.
 A stage whose lattice has no more points than its design is exact: it
 merges and scores every lattice point instead, fits nothing and picks the
 best actual utility, so it never merges more rows than the design would.
+
+Every stage also scores its pick, the uniform mixture and every corner. A
+surrogate stage answers with the best actual utility among its pick, its
+design rows and those baselines, so its answer is never worse than a
+mixture it has already scored, however far the surrogate misses.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -316,14 +321,34 @@ def fit_surface(x: np.ndarray, scores: np.ndarray, capabilities: list[str],
 
 @dataclass(frozen=True)
 class SearchResult:
-    """The pick of a stage. An exact stage predicts nothing: its
-    `predicted_utility` and every `predicted_scores` entry are None."""
+    """The answer of a search or of a stage.
+
+    `search_optimum` answers with its pick. A stage (`run_search_stage`)
+    answers with the mixture it selected: `selected_from` names where it
+    came from ("search", "design" or a `_baseline_labels` entry), and
+    `pick_weights` holds the search pick when the answer is another
+    mixture. The predictions are always the search pick's; an exact stage
+    predicts nothing, so its `predicted_utility` and every
+    `predicted_scores` entry are None. A stage also keeps the actual scores,
+    in its units, of its answer (`actual_scores`) and of the rows of
+    `_check_rows` at its pick (`check_scores`), so verifying it merges
+    nothing.
+    """
 
     weights: np.ndarray
     predicted_utility: float | None
     predicted_scores: tuple[float | None, ...]
     resolution: float
     evaluated_points: int
+    selected_from: str = "search"
+    pick_weights: np.ndarray | None = None
+    actual_scores: np.ndarray | None = None
+    check_scores: np.ndarray | None = None
+
+    @property
+    def search_weights(self) -> np.ndarray:
+        """The search pick's weights."""
+        return self.weights if self.pick_weights is None else self.pick_weights
 
 
 def _search_steps(resolution: float) -> int:
@@ -404,8 +429,8 @@ def search_optimum(model: SurfaceModel, utility_spec: UtilitySpec | None = None,
 @dataclass(frozen=True)
 class StageResult:
     """Everything one design-collect-fit-search pass produces: the (n, K)
-    design, its (n, M) normalized scores and merge digests, the surface and
-    its optimum, and the experts the stage merged."""
+    design, its (n, M) normalized scores and merge digests, the surface,
+    the stage's answer (`search`) and the experts the stage merged."""
 
     configs: np.ndarray
     scores: np.ndarray
@@ -413,6 +438,23 @@ class StageResult:
     model: SurfaceModel
     search: SearchResult
     experts: list
+
+
+def _baseline_labels(experts) -> list[str]:
+    """Labels of the uniform mixture and of every corner, in `_baseline_rows`
+    order."""
+    return ["uniform"] + [f"corner_{getattr(expert, 'name', i)}"
+                          for i, expert in enumerate(experts)]
+
+
+def _baseline_rows(k: int) -> np.ndarray:
+    """(K + 1, K): the uniform mixture and every corner."""
+    return np.vstack([uniform_weights(k), np.eye(k)])
+
+
+def _check_rows(pick: np.ndarray) -> np.ndarray:
+    """(K + 2, K): the search pick, then `_baseline_rows`."""
+    return np.vstack([pick, _baseline_rows(pick.shape[0])])
 
 
 def run_search_stage(world: World, base: np.ndarray, experts, *,
@@ -425,8 +467,13 @@ def run_search_stage(world: World, base: np.ndarray, experts, *,
 
     A stage whose lattice at `resolution` has no more points than
     `design_size` is exact (`is_exact_stage`): it merges and scores the
-    whole lattice, reads no `priors` and fits nothing (`_exact_stage`).
-    Any other stage draws its design, fits the surface and searches it.
+    whole lattice, reads no `priors`, fits nothing and answers with the
+    lattice argmax (`_exact_stage`). Any other stage draws its design, fits
+    the surface and searches it, then merges and scores `_check_rows` at the
+    pick as one stack in the design's units. It answers with the best actual
+    utility among the pick, the design rows, the uniform mixture and the
+    corners; ties go to the pick, then to design order, then to the uniform
+    mixture and the corners in order.
 
     The flat pipeline and every node of a hierarchical search run this same
     code path, so a trivial hierarchy reproduces the flat result exactly.
@@ -440,8 +487,33 @@ def run_search_stage(world: World, base: np.ndarray, experts, *,
     scores, contexts, digests = collect_samples(world, base, experts, configs)
     model = fit_surface(configs, scores, list(world.names), contexts,
                         hyper=hyper, utility_spec=utility_spec)
-    search = search_optimum(model, resolution=resolution, budget=budget)
+    pick = search_optimum(model, resolution=resolution, budget=budget)
+    checks = _check_rows(pick.weights)
+    checked = merged_scores(world, base, experts, checks, contexts)
+    # The candidates in tie order: the pick, the design, the baselines.
+    rows = np.vstack([checks[:1], configs, checks[1:]])
+    candidates = np.vstack([checked[:1], scores, checked[1:]])
+    labels = ["search"] + ["design"] * len(configs) + _baseline_labels(experts)
+    best = int(np.argmax(utilities(candidates, model.utility_spec)))
+    search = replace(pick, weights=rows[best], selected_from=labels[best],
+                     pick_weights=None if best == 0 else pick.weights,
+                     actual_scores=candidates[best], check_scores=checked)
     return StageResult(configs, scores, digests, model, search, experts)
+
+
+def _read_or_merge(world: World, base: np.ndarray, experts, contexts,
+                   configs: np.ndarray, scores: np.ndarray,
+                   rows: np.ndarray) -> np.ndarray:
+    """Scores of each of `rows`: a row equal bit for bit to one of the
+    scored `configs` reads its scores, and the others are merged and scored
+    as one stack."""
+    index = {row.tobytes(): i for i, row in enumerate(configs)}
+    found = [index.get(row.tobytes(), -1) for row in rows]
+    missing = np.array(found) < 0
+    out = scores[found]  # a missing row's -1 reads a placeholder
+    if missing.any():
+        out[missing] = merged_scores(world, base, experts, rows[missing], contexts)
+    return out
 
 
 def _exact_stage(world: World, base: np.ndarray, experts, steps: int,
@@ -451,7 +523,9 @@ def _exact_stage(world: World, base: np.ndarray, experts, steps: int,
     pick the best actual utility, ties going to the first row: the lattice
     is in ascending order, so that is the lexicographically first point, as
     in `search_optimum`. The rows are the normalization context, and the
-    surface holds only the contexts."""
+    surface holds only the contexts. A row of `_check_rows` that is a
+    lattice point bit for bit reads that point's scores; only the others
+    are merged."""
     lattice = simplex_lattice(len(experts), steps, budget)
     scores, contexts, digests = collect_samples(world, base, experts, lattice)
     n, k = lattice.shape
@@ -468,12 +542,17 @@ def _exact_stage(world: World, base: np.ndarray, experts, steps: int,
         input_dim=k,
     )
     best = int(np.argmax(utilities(scores, spec)))
+    weights = normalize_simplex(lattice[best])
+    checked = _read_or_merge(world, base, experts, contexts, lattice, scores,
+                             _check_rows(weights))
     search = SearchResult(
-        weights=normalize_simplex(lattice[best]),
+        weights=weights,
         predicted_utility=None,
         predicted_scores=(None,) * m,
         resolution=1.0 / steps,
         evaluated_points=n,
+        actual_scores=checked[0],
+        check_scores=checked,
     )
     return StageResult(lattice, scores, digests, model, search, experts)
 
@@ -488,45 +567,56 @@ def merged_scores(world: World, base: np.ndarray, experts, weights,
 def baseline_utilities(world: World, base: np.ndarray, experts, contexts,
                        spec: UtilitySpec) -> dict:
     """Actual utility of the uniform mixture and of every corner."""
-    k = len(experts)
-    labels = ["uniform"] + [f"corner_{getattr(expert, 'name', i)}"
-                            for i, expert in enumerate(experts)]
-    weights = np.vstack([uniform_weights(k), np.eye(k)])
-    values = utilities(merged_scores(world, base, experts, weights, contexts), spec)
-    return dict(zip(labels, values.tolist()))
+    scores = merged_scores(world, base, experts, _baseline_rows(len(experts)),
+                           contexts)
+    values = utilities(scores, spec)
+    return dict(zip(_baseline_labels(experts), values.tolist()))
 
 
 def verify_optimum(world: World, base: np.ndarray, experts,
                    model: SurfaceModel, result: SearchResult) -> dict:
-    """Merge at the proposed optimum and compare prediction with reality.
+    """Compare the search pick's prediction with reality, and report the
+    answer.
 
-    Also scores the uniform mixture and every corner with the same
-    normalization context, so the report shows whether the optimized
-    mixture actually beats the obvious baselines. Every capability is
-    scored; an unfitted one has None as its prediction and gap, and
-    `max_abs_gap` is over the fitted ones. `search_kind` is "exact" for an
-    exact stage, whose predictions, gaps, `max_abs_gap` and
-    `predicted_utility` are all None, and "surrogate" otherwise.
+    `weights`, `actual_scores` and `actual_utility` are the answer's;
+    `predicted_scores`, `per_capability_gap`, `max_abs_gap` and
+    `predicted_utility` are the search pick's, and `search_pick` gives its
+    weights and actual utility. The uniform mixture and every corner are
+    scored in the same units, so the report shows whether the answer beats
+    the obvious baselines. A stage's result carries all of these scores; a
+    bare `search_optimum` result, whose answer is its pick, has them merged
+    here as one `_check_rows` stack. Every capability is scored; an unfitted
+    one has None as its prediction and gap, and `max_abs_gap` is over the
+    fitted ones. `search_kind` is "exact" for an exact stage, whose
+    predictions, gaps, `max_abs_gap` and `predicted_utility` are all None,
+    and "surrogate" otherwise.
     """
     spec = model.utility_spec
-    scores = merged_scores(world, base, experts, [result.weights], model.contexts)
-    actual = scores[0].tolist()
+    pick = result.search_weights
+    checked = result.check_scores
+    if checked is None:
+        checked = merged_scores(world, base, experts, _check_rows(pick),
+                                model.contexts)
+    actual = checked[0] if result.actual_scores is None else result.actual_scores
+    values = utilities(np.vstack([actual, checked]), spec).tolist()
     predicted = [None if r is None else p
                  for r, p in zip(model.regressors, result.predicted_scores)]
-    gaps = [None if p is None else p - a for p, a in zip(predicted, actual)]
-    baselines = baseline_utilities(world, base, experts, model.contexts, spec)
+    gaps = [None if p is None else p - a
+            for p, a in zip(predicted, checked[0].tolist())]
 
     return {
         "search_kind": "exact" if model.exact else "surrogate",
         "weights": result.weights.tolist(),
         "capabilities": list(model.capabilities),
         "predicted_scores": predicted,
-        "actual_scores": actual,
+        "actual_scores": actual.tolist(),
         "per_capability_gap": gaps,
         "max_abs_gap": max((abs(g) for g in gaps if g is not None), default=None),
         "predicted_utility": result.predicted_utility,
-        "actual_utility": float(utilities(scores, spec)[0]),
-        "baseline_utilities": baselines,
+        "actual_utility": values[0],
+        "baseline_utilities": dict(zip(_baseline_labels(experts), values[2:])),
         "resolution": result.resolution,
         "evaluated_points": result.evaluated_points,
+        "selected_from": result.selected_from,
+        "search_pick": {"weights": pick.tolist(), "actual_utility": values[1]},
     }

@@ -742,7 +742,7 @@ class TestExactStageRun:
 
     def test_report_names_the_exact_search(self, exact_run):
         report = read_json(exact_run / "report.json")
-        assert report["format"] == "mm-report-v2"
+        assert report["format"] == "mm-report-v3"
         optimum = report["optimum"]
         assert optimum["search_kind"] == "exact"
         for key in ("predicted_utility", "max_abs_gap"):
@@ -755,7 +755,7 @@ class TestExactStageRun:
 
     def test_surrogate_report_names_its_search(self, pipeline_run):
         report = read_json(pipeline_run / "report.json")
-        assert report["format"] == "mm-report-v2"
+        assert report["format"] == "mm-report-v3"
         assert report["optimum"]["search_kind"] == "surrogate"
 
     def test_reproducible_byte_identical(self, exact_run, tmp_path):

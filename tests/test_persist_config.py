@@ -344,7 +344,16 @@ class TestConfigValidation:
         assert cfg.mode == "flat"
         assert cfg.design_size == 40
         assert cfg.resolution == 0.05
-        assert cfg.hyper.n_trees == 200
+        assert cfg.hyper.n_trees == 50
+        assert cfg.hyper.learning_rate == 0.2
+
+    def test_surface_defaults_are_the_boost_hyper_defaults(self):
+        """A config without a `surface` section fits with `BoostHyper()`, so
+        the two defaults cannot drift apart."""
+        assert "surface" not in BASE_CONFIG
+        assert parse_config(dict(BASE_CONFIG)).hyper == BoostHyper()
+        cfg = parse_config({**BASE_CONFIG, "surface": {"n_trees": 7}})
+        assert cfg.hyper == BoostHyper(n_trees=7)
 
     def test_unknown_key_rejected(self):
         bad = dict(BASE_CONFIG)

@@ -28,6 +28,7 @@ from mergemix.surface import (
     SURFACE_FORMAT,
     SearchResult,
     SurfaceModel,
+    baseline_utilities,
     collect_raw_scores,
     collect_samples,
     fit_surface,
@@ -366,6 +367,13 @@ def assert_same_search(actual: SearchResult, expected: SearchResult):
     assert actual.evaluated_points == expected.evaluated_points
 
 
+def search_pick(result: SearchResult) -> SearchResult:
+    """The search pick behind a stage's answer, as `search_optimum` gives it."""
+    return SearchResult(result.search_weights, result.predicted_utility,
+                        result.predicted_scores, result.resolution,
+                        result.evaluated_points)
+
+
 def synthetic_surface(m: int, k: int = 3, n: int = 30,
                       spec: UtilitySpec | None = None) -> SurfaceModel:
     """A small fitted surface with M = m capabilities, some of them negative,
@@ -457,7 +465,7 @@ class TestReadColumnsSearch:
                                  seed=stable_seed(RUN_SEED, "design", "m"),
                                  utility_spec=spec, resolution=0.01)
         assert stage.model.capabilities == ["m-a", "m-b"]
-        assert_same_search(stage.search,
+        assert_same_search(search_pick(stage.search),
                            reference_search_optimum(stage.model, spec, 0.01))
 
     def test_every_stage_of_a_qw_sep_top_down_run(self, qw_sep):
@@ -475,7 +483,7 @@ class TestReadColumnsSearch:
         assert len(ctx.stage_log) == 3
         for stage in ctx.stage_log.values():
             model = stage.model
-            assert_same_search(stage.search, reference_search_optimum(
+            assert_same_search(search_pick(stage.search), reference_search_optimum(
                 model, model.utility_spec, 0.005))
 
     def test_qw4_stage(self, qw4_stage):
@@ -501,7 +509,7 @@ class TestReadColumnsSearch:
                                  hyper=BoostHyper(n_trees=40),
                                  utility_spec=spec, resolution=0.1)
         assert lattice_size(8, 10) == 19448
-        assert_same_search(stage.search,
+        assert_same_search(search_pick(stage.search),
                            reference_search_optimum(stage.model, spec, 0.1))
 
     def test_all_ties_pick_the_lexicographically_first_point(self):
@@ -623,13 +631,18 @@ class TestExactStage:
 
     def test_merges_exactly_the_lattice(self, qw4, qw4_experts, monkeypatch):
         """286 points at 0.1 against a design of 600: 286 rows are merged,
-        and no design is drawn, no surface fitted and none searched."""
+        and no design is drawn, no surface fitted and none searched. Of the
+        pick, the uniform mixture and the corners, only the uniform mixture
+        (a quarter each) is not a lattice point, so it alone is merged
+        again; the others read their lattice rows."""
         import mergemix.surface as surface
 
         merged_rows = []
 
         def counting_merge(base, experts, weights):
             merged_rows.append(np.atleast_2d(weights).shape[0])
+            if merged_rows[1:]:
+                np.testing.assert_array_equal(weights, [[0.25] * 4])
             return merge(base, experts, weights)
 
         def unused(*args, **kwargs):
@@ -640,7 +653,7 @@ class TestExactStage:
             monkeypatch.setattr(surface, name, unused)
         stage = run_search_stage(qw4, qw4.base_params(), qw4_experts,
                                  design_size=600, resolution=0.1)
-        assert merged_rows == [lattice_size(4, 10)] == [286]
+        assert merged_rows == [lattice_size(4, 10), 1] == [286, 1]
         assert stage.search.evaluated_points == 286
 
     def test_two_stages_are_bit_identical(self, qw4, qw4_experts):
@@ -684,6 +697,104 @@ class TestExactStage:
         with pytest.raises(MergeMixError, match="not fitted; this surface "
                                                 r"fits only \[\]"):
             search_optimum(clone, resolution=0.25)
+
+
+QW4_WEIGHTED = UtilitySpec(kind="weighted", weights=(0.0, 0.0, 0.5, 0.5))
+
+
+class TestSelection:
+    """A surrogate stage answers with the best actual utility among its
+    search pick, its design rows, the uniform mixture and the corners."""
+
+    @pytest.fixture(scope="class")
+    def weighted_stage(self, qw4, qw4_experts):
+        return run_search_stage(qw4, qw4.base_params(), qw4_experts,
+                                design_size=40,
+                                seed=stable_seed(RUN_SEED, "design"),
+                                utility_spec=QW4_WEIGHTED)
+
+    def test_answer_beats_the_design_and_every_baseline(
+            self, qw4, qw4_experts, weighted_stage):
+        stage = weighted_stage
+        report = verify_optimum(qw4, qw4.base_params(), qw4_experts,
+                                stage.model, stage.search)
+        # On this fixture the surrogate's pick is not the best scored row.
+        assert report["selected_from"] == "design"
+        assert (report["search_pick"]["actual_utility"]
+                < report["actual_utility"])
+        assert report["actual_utility"] == max(
+            utilities(stage.scores, QW4_WEIGHTED))
+        fresh = baseline_utilities(qw4, qw4.base_params(), qw4_experts,
+                                   stage.model.contexts, QW4_WEIGHTED)
+        assert report["baseline_utilities"] == fresh
+        assert report["actual_utility"] >= max(fresh.values())
+
+    def test_selected_design_row_scores_as_a_fresh_merge(
+            self, qw4, qw4_experts, weighted_stage):
+        """The answer's scores, read from the design, are those of merging
+        and scoring its weights alone, to the bit."""
+        stage = weighted_stage
+        base = qw4.base_params()
+        report = verify_optimum(qw4, base, qw4_experts, stage.model, stage.search)
+        fresh = merged_scores(qw4, base, qw4_experts, [stage.search.weights],
+                              stage.model.contexts)
+        assert report["actual_scores"] == fresh[0].tolist()
+        assert (np.float64(report["actual_utility"]).tobytes()
+                == utilities(fresh, QW4_WEIGHTED)[0].tobytes())
+        assert report["weights"] == stage.search.weights.tolist()
+        assert report["search_pick"]["weights"] == (
+            stage.search.search_weights.tolist())
+        # The predictions, gaps and predicted utility stay the pick's.
+        pick_report = verify_optimum(qw4, base, qw4_experts, stage.model,
+                                     search_pick(stage.search))
+        for key in ("predicted_scores", "per_capability_gap", "max_abs_gap",
+                    "predicted_utility", "baseline_utilities"):
+            assert report[key] == pick_report[key], key
+        assert pick_report["actual_utility"] == (
+            report["search_pick"]["actual_utility"])
+        assert pick_report["selected_from"] == "search"
+
+    def test_exact_tie_goes_to_the_search_pick(self, qw2, qw2_experts):
+        """Two copies of one expert merge to the same model at every
+        weight, so the pick, every design row and every baseline tie."""
+        twins = [qw2_experts[0], qw2_experts[0]]
+        stage = run_search_stage(qw2, qw2.base_params(), twins, design_size=10,
+                                 seed=stable_seed(RUN_SEED, "design"),
+                                 resolution=0.1)
+        assert not stage.model.exact
+        candidates = np.vstack([stage.scores, stage.search.check_scores])
+        assert len(set(utilities(candidates, UtilitySpec()).tolist())) == 1
+        assert stage.search.selected_from == "search"
+        assert stage.search.pick_weights is None
+        pick = search_optimum(stage.model, resolution=0.1)
+        assert stage.search.weights.tobytes() == pick.weights.tobytes()
+
+    def test_flat_run_merges_the_rows_it_merged_before_selecting(
+            self, qw4, tmp_path, monkeypatch):
+        """QW-4 with a design of 40: the design, then the pick, the uniform
+        mixture and the four corners as one stack, then the checkpoint. That
+        is 40 + 1 + 5 + 1 rows, what the run merged before it selected."""
+        import mergemix.hierarchy
+        import mergemix.pipeline
+        import mergemix.surface
+
+        merged_rows = []
+
+        def counting_merge(base, experts, weights):
+            merged_rows.append(np.atleast_2d(weights).shape[0])
+            return merge(base, experts, weights)
+
+        for module in (mergemix.surface, mergemix.pipeline, mergemix.hierarchy):
+            monkeypatch.setattr(module, "merge", counting_merge)
+        cfg = load_config(Path(__file__).resolve().parent.parent / "configs"
+                          / "qw4-weighted.json")
+        run_dir = run_pipeline(cfg, tmp_path)
+        assert merged_rows == [40, 6, 1]
+        assert sum(merged_rows) == 40 + 1 + (4 + 1) + 1
+        report = read_json(run_dir / "report.json")
+        assert report["optimum"]["selected_from"] == "design"
+        _, data = load_checkpoint(run_dir / "merged.optimum.ckpt")
+        assert data["provenance"]["weights"] == report["optimum"]["weights"]
 
 
 class TestVerify:
@@ -800,13 +911,14 @@ class TestReadColumnsFit:
                        utility_spec=spec)
         assert full.fitted_columns == [0, 1, 2, 3]
         expected = search_optimum(full, spec)
-        assert stage.search.weights.tobytes() == expected.weights.tobytes()
-        assert (np.float64(stage.search.predicted_utility).tobytes()
+        pick = search_pick(stage.search)
+        assert pick.weights.tobytes() == expected.weights.tobytes()
+        assert (np.float64(pick.predicted_utility).tobytes()
                 == np.float64(expected.predicted_utility).tobytes())
-        assert stage.search.predicted_scores[:2] == (0.0, 0.0)
-        assert stage.search.predicted_scores[2:] == expected.predicted_scores[2:]
+        assert pick.predicted_scores[:2] == (0.0, 0.0)
+        assert pick.predicted_scores[2:] == expected.predicted_scores[2:]
 
-        report = verify_optimum(qw4, base, qw4_experts, stage.model, stage.search)
+        report = verify_optimum(qw4, base, qw4_experts, stage.model, pick)
         full_report = verify_optimum(qw4, base, qw4_experts, full, expected)
         for key in ("weights", "capabilities", "actual_scores",
                     "predicted_utility", "actual_utility", "baseline_utilities"):
@@ -853,7 +965,7 @@ class TestSurfaceFile:
         grid = dirichlet_points(4, 10, np.random.default_rng(1))
         assert (clone.predict_batch(grid).tobytes()
                 == qw4_stage.model.predict_batch(grid).tobytes())
-        assert_same_search(search_optimum(clone), qw4_stage.search)
+        assert_same_search(search_optimum(clone), search_pick(qw4_stage.search))
 
     @pytest.mark.parametrize("edit,message", [
         (lambda d: d["regressors"].__setitem__(1, None), "are not fitted"),
