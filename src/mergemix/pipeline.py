@@ -53,7 +53,8 @@ from .stats import (
 from .surface import (
     SURFACE_FORMAT,
     StageResult,
-    baseline_utilities,
+    _baseline_labels,
+    _check_rows,
     load_surface,
     merged_scores,
     run_search_stage,
@@ -183,15 +184,16 @@ def _hierarchy_report(cfg: RunConfig, world: World, base: np.ndarray,
                       experts: list[ExpertArtifact], tree: MixtureNode,
                       weights: np.ndarray, contexts) -> dict:
     leaf_names, shares = flatten_ratios(tree)
-    spec = cfg.utility_spec
-    scores = merged_scores(world, base, experts, [weights], contexts)
+    # The answer, then the uniform mixture and every corner, as one stack.
+    scores = merged_scores(world, base, experts, _check_rows(weights), contexts)
+    values = utilities(scores, cfg.utility_spec).tolist()
     return {
         "tree": tree.to_dict(),
         "leaf_order": leaf_names,
         "leaf_ratios": shares.tolist(),
         "ratios_by_domain": dict(zip(world.names, weights.tolist())),
-        "actual_utility": float(utilities(scores, spec)[0]),
-        "baseline_utilities": baseline_utilities(world, base, experts, contexts, spec),
+        "actual_utility": values[0],
+        "baseline_utilities": dict(zip(_baseline_labels(experts), values[1:])),
     }
 
 

@@ -14,10 +14,11 @@ A stage whose lattice has no more points than its design is exact: it
 merges and scores every lattice point instead, fits nothing and picks the
 best actual utility, so it never merges more rows than the design would.
 
-Every stage also scores its pick, the uniform mixture and every corner. A
-surrogate stage answers with the best actual utility among its pick, its
-design rows and those baselines, so its answer is never worse than a
-mixture it has already scored, however far the surrogate misses.
+Every stage then scores its pick, the uniform mixture and every corner,
+reading the rows it has already scored and merging only the others. It
+answers with the best actual utility among its pick, its scored rows and
+those baselines, so its answer is never worse than a mixture it has
+scored, however far the surrogate misses.
 """
 
 from __future__ import annotations
@@ -159,12 +160,13 @@ def _samples_digest(x: np.ndarray, scores: np.ndarray) -> str:
 class SurfaceModel:
     """One slot per capability: a fitted regressor and its train error, or
     None in both for a capability the utility does not read, plus the shared
-    score units of every capability."""
+    score units of every capability. `hyper` is None on an exact surface,
+    which fitted nothing."""
 
     capabilities: list[str]
     regressors: list[GradientBoostedRegressor | None]
     contexts: list[NormContext]
-    hyper: BoostHyper
+    hyper: BoostHyper | None
     utility_spec: UtilitySpec
     sample_digest: str
     train_error: list[float | None]
@@ -232,7 +234,7 @@ class SurfaceModel:
         return {
             "format": SURFACE_FORMAT,
             "capabilities": list(self.capabilities),
-            "hyper": self.hyper.to_dict(),
+            "hyper": None if self.hyper is None else self.hyper.to_dict(),
             "utility": self.utility_spec.to_dict(),
             "contexts": [{"lo": c.lo, "hi": c.hi} for c in self.contexts],
             "sample_digest": self.sample_digest,
@@ -255,7 +257,8 @@ class SurfaceModel:
             regressors=[None if r is None else GradientBoostedRegressor.from_dict(r)
                         for r in data["regressors"]],
             contexts=[NormContext(c["lo"], c["hi"]) for c in data["contexts"]],
-            hyper=BoostHyper.from_dict(data["hyper"]),
+            hyper=(None if data["hyper"] is None
+                   else BoostHyper.from_dict(data["hyper"])),
             utility_spec=UtilitySpec.from_dict(data["utility"]),
             sample_digest=data["sample_digest"],
             train_error=list(data["train_error"]),
@@ -325,10 +328,10 @@ class SearchResult:
 
     `search_optimum` answers with its pick. A stage (`run_search_stage`)
     answers with the mixture it selected: `selected_from` names where it
-    came from ("search", "design" or a `_baseline_labels` entry), and
-    `pick_weights` holds the search pick when the answer is another
-    mixture. The predictions are always the search pick's; an exact stage
-    predicts nothing, so its `predicted_utility` and every
+    came from ("search", "design" for a scored row, or a `_baseline_labels`
+    entry), and `pick_weights` holds the search pick when the answer is
+    another mixture. The predictions are always the search pick's; an exact
+    stage predicts nothing, so its `predicted_utility` and every
     `predicted_scores` entry are None. A stage also keeps the actual scores,
     in its units, of its answer (`actual_scores`) and of the rows of
     `_check_rows` at its pick (`check_scores`), so verifying it merges
@@ -441,20 +444,16 @@ class StageResult:
 
 
 def _baseline_labels(experts) -> list[str]:
-    """Labels of the uniform mixture and of every corner, in `_baseline_rows`
+    """Labels of the uniform mixture and of every corner, in `_check_rows`
     order."""
     return ["uniform"] + [f"corner_{getattr(expert, 'name', i)}"
                           for i, expert in enumerate(experts)]
 
 
-def _baseline_rows(k: int) -> np.ndarray:
-    """(K + 1, K): the uniform mixture and every corner."""
-    return np.vstack([uniform_weights(k), np.eye(k)])
-
-
 def _check_rows(pick: np.ndarray) -> np.ndarray:
-    """(K + 2, K): the search pick, then `_baseline_rows`."""
-    return np.vstack([pick, _baseline_rows(pick.shape[0])])
+    """(K + 2, K): the search pick, the uniform mixture and every corner."""
+    k = pick.shape[0]
+    return np.vstack([pick, uniform_weights(k), np.eye(k)])
 
 
 def run_search_stage(world: World, base: np.ndarray, experts, *,
@@ -466,95 +465,64 @@ def run_search_stage(world: World, base: np.ndarray, experts, *,
     """One full surface pass over a set of expert vectors.
 
     A stage whose lattice at `resolution` has no more points than
-    `design_size` is exact (`is_exact_stage`): it merges and scores the
-    whole lattice, reads no `priors`, fits nothing and answers with the
-    lattice argmax (`_exact_stage`). Any other stage draws its design, fits
-    the surface and searches it, then merges and scores `_check_rows` at the
-    pick as one stack in the design's units. It answers with the best actual
-    utility among the pick, the design rows, the uniform mixture and the
-    corners; ties go to the pick, then to design order, then to the uniform
-    mixture and the corners in order.
+    `design_size` is exact (`is_exact_stage`): its scored rows are the whole
+    lattice, it reads no `priors`, its surface holds only the contexts and
+    its pick is the lattice argmax, ties going to the lexicographically first
+    point as in `search_optimum`. Any other stage scores its design, fits the
+    surface and searches it. Either way the scored rows are the
+    normalization context, and the stage then scores `_check_rows` at the
+    pick in those units: a row equal bit for bit to a scored row reads its
+    scores, and only the others are merged, as one stack. It answers with
+    the best actual utility among the pick, the scored rows, the uniform
+    mixture and the corners; ties go to the pick, then to row order, then to
+    the uniform mixture and the corners in order.
 
     The flat pipeline and every node of a hierarchical search run this same
     code path, so a trivial hierarchy reproduces the flat result exactly.
     """
     k = len(experts)
     steps = _search_steps(resolution)
-    if is_exact_stage(k, steps, design_size):
-        return _exact_stage(world, base, experts, steps, budget,
-                            hyper or BoostHyper(), utility_spec or UtilitySpec())
-    configs = sample_seed_configs(k, design_size, priors=priors, seed=seed)
+    spec = utility_spec or UtilitySpec()
+    exact = is_exact_stage(k, steps, design_size)
+    configs = (simplex_lattice(k, steps, budget) if exact
+               else sample_seed_configs(k, design_size, priors=priors, seed=seed))
     scores, contexts, digests = collect_samples(world, base, experts, configs)
-    model = fit_surface(configs, scores, list(world.names), contexts,
-                        hyper=hyper, utility_spec=utility_spec)
-    pick = search_optimum(model, resolution=resolution, budget=budget)
+    names = list(world.names)
+    if exact:
+        n, m = len(configs), len(names)
+        model = SurfaceModel(
+            capabilities=names, regressors=[None] * m, contexts=contexts,
+            hyper=None, utility_spec=spec,
+            sample_digest=_samples_digest(configs, scores),
+            train_error=[None] * m, num_samples=n, input_dim=k,
+        )
+        best = int(np.argmax(utilities(scores, spec)))
+        pick = SearchResult(
+            weights=normalize_simplex(configs[best]), predicted_utility=None,
+            predicted_scores=(None,) * m, resolution=1.0 / steps,
+            evaluated_points=n,
+        )
+    else:
+        model = fit_surface(configs, scores, names, contexts, hyper=hyper,
+                            utility_spec=spec)
+        pick = search_optimum(model, resolution=resolution, budget=budget)
     checks = _check_rows(pick.weights)
-    checked = merged_scores(world, base, experts, checks, contexts)
-    # The candidates in tie order: the pick, the design, the baselines.
+    index = {row.tobytes(): i for i, row in enumerate(configs)}
+    found = np.array([index.get(row.tobytes(), -1) for row in checks])
+    missing = found < 0
+    checked = scores[found]  # a missing row's -1 reads a placeholder
+    if missing.any():
+        checked[missing] = merged_scores(world, base, experts, checks[missing],
+                                         contexts)
+    # The candidates in tie order: the pick, the scored rows, the baselines.
     rows = np.vstack([checks[:1], configs, checks[1:]])
     candidates = np.vstack([checked[:1], scores, checked[1:]])
     labels = ["search"] + ["design"] * len(configs) + _baseline_labels(experts)
-    best = int(np.argmax(utilities(candidates, model.utility_spec)))
+    best = int(np.argmax(utilities(candidates, spec)))
     search = replace(pick, weights=rows[best], selected_from=labels[best],
                      pick_weights=None if best == 0 else pick.weights,
                      actual_scores=candidates[best], check_scores=checked)
     return StageResult(configs, scores, digests, model, search, experts)
-
-
-def _read_or_merge(world: World, base: np.ndarray, experts, contexts,
-                   configs: np.ndarray, scores: np.ndarray,
-                   rows: np.ndarray) -> np.ndarray:
-    """Scores of each of `rows`: a row equal bit for bit to one of the
-    scored `configs` reads its scores, and the others are merged and scored
-    as one stack."""
-    index = {row.tobytes(): i for i, row in enumerate(configs)}
-    found = [index.get(row.tobytes(), -1) for row in rows]
-    missing = np.array(found) < 0
-    out = scores[found]  # a missing row's -1 reads a placeholder
-    if missing.any():
-        out[missing] = merged_scores(world, base, experts, rows[missing], contexts)
-    return out
-
-
-def _exact_stage(world: World, base: np.ndarray, experts, steps: int,
-                 budget: int, hyper: BoostHyper,
-                 spec: UtilitySpec) -> StageResult:
-    """Merge and score every point of the lattice {c/steps} as one stack and
-    pick the best actual utility, ties going to the first row: the lattice
-    is in ascending order, so that is the lexicographically first point, as
-    in `search_optimum`. The rows are the normalization context, and the
-    surface holds only the contexts. A row of `_check_rows` that is a
-    lattice point bit for bit reads that point's scores; only the others
-    are merged."""
-    lattice = simplex_lattice(len(experts), steps, budget)
-    scores, contexts, digests = collect_samples(world, base, experts, lattice)
-    n, k = lattice.shape
-    m = len(world.names)
-    model = SurfaceModel(
-        capabilities=list(world.names),
-        regressors=[None] * m,
-        contexts=contexts,
-        hyper=hyper,
-        utility_spec=spec,
-        sample_digest=_samples_digest(lattice, scores),
-        train_error=[None] * m,
-        num_samples=n,
-        input_dim=k,
-    )
-    best = int(np.argmax(utilities(scores, spec)))
-    weights = normalize_simplex(lattice[best])
-    checked = _read_or_merge(world, base, experts, contexts, lattice, scores,
-                             _check_rows(weights))
-    search = SearchResult(
-        weights=weights,
-        predicted_utility=None,
-        predicted_scores=(None,) * m,
-        resolution=1.0 / steps,
-        evaluated_points=n,
-        actual_scores=checked[0],
-        check_scores=checked,
-    )
-    return StageResult(lattice, scores, digests, model, search, experts)
 
 
 def merged_scores(world: World, base: np.ndarray, experts, weights,
@@ -562,15 +530,6 @@ def merged_scores(world: World, base: np.ndarray, experts, weights,
     """Merge at each weight row and score every capability in the given units."""
     merged = merge(base, expert_params(experts), weights)
     return normalize(raw_capabilities(world, merged), contexts)
-
-
-def baseline_utilities(world: World, base: np.ndarray, experts, contexts,
-                       spec: UtilitySpec) -> dict:
-    """Actual utility of the uniform mixture and of every corner."""
-    scores = merged_scores(world, base, experts, _baseline_rows(len(experts)),
-                           contexts)
-    values = utilities(scores, spec)
-    return dict(zip(_baseline_labels(experts), values.tolist()))
 
 
 def verify_optimum(world: World, base: np.ndarray, experts,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mergemix import simplex
-from mergemix.config import load_config
+from mergemix.config import load_config, parse_config
 from mergemix.errors import BudgetExceededError, MergeMixError, SurfaceFileError
 from mergemix.gbt import BoostHyper, GradientBoostedRegressor
 from mergemix.hierarchy import HierarchyContext, MixtureNode, optimize_top_down
@@ -21,6 +21,7 @@ from mergemix.simplex import (
     lattice_steps,
     normalize_simplex,
     simplex_lattice,
+    uniform_weights,
 )
 from mergemix.stats import NormContext, UtilitySpec, spearman, utilities
 from mergemix.surface import (
@@ -28,7 +29,6 @@ from mergemix.surface import (
     SURFACE_FORMAT,
     SearchResult,
     SurfaceModel,
-    baseline_utilities,
     collect_raw_scores,
     collect_samples,
     fit_surface,
@@ -698,8 +698,45 @@ class TestExactStage:
                                                 r"fits only \[\]"):
             search_optimum(clone, resolution=0.25)
 
+    def test_exact_surface_records_no_tree_settings(self, qw4, qw4_experts,
+                                                    tmp_path):
+        """An exact stage fits nothing: its surface writes a null `hyper`,
+        and its bytes do not depend on the tree settings it is given. A file
+        written before, with settings there, still loads."""
+        written = []
+        for i, hyper in enumerate((None, BoostHyper(n_trees=7, max_depth=2))):
+            stage = run_search_stage(qw4, qw4.base_params(), qw4_experts,
+                                     design_size=40, resolution=0.25,
+                                     hyper=hyper)
+            path = tmp_path / f"surface.{i}.json"
+            write_json(path, stage.model.lazy_dict())
+            written.append(path.read_bytes())
+        assert written[0] == written[1]
+        data = read_json(path)
+        assert data["hyper"] is None
+        assert load_surface(path).hyper is None
+        data["hyper"] = BoostHyper().to_dict()
+        write_json(path, data)
+        clone = load_surface(path)
+        assert clone.exact and clone.hyper == BoostHyper()
+
 
 QW4_WEIGHTED = UtilitySpec(kind="weighted", weights=(0.0, 0.0, 0.5, 0.5))
+QW3_TRAIN = TrainConfig(learning_rate=0.05, steps=3, checkpoint_interval=3,
+                        seed=stable_seed(RUN_SEED, "train"))
+# Six quadratic domains, minimizers on the axes at norms 0.6 to 1.6, and a
+# utility on the last two: a surrogate stage (53,130 lattice points at 0.05).
+K6_WEIGHTED = {
+    "name": "k6-weighted", "seed": RUN_SEED, "mode": "flat",
+    "world": {"domains": [
+        {"name": f"d{i + 1}", "kind": "quadratic",
+         "minimizer": ((0.6 + 0.2 * i) * np.eye(6)[i]).tolist(),
+         "curvature": np.eye(6).tolist()}
+        for i in range(6)]},
+    "train": {"learning_rate": 0.1, "steps": 3, "checkpoint_interval": 3},
+    "design": {"size": 200}, "search": {"resolution": 0.05},
+    "utility": {"kind": "weighted", "weights": [0, 0, 0, 0, 0.5, 0.5]},
+}
 
 
 class TestSelection:
@@ -724,10 +761,13 @@ class TestSelection:
                 < report["actual_utility"])
         assert report["actual_utility"] == max(
             utilities(stage.scores, QW4_WEIGHTED))
-        fresh = baseline_utilities(qw4, qw4.base_params(), qw4_experts,
-                                   stage.model.contexts, QW4_WEIGHTED)
-        assert report["baseline_utilities"] == fresh
-        assert report["actual_utility"] >= max(fresh.values())
+        baselines = np.vstack([np.full(4, 0.25), np.eye(4)])
+        fresh = utilities(merged_scores(qw4, qw4.base_params(), qw4_experts,
+                                        baselines, stage.model.contexts),
+                          QW4_WEIGHTED).tolist()
+        assert report["baseline_utilities"] == dict(zip(
+            ["uniform"] + [f"corner_{name}" for name in qw4.names], fresh))
+        assert report["actual_utility"] >= max(fresh)
 
     def test_selected_design_row_scores_as_a_fresh_merge(
             self, qw4, qw4_experts, weighted_stage):
@@ -769,11 +809,41 @@ class TestSelection:
         pick = search_optimum(stage.model, resolution=0.1)
         assert stage.search.weights.tobytes() == pick.weights.tobytes()
 
-    def test_flat_run_merges_the_rows_it_merged_before_selecting(
-            self, qw4, tmp_path, monkeypatch):
-        """QW-4 with a design of 40: the design, then the pick, the uniform
-        mixture and the four corners as one stack, then the checkpoint. That
-        is 40 + 1 + 5 + 1 rows, what the run merged before it selected."""
+    def test_exact_stage_answers_the_uniform_mixture_off_its_lattice(self):
+        """Three symmetric domains at resolution 0.1: the 66-point lattice
+        fits a design of 66, so the stage is exact. Its lattice argmax is a
+        permutation of (0.3, 0.3, 0.4), and the uniform mixture, which is
+        not a lattice point, scores higher."""
+        world = QuadraticWorld(["a", "b", "c"],
+                               [Quadratic(e, np.eye(3)) for e in np.eye(3)])
+        base = world.base_params()
+        experts = [train_expert(world, k, base, QW3_TRAIN) for k in range(3)]
+        stage = run_search_stage(world, base, experts, design_size=66,
+                                 resolution=0.1)
+        assert stage.model.exact and stage.configs.shape == (66, 3)
+        report = verify_optimum(world, base, experts, stage.model, stage.search)
+        assert report["selected_from"] == "uniform"
+        np.testing.assert_array_equal(stage.search.weights, uniform_weights(3))
+        np.testing.assert_array_equal(stage.search.search_weights,
+                                      [0.3, 0.3, 0.4])
+        lattice_best = utilities(stage.scores, UtilitySpec()).max()
+        assert report["search_pick"]["actual_utility"] == lattice_best
+        assert report["actual_utility"] > lattice_best
+        assert report["actual_utility"] == max(
+            report["baseline_utilities"].values())
+
+    @pytest.mark.parametrize("config,expected", [
+        (read_json(Path(__file__).resolve().parent.parent / "configs"
+                   / "qw4-weighted.json"), [40, 1, 1]),
+        (K6_WEIGHTED, [200, 2, 1]),
+    ], ids=["qw4-weighted", "k6-weighted"])
+    def test_flat_run_reads_the_baselines_its_design_scored(
+            self, tmp_path, monkeypatch, config, expected):
+        """The design, then the check rows the design does not hold as one
+        stack, then the checkpoint. Every design holds the corners. QW-4's
+        quarter grid holds the uniform mixture, so only the pick is merged
+        again; a 6-domain design does not hold (1/6, ..., 1/6), so the pick
+        and the uniform mixture are."""
         import mergemix.hierarchy
         import mergemix.pipeline
         import mergemix.surface
@@ -786,11 +856,8 @@ class TestSelection:
 
         for module in (mergemix.surface, mergemix.pipeline, mergemix.hierarchy):
             monkeypatch.setattr(module, "merge", counting_merge)
-        cfg = load_config(Path(__file__).resolve().parent.parent / "configs"
-                          / "qw4-weighted.json")
-        run_dir = run_pipeline(cfg, tmp_path)
-        assert merged_rows == [40, 6, 1]
-        assert sum(merged_rows) == 40 + 1 + (4 + 1) + 1
+        run_dir = run_pipeline(parse_config(config), tmp_path)
+        assert merged_rows == expected
         report = read_json(run_dir / "report.json")
         assert report["optimum"]["selected_from"] == "design"
         _, data = load_checkpoint(run_dir / "merged.optimum.ckpt")
