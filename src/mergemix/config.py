@@ -208,6 +208,13 @@ def _validate_cross_fields(cfg: RunConfig) -> None:
             normalize_simplex(weights)
         except SimplexError as exc:
             raise ConfigError(f"{label} {weights}: {exc}") from exc
+    # A one-hot mixture trains its own expert, so both of the scaling check's
+    # gaps are exactly 0 and their ratios would be 0/0.
+    if "weights" in cfg.theory and np.count_nonzero(cfg.theory["weights"]) == 1:
+        raise ConfigError(
+            f"theory weights {list(cfg.theory['weights'])} are one-hot: that "
+            f"mixture is its own expert, so the scaling check has no gap to measure"
+        )
     # An empty list means no consistency run; the consistency command
     # reports that with its usage line.
     if 0 < len(cfg.consistency_ratios) < 3:

@@ -190,7 +190,8 @@ def discrepancy_sweep(world: World, base: np.ndarray, experts, grid,
     self scaling, the observed gap and the residual observed - delta. The
     whole grid trains in one `train_on_mixtures` call; each block that
     training yields is merged and predicted as soon as it is done, so
-    memory stays bounded on large grids.
+    memory stays bounded on large grids: a block holds at most
+    `training.MIXTURE_BLOCK_VALUES` checkpoint values, or one run.
     """
     norms = [np.empty((0, 5))]
     for lams, checkpoints in train_on_mixtures(world, grid, base, train_config):

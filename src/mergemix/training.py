@@ -11,10 +11,12 @@ parameters, and a caller that reads capabilities scores them itself.
 
 Every run goes through one descent over an (n, P) stack of parameter
 vectors, one row per run. `train_on_mixtures` trains a whole list of
-full-batch mixtures in lockstep, MIXTURE_BLOCK_ROWS rows at a time, and
-`train_on_mixture` is its one-row case; each row is bit-identical to
-descending that mixture alone. Experts are one-row stacks, and so is each
-mini-batch run, whose random draws depend on its own lambda.
+full-batch mixtures in lockstep, in blocks that hold at most
+MIXTURE_BLOCK_VALUES checkpoint values (one row when a single run holds
+more), and `train_on_mixture` is its one-row case; each row is
+bit-identical to descending that mixture alone. Experts are one-row
+stacks, and so is each mini-batch run, whose random draws depend on its
+own lambda.
 """
 
 from __future__ import annotations
@@ -30,9 +32,15 @@ from .seeding import rng_for
 from .simplex import normalize_simplex_rows
 from .worlds import World
 
-# Full-batch mixtures descend in lockstep blocks of this many rows. Larger
-# blocks ran no faster on a 1,771-row sweep and hold more checkpoints at once.
-MIXTURE_BLOCK_ROWS = 128
+# Full-batch mixtures descend in lockstep blocks whose (rows, C, P)
+# checkpoints hold at most this many float64 values (256 KiB), or one row
+# when a single run holds more. A block's cost is mostly per step, not per
+# row: the 1,771-row QW-4 theory sweep (C = 2, P = 8, 50 steps) took 57.1,
+# 42.9, 39.1, 36.4 and 34.9 ms in blocks of 128, 256, 512, 1,024 and 2,048
+# rows (2-core VM, numpy 2.4), with byte-identical norms at every size. At
+# this bound it is one block of 2,048 rows, while a run that records every
+# step of a long horizon gets a few rows per block.
+MIXTURE_BLOCK_VALUES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -210,8 +218,9 @@ def train_on_mixtures(world: World, weights, base: np.ndarray,
 
     The weights are validated up front; then one `(lams, checkpoints)` pair
     per lockstep block is yielded in input order: its (b, K) weight rows and
-    their (b, C, P) checkpoints. Full-batch blocks hold MIXTURE_BLOCK_ROWS
-    rows; mini-batch runs draw from their own seeded streams, one per block.
+    their (b, C, P) checkpoints. A full-batch block holds as many rows as fit
+    in MIXTURE_BLOCK_VALUES checkpoint values, and at least one; mini-batch
+    runs draw from their own seeded streams, one per block.
     A diverging run raises TrainingDiverged with the step of the first
     diverged run in input order.
     """
@@ -223,7 +232,8 @@ def train_on_mixtures(world: World, weights, base: np.ndarray,
 def _mixture_blocks(world: World, lams: np.ndarray, base: np.ndarray,
                     config: TrainConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     full_batch = _use_full_batch(world, config)
-    size = MIXTURE_BLOCK_ROWS if full_batch else 1
+    run_values = len(config.checkpoint_steps) * base.shape[0]
+    size = max(1, MIXTURE_BLOCK_VALUES // run_values) if full_batch else 1
     for i in range(0, lams.shape[0], size):
         block = lams[i : i + size]
         grad_fn = (_mixed_grad_fn(world, block) if full_batch

@@ -396,6 +396,22 @@ class TestTheoryCommand:
         assert "does not have 4 entries" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("weights", [[1, 0, 0, 0], [0.0, 0.0, 1.0, 0.0]])
+    def test_one_hot_theory_weights_exit_2_before_any_directory(
+            self, tmp_path, capsys, weights):
+        """A one-hot mixture is its own expert: both scaling gaps are 0, and
+        the run used to exit 0 with "gap_ratio": Infinity in its report,
+        which is not JSON."""
+        payload = dict(QW2_THEORY, world={"fixture": "QW-4"},
+                       theory={"sweep_resolution": 0.25, "weights": weights})
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["theory", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: theory weights {weights} are one-hot: that mixture "
+            f"is its own expert, so the scaling check has no gap to measure"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
     def test_non_finite_theory_learning_rate_exits_2_before_any_directory(
             self, tmp_path, capsys, rate):

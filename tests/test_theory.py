@@ -15,10 +15,10 @@ from mergemix.theory import (
     relative_curvature,
     task_vector_cosines,
 )
-from mergemix.training import MIXTURE_BLOCK_ROWS, TrainConfig, train_all_experts
+from mergemix.training import TrainConfig, final_only, train_all_experts
 from mergemix.worlds import fixture_qw2, fixture_qw4
 from tests.test_merging import reference_merge
-from tests.test_training import reference_mixture
+from tests.test_training import reference_mixture, set_block_rows
 
 
 # Test-only reference kernels: the one-row discrepancy and the row-by-row
@@ -171,16 +171,21 @@ class TestDiscrepancy:
 
 
 class TestBatchedSweepMatchesReference:
-    @pytest.mark.parametrize("fixture,lattice,lr,steps", [
-        ("qw2", 2 * MIXTURE_BLOCK_ROWS + 10, 0.004, 50),  # three row blocks
-        ("qw4", 6, 0.01, 50),
-        ("qw_sep", 4, 0.05, 10),
-        ("toy_world", 4, 0.05, 4),
+    @pytest.mark.parametrize("fixture,lattice,lr,steps,block_rows", [
+        # Three row blocks of 128: at the default bound, three QW-2 blocks
+        # would be about 16k rows, too many for the per-row reference.
+        ("qw2", 2 * 128 + 10, 0.004, 50, 128),
+        ("qw4", 6, 0.01, 50, None),
+        ("qw_sep", 4, 0.05, 10, None),
+        ("toy_world", 4, 0.05, 4, None),
     ])
-    def test_rows_bit_identical(self, request, fixture, lattice, lr, steps):
+    def test_rows_bit_identical(self, request, monkeypatch, fixture, lattice,
+                                lr, steps, block_rows):
         world = request.getfixturevalue(fixture)
         base = world.base_params()
         config = TrainConfig(learning_rate=lr, steps=steps, checkpoint_interval=steps)
+        if block_rows is not None:
+            set_block_rows(monkeypatch, world, config, block_rows)
         params = [e.final for e in train_all_experts(world, base, config)]
         ctx = TaylorContext.from_world(world, base, lr * steps)
         grid = simplex_lattice(world.num_domains, lattice)
@@ -199,9 +204,35 @@ class TestBatchedSweepMatchesReference:
         ctx = TaylorContext.from_world(qw4, base, 0.5)
         grid = simplex_lattice(4, 7)  # 120 rows: 17 blocks of 7 and one of 1
         want = discrepancy_sweep(qw4, base, params, grid, ctx, config)
-        monkeypatch.setattr(mergemix.training, "MIXTURE_BLOCK_ROWS", block_rows)
+        set_block_rows(monkeypatch, qw4, config, block_rows)
         got = discrepancy_sweep(qw4, base, params, grid, ctx, config)
         assert got.tobytes() == want.tobytes()
+
+    def test_theory_run_independent_of_training_block_size(self, tmp_path,
+                                                           monkeypatch):
+        """All four files of a QW-4 theory run at sweep resolution 0.1, the
+        scaling check's lockstep call included, are the same in blocks of 1
+        and 7 rows as in one block."""
+        from mergemix.config import parse_config
+        from mergemix.pipeline import run_theory
+
+        cfg = parse_config({
+            "name": "qw4-theory", "seed": 3, "world": {"fixture": "QW-4"},
+            "train": {"learning_rate": 0.01, "steps": 50},
+            "theory": {"sweep_resolution": 0.1}})
+        final = final_only(cfg.train_config(cfg.seed))
+
+        def files(label):
+            run_dir = run_theory(cfg, tmp_path / label)
+            return {path.name: path.read_bytes() for path in run_dir.iterdir()}
+
+        want = files("default")
+        assert sorted(want) == ["curvature_matrix.csv", "delta_sweep.csv",
+                                "task_vector_cosine.csv", "theory_report.json"]
+        assert want["delta_sweep.csv"].count(b"\n") == 287
+        for block_rows in (1, 7):
+            set_block_rows(monkeypatch, fixture_qw4(), final, block_rows)
+            assert files(f"rows-{block_rows}") == want
 
     def test_one_row_discrepancy_matches_reference(self):
         rng = np.random.default_rng(77)

@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
 
+import mergemix.training
 import mergemix.worlds
 from mergemix.errors import MergeMixError, NumericError, SimplexError, TrainingDiverged
 from mergemix.seeding import rng_for, stable_seed
-from mergemix.simplex import dirichlet_points, normalize_simplex, simplex_lattice
+from mergemix.simplex import (
+    dirichlet_points,
+    normalize_simplex,
+    normalize_simplex_rows,
+    simplex_lattice,
+)
 from mergemix.training import (
-    MIXTURE_BLOCK_ROWS,
     TrainConfig,
     _BatchStream,
     _mixed_grad_fn,
+    final_only,
     train_expert,
     train_on_mixture,
     train_on_mixtures,
@@ -88,13 +94,31 @@ def assert_same_run(world, steps, checkpoints, reference):
                 == np.array(scores).tobytes())
 
 
+def block_rows(world, config):
+    """Rows per lockstep block: as many full-batch runs as fit in
+    MIXTURE_BLOCK_VALUES checkpoint values and at least one, or one
+    mini-batch run."""
+    if config.batch_size != "full" and world.train_size(0) != 0:
+        return 1
+    run_values = len(config.checkpoint_steps) * world.dim
+    return max(1, mergemix.training.MIXTURE_BLOCK_VALUES // run_values)
+
+
+def set_block_rows(monkeypatch, world, config, rows):
+    """Patch MIXTURE_BLOCK_VALUES so that full-batch blocks hold `rows` rows,
+    one value short of the next row, which the floor division drops."""
+    run_values = len(config.checkpoint_steps) * world.dim
+    monkeypatch.setattr(mergemix.training, "MIXTURE_BLOCK_VALUES",
+                        (rows + 1) * run_values - 1)
+    assert block_rows(world, config) == rows
+
+
 def assert_matches_reference(world, grid, config):
     """Every row of every yielded block trains as the reference does, and
-    the blocks hold MIXTURE_BLOCK_ROWS rows (one per mini-batch run)."""
+    the blocks hold `block_rows` rows."""
     base = world.base_params()
     blocks = list(train_on_mixtures(world, grid, base, config))
-    full_batch = config.batch_size == "full" or world.train_size(0) == 0
-    size = MIXTURE_BLOCK_ROWS if full_batch else 1
+    size = block_rows(world, config)
     assert [len(lams) for lams, _ in blocks] == [
         min(size, len(grid) - i) for i in range(0, len(grid), size)]
     rows = [(lam, run) for lams, checkpoints in blocks
@@ -302,15 +326,18 @@ class TestStackedMixturesMatchReference:
         assert_matches_reference(qw4, grid, TrainConfig(
             learning_rate=0.01, steps=50, checkpoint_interval=50))
 
-    @pytest.mark.parametrize("rows", [MIXTURE_BLOCK_ROWS - 1, MIXTURE_BLOCK_ROWS,
-                                      MIXTURE_BLOCK_ROWS + 1])
-    def test_block_size_edges(self, qw4, rows):
+    @pytest.mark.parametrize("edge", [-1, 0, 1])
+    def test_block_size_edges(self, monkeypatch, qw4, edge):
+        """n - 1, n and n + 1 rows for blocks of n = 128 rows; at the default
+        bound n is 1,365 here, too many for the per-row reference."""
+        cfg = TrainConfig(learning_rate=0.05, steps=4, checkpoint_interval=2)
+        set_block_rows(monkeypatch, qw4, cfg, 128)
+        rows = 128 + edge
         grid = dirichlet_points(4, rows, rng_for(rows, "block-edges"))
         grid[::5] = np.eye(4)[np.arange(0, rows, 5) % 4]
         grid[1::5, 1:3] = [0.5, 0.5]
         grid[1::5, [0, 3]] = 0.0
-        assert_matches_reference(qw4, grid, TrainConfig(
-            learning_rate=0.05, steps=4, checkpoint_interval=2))
+        assert_matches_reference(qw4, grid, cfg)
 
     def test_empty_weight_list_trains_nothing(self, qw2):
         cfg = TrainConfig(learning_rate=0.05, steps=3)
@@ -355,6 +382,35 @@ def test_skipped_mixture_terms_keep_signed_zeros():
                 want = want + lam[k] * grads[k]
         assert row.tobytes() == want.tobytes()
     assert np.signbit(got[0, 0])
+
+
+class TestBlockMemoryBound:
+    """A full-batch block holds at most MIXTURE_BLOCK_VALUES checkpoint
+    values, or one row when a single run holds more."""
+
+    @pytest.mark.parametrize("steps,rows", [(1500, 2), (4500, 1)])
+    def test_every_step_checkpointed(self, qw4, steps, rows):
+        """QW-4 runs hold 8 values per checkpoint: 1,501 checkpoints fit two
+        runs in a block, and 4,501 do not fit one."""
+        cfg = TrainConfig(learning_rate=0.01, steps=steps, checkpoint_interval=1)
+        grid = dirichlet_points(4, 5, rng_for(steps, "memory-bound"))
+        blocks = list(train_on_mixtures(qw4, grid, qw4.base_params(), cfg))
+        assert [len(lams) for lams, _ in blocks] == [
+            min(rows, 5 - i) for i in range(0, 5, rows)]
+        for lams, checkpoints in blocks:
+            assert checkpoints.shape == (len(lams), steps + 1, qw4.dim)
+            assert (checkpoints.size <= mergemix.training.MIXTURE_BLOCK_VALUES
+                    or len(lams) == 1)
+
+    def test_final_only_theory_grid_is_one_block(self, qw4):
+        """The QW-4 theory sweep's 1,771 runs descend as one stack."""
+        cfg = final_only(TrainConfig(learning_rate=0.01, steps=50))
+        grid = simplex_lattice(4, 20)
+        blocks = list(train_on_mixtures(qw4, grid, qw4.base_params(), cfg))
+        assert len(grid) == 1771
+        [(lams, checkpoints)] = blocks
+        assert lams.tobytes() == normalize_simplex_rows(grid).tobytes()
+        assert checkpoints.shape == (1771, 2, qw4.dim)
 
 
 class TestTrainingNeverScores:
@@ -411,12 +467,15 @@ class TestStackedDivergence:
                 list(train_on_mixtures(qw2, grid, qw2.base_params(), self.CFG))
             assert err.value.step == expected
 
-    def test_first_row_across_blocks(self, qw2):
+    def test_first_row_across_blocks(self, monkeypatch, qw2):
         """A row of the first block that diverges late wins over a row of
-        the second block that diverges early."""
-        grid = [self.STABLE] * (MIXTURE_BLOCK_ROWS + 3)
+        the second block that diverges early. Blocks of 16 rows: at the
+        default bound the first block's 8,192 rows take seconds to diverge."""
+        rows = 16
+        set_block_rows(monkeypatch, qw2, self.CFG, rows)
+        grid = [self.STABLE] * (rows + 3)
         grid[5] = self.SLOW
-        grid[MIXTURE_BLOCK_ROWS + 1] = self.FAST
+        grid[rows + 1] = self.FAST
         with pytest.raises(TrainingDiverged) as err:
             list(train_on_mixtures(qw2, grid, qw2.base_params(), self.CFG))
         assert err.value.step == self.reference_step(qw2, self.SLOW)
