@@ -71,7 +71,14 @@ class RunConfig:
     export_datasets: bool = False
 
     def build_world(self) -> World:
-        return build_world(self.world_spec)
+        """The world of `world_spec`, built on the first call and kept, so
+        a run shares the world its parse built to validate the config. It is
+        kept outside the fields: `replace` builds a fresh one."""
+        world = self.__dict__.get("_world")
+        if world is None:
+            world = build_world(self.world_spec)
+            object.__setattr__(self, "_world", world)
+        return world
 
     @property
     def sweep_resolution(self) -> float:

@@ -38,13 +38,11 @@ def check_same_dim(*vectors: np.ndarray) -> int:
     return sizes.pop()
 
 
-def encode_value(x: float) -> str:
-    """Decimal text with 17 significant digits; round-trips float64 exactly."""
-    return format(float(x), ".17g")
-
-
 def encode_params(theta: np.ndarray) -> list[str]:
-    return [encode_value(x) for x in np.asarray(theta, dtype=np.float64)]
+    """Each value as decimal text with 17 significant digits, which
+    round-trips float64 exactly."""
+    return [format(x, ".17g")
+            for x in np.asarray(theta, dtype=np.float64).tolist()]
 
 
 def decode_params(texts: Sequence[str]) -> np.ndarray:

@@ -12,7 +12,10 @@ pieces: `write_json` hands the file a few hundred pieces at a time, a flat
 list of plain ints and finite floats is one `join` of `repr`, and a
 generator is written as an array one element at a time, so a caller can
 stream a large artifact (the surface, tree by tree) without building it
-whole. File digests read 64 KiB at a time.
+whole. Each piece is hashed as it is written: inside `recording_digests`,
+every file written under its root is recorded with the sha256 of those
+bytes, so a manifest never reads back what its run wrote. `file_digest`
+reads a file 64 KiB at a time.
 """
 
 from __future__ import annotations
@@ -21,7 +24,9 @@ import hashlib
 import io
 import json
 import os
+from collections.abc import Iterator
 from contextlib import contextmanager
+from contextvars import ContextVar
 from json.encoder import encode_basestring
 from pathlib import Path
 from types import GeneratorType
@@ -45,24 +50,64 @@ def format_cell(value) -> str:
     return str(value)
 
 
+# (root, {path relative to root: sha256}) of the open recording_digests.
+_RECORDING: ContextVar[tuple[Path, dict] | None] = ContextVar(
+    "mergemix_recording", default=None)
+
+
+@contextmanager
+def recording_digests(root: str | Path) -> Iterator[dict[str, str]]:
+    """Yield a dict that maps each file written under `root` while the
+    block runs, by its path relative to `root`, to the sha256 of the bytes
+    written, the last write of a path winning."""
+    written: dict[str, str] = {}
+    token = _RECORDING.set((Path(root), written))
+    try:
+        yield written
+    finally:
+        _RECORDING.reset(token)
+
+
 @contextmanager
 def _atomic_open(path: str | Path):
-    """Text file handle on a temp name, renamed onto `path` on success."""
+    """A `write(text)` that writes UTF-8 to a temp name, renamed onto `path`
+    on success, and hashes the bytes it writes for recording_digests."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
+    digest = hashlib.sha256()
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            yield fh
+        with _create(tmp) as fh:
+            def write(text: str) -> None:
+                data = text.encode("utf-8")
+                digest.update(data)
+                fh.write(data)
+            yield write
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    recording = _RECORDING.get()
+    if recording is not None:
+        root, written = recording
+        try:
+            written[str(path.relative_to(root))] = digest.hexdigest()
+        except ValueError:  # not under the recorded root
+            pass
+
+
+def _create(path: Path):
+    """`path` opened for binary writing; its directory is made only when
+    it is missing."""
+    try:
+        return open(path, "wb")
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return open(path, "wb")
 
 
 def atomic_write_text(path: str | Path, text: str) -> Path:
-    with _atomic_open(path) as fh:
-        fh.write(text)
+    with _atomic_open(path) as write:
+        write(text)
     return Path(path)
 
 
@@ -190,8 +235,8 @@ def dumps_json(obj) -> str:
 
 def write_json(path: str | Path, obj) -> Path:
     """Write dumps_json(obj), streamed so the text is never whole in memory."""
-    with _atomic_open(path) as fh:
-        _emit_json(obj, fh.write)
+    with _atomic_open(path) as write:
+        _emit_json(obj, write)
     return Path(path)
 
 

@@ -26,8 +26,8 @@ from .merging import merge
 from .persist import (
     CHECKPOINT_FORMAT,
     dumps_json,
-    file_digest,
     read_json,
+    recording_digests,
     save_checkpoint,
     write_csv,
     write_json,
@@ -114,16 +114,25 @@ def _world_block(cfg: RunConfig, world: World) -> dict:
 
 
 def _write_expert_artifacts(run_dir: Path, world: World,
-                            experts: list[ExpertArtifact]) -> dict[str, str]:
+                            experts: list[ExpertArtifact],
+                            written: dict[str, str]) -> dict[str, str]:
+    """Write each expert's checkpoint and trajectory; return the
+    checkpoints' digests by expert name, as `written` recorded them.
+
+    Every expert's checkpoints are scored as one stack; each trajectory is
+    normalized over its own expert's checkpoints."""
+    header = (["step"]
+              + [f"raw_{n}" for n in world.names]
+              + [f"norm_{n}" for n in world.names])
+    all_raws = raw_capabilities(
+        world, np.concatenate([artifact.checkpoints for artifact in experts]))
     digests = {}
-    for artifact in experts:
-        ckpt = run_dir / "experts" / f"{artifact.name}.ckpt"
-        save_checkpoint(ckpt, artifact.final, world.model_descriptor())
-        digests[artifact.name] = file_digest(ckpt)
-        header = (["step"]
-                  + [f"raw_{n}" for n in world.names]
-                  + [f"norm_{n}" for n in world.names])
-        raws = raw_capabilities(world, artifact.checkpoints)
+    for i, artifact in enumerate(experts):
+        ckpt = Path("experts") / f"{artifact.name}.ckpt"
+        save_checkpoint(run_dir / ckpt, artifact.final, world.model_descriptor())
+        digests[artifact.name] = written[str(ckpt)]
+        count = len(artifact.steps)
+        raws = all_raws[i * count : (i + 1) * count]
         contexts = [NormContext.from_samples(column) for column in raws.T]
         scores = np.hstack([raws, normalize(raws, contexts)]).tolist()
         rows = [[step, *row] for step, row in zip(artifact.steps, scores)]
@@ -240,10 +249,20 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path) -> Path:
     """Execute the configured pipeline and return the run directory."""
     world = cfg.build_world()
     run_dir = _prepare_run_dir(cfg, out_dir)
+    with recording_digests(run_dir) as written:
+        _write_run(cfg, world, run_dir, written)
+    _write_manifest(cfg, run_dir, written)
+    return run_dir
+
+
+def _write_run(cfg: RunConfig, world: World, run_dir: Path,
+               written: dict[str, str]) -> None:
+    """Every artifact of a pipeline run but its manifest; `written` is
+    the run's recording of the digests of the files it writes."""
     base = world.base_params()
 
     _, experts = _train_experts(cfg, world, base, all_checkpoints=True)
-    expert_digests = _write_expert_artifacts(run_dir, world, experts)
+    expert_digests = _write_expert_artifacts(run_dir, world, experts, written)
     if cfg.export_datasets:
         _export_datasets(run_dir, world)
 
@@ -304,15 +323,13 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path) -> Path:
                    for r in curve])
 
     write_json(run_dir / REPORT_FILE, report)
-    _write_manifest(cfg, run_dir)
-    return run_dir
 
 
-def _write_manifest(cfg: RunConfig, run_dir: Path) -> None:
-    artifacts = {}
-    for path in sorted(run_dir.rglob("*")):
-        if path.is_file() and path.name != MANIFEST_FILE:
-            artifacts[str(path.relative_to(run_dir))] = file_digest(path)
+def _write_manifest(cfg: RunConfig, run_dir: Path,
+                    artifacts: dict[str, str]) -> None:
+    """The manifest of the files the run wrote, from their recorded
+    digests: `artifacts` maps each path relative to `run_dir` to its
+    sha256."""
     manifest = {
         "format": MANIFEST_FORMAT,
         "run": cfg.name,

@@ -237,6 +237,7 @@ def horizon_scaling_check(world: World, weights, learning_rate: float,
     in the horizon (ratio 4 per halving) and the gap left after subtracting
     the predicted discrepancy is cubic (ratio 8 per halving). Both horizons
     share one context at `base`: `taylor` if given, else one built here.
+    A ratio whose half-horizon norm is 0 is None.
     """
     base = world.base_params() if base is None else as_params(base)
     lam = normalize_simplex(weights)
@@ -260,12 +261,17 @@ def horizon_scaling_check(world: World, weights, learning_rate: float,
         "steps": steps,
         "gap_norm_full": gaps["full"],
         "gap_norm_half": gaps["half"],
-        "gap_ratio": gaps["full"] / gaps["half"] if gaps["half"] else float("inf"),
+        "gap_ratio": _ratio(gaps["full"], gaps["half"]),
         "residual_norm_full": residuals["full"],
         "residual_norm_half": residuals["half"],
-        "residual_ratio": (residuals["full"] / residuals["half"]
-                           if residuals["half"] else float("inf")),
+        "residual_ratio": _ratio(residuals["full"], residuals["half"]),
     }
+
+
+def _ratio(full: float, half: float) -> float | None:
+    """full / half, or None (JSON null) where half is 0 and the ratio has
+    no value: identical domains, or a one-domain world, have no gap."""
+    return full / half if half else None
 
 
 @dataclass(frozen=True)

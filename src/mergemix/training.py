@@ -14,9 +14,10 @@ vectors, one row per run. `train_on_mixtures` trains a whole list of
 full-batch mixtures in lockstep, in blocks that hold at most
 MIXTURE_BLOCK_VALUES checkpoint values (one row when a single run holds
 more), and `train_on_mixture` is its one-row case; each row is
-bit-identical to descending that mixture alone. Experts are one-row
-stacks, and so is each mini-batch run, whose random draws depend on its
-own lambda.
+bit-identical to descending that mixture alone. `train_all_experts`
+trains every domain's expert as one K-row stack, row k on domain k, and
+`train_expert` is its one-domain case. Each mini-batch mixture run is a
+one-row stack, whose random draws depend on its own lambda.
 """
 
 from __future__ import annotations
@@ -127,18 +128,19 @@ def _descend(grad_fn, base: np.ndarray, rows: int,
     theta = np.repeat(base[None, :], rows, axis=0)
     recorded = 1
     diverged_at = None
-    for step in range(1, config.steps + 1):
-        with np.errstate(over="ignore", invalid="ignore"):  # divergence is handled
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is handled
+        for step in range(1, config.steps + 1):
             theta = theta - config.learning_rate * grad_fn(theta)
-        finite = np.isfinite(theta).all(axis=1)
-        if not finite.all():
-            diverged_at = step
-            theta = theta[: int(np.argmin(finite))]
-            if theta.shape[0] == 0:
-                break
-        if diverged_at is None and step == schedule[recorded]:
-            checkpoints[:, recorded] = theta
-            recorded += 1
+            # A whole-stack check is cheaper than a per-row one; rows are
+            # checked only once it fails.
+            if not np.isfinite(theta).all():
+                diverged_at = step
+                theta = theta[: int(np.argmin(np.isfinite(theta).all(axis=1)))]
+                if theta.shape[0] == 0:
+                    break
+            if diverged_at is None and step == schedule[recorded]:
+                checkpoints[:, recorded] = theta
+                recorded += 1
     if diverged_at is not None:
         raise TrainingDiverged(diverged_at)
     return checkpoints
@@ -158,21 +160,49 @@ def _check_base(world: World, base) -> np.ndarray:
     return base
 
 
+def _domain_streams(world: World, config: TrainConfig) -> list[_BatchStream]:
+    """One fresh seeded batch stream per domain, seeded by the domain's name."""
+    return [
+        _BatchStream(world.train_size(k), int(config.batch_size),
+                     rng_for(config.seed, "batches", world.names[k]))
+        for k in range(world.num_domains)
+    ]
+
+
+def _expert_grad_fn(world: World, config: TrainConfig):
+    """Gradients of a stack of experts, row k descending domain k: the
+    world's full-batch `expert_grads`, or row k's next batch from domain
+    k's own seeded stream."""
+    if _use_full_batch(world, config):
+        return world.expert_grads
+    streams = _domain_streams(world, config)
+
+    def grad_fn(theta):
+        return np.stack([world.grad_on(k, row, stream.next_batch())
+                         for k, (row, stream) in enumerate(zip(theta, streams))])
+    return grad_fn
+
+
+def train_all_experts(world: World, base: np.ndarray,
+                      config: TrainConfig) -> list[ExpertArtifact]:
+    """Train one expert per domain from the shared base, all as one
+    lockstep stack: row k descends domain k, bit-identical to training that
+    expert alone. A diverging expert raises TrainingDiverged with the step
+    of the first diverged expert in domain order."""
+    base = _check_base(world, base)
+    checkpoints = _descend(_expert_grad_fn(world, config), base,
+                           world.num_domains, config)
+    return [ExpertArtifact(name, config.checkpoint_steps, run)
+            for name, run in zip(world.names, checkpoints)]
+
+
 def train_expert(world: World, domain_index: int, base: np.ndarray,
                  config: TrainConfig) -> ExpertArtifact:
-    """Train one domain expert from the shared base."""
-    base = _check_base(world, base)
-    name = world.names[domain_index]
-    if _use_full_batch(world, config):
-        grad_fn = lambda theta: world.grad(domain_index, theta)
-    else:
-        stream = _BatchStream(world.train_size(domain_index), int(config.batch_size),
-                              rng_for(config.seed, "batches", name))
-        grad_fn = lambda theta: world.grad_on(
-            domain_index, theta[0], stream.next_batch()
-        )
-    [checkpoints] = _descend(grad_fn, base, 1, config)
-    return ExpertArtifact(name, config.checkpoint_steps, checkpoints)
+    """Train one domain expert from the shared base: the one-domain case of
+    `train_all_experts`, on the world restricted to that domain."""
+    [artifact] = train_all_experts(world.restrict([world.names[domain_index]]),
+                                   base, config)
+    return artifact
 
 
 def _mixed_grad_fn(world: World, lam: np.ndarray):
@@ -198,11 +228,7 @@ def _mixed_grad_fn(world: World, lam: np.ndarray):
 
 def _minibatch_grad_fn(world: World, lam: np.ndarray, config: TrainConfig):
     """One mixture run's seeded draws: a domain by lambda, then its next batch."""
-    streams = [
-        _BatchStream(world.train_size(k), int(config.batch_size),
-                     rng_for(config.seed, "batches", world.names[k]))
-        for k in range(world.num_domains)
-    ]
+    streams = _domain_streams(world, config)
     chooser = rng_for(config.seed, "mixture-choice")
 
     def grad_fn(theta):
@@ -247,9 +273,3 @@ def train_on_mixture(world: World, weights, base: np.ndarray,
     [(lams, checkpoints)] = train_on_mixtures(world, [weights], base, config)
     return ExpertArtifact("mixture", config.checkpoint_steps, checkpoints[0],
                           mixture=tuple(lams[0].tolist()))
-
-
-def train_all_experts(world: World, base: np.ndarray,
-                      config: TrainConfig) -> list[ExpertArtifact]:
-    return [train_expert(world, k, base, config) for k in range(world.num_domains)]
-

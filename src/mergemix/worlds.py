@@ -116,6 +116,9 @@ class QuadraticWorld:
         self.names = _unique_names(names)
         self.quadratics = list(quadratics)
         self.dim = dims.pop()
+        # Domain k's curvature and minimizer at index k, for expert_grads.
+        self._curvatures = np.stack([q.curvature for q in self.quadratics])
+        self._minimizers = np.stack([q.minimizer for q in self.quadratics])
 
     @property
     def num_domains(self) -> int:
@@ -127,6 +130,16 @@ class QuadraticWorld:
     def grad(self, k: int, theta: np.ndarray) -> np.ndarray:
         """Gradient at one vector, or row-wise at an (n, P) stack."""
         return self.quadratics[k].grad(theta)
+
+    def expert_grads(self, theta: np.ndarray) -> np.ndarray:
+        """Row k's gradient under domain k, for an (m <= K, P) stack.
+
+        One stacked call runs `Quadratic.grad`'s matrix-vector kernel on
+        each row, so row k is bit-identical to `grad(k, theta[k])`.
+        """
+        m = theta.shape[0]
+        d = theta - self._minimizers[:m]
+        return np.matmul(self._curvatures[:m], d[..., None])[..., 0]
 
     def hvp(self, k: int, theta: np.ndarray, direction: np.ndarray) -> np.ndarray:
         return self.quadratics[k].hvp(direction)
@@ -179,6 +192,12 @@ class RegressionWorld:
         if np.ndim(theta) == 2:
             return np.stack([self.net.grad(row, d.inputs, d.targets) for row in theta])
         return self.net.grad(theta, d.inputs, d.targets)
+
+    def expert_grads(self, theta: np.ndarray) -> np.ndarray:
+        """Row k's full-batch gradient under domain k, for an (m <= K, P)
+        stack, one domain at a time."""
+        return np.concatenate([self.grad(k, theta[k : k + 1])
+                               for k in range(theta.shape[0])])
 
     def grad_on(self, k: int, theta: np.ndarray, indices: np.ndarray) -> np.ndarray:
         d = self.train[k]

@@ -100,6 +100,29 @@ class TestPipelineCommand:
             assert path.exists()
             assert file_digest(path) == digest
 
+    def test_manifest_lists_only_the_files_the_run_wrote(self, tmp_path,
+                                                          monkeypatch):
+        """The manifest is the run's own record of what it wrote: a file
+        that appears in the run directory from elsewhere is not certified."""
+        import mergemix.pipeline
+
+        write_experts = mergemix.pipeline._write_expert_artifacts
+
+        def write_and_intrude(run_dir, *args):
+            digests = write_experts(run_dir, *args)
+            (run_dir / "stray.txt").write_text("not written by the run")
+            return digests
+
+        monkeypatch.setattr(mergemix.pipeline, "_write_expert_artifacts",
+                            write_and_intrude)
+        cfg = write_config(tmp_path, QW2_PIPELINE)
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+        run = out / "qw2"
+        listed = read_json(run / "manifest.json")["artifacts"]
+        on_disk = {str(p.relative_to(run)) for p in run.rglob("*") if p.is_file()}
+        assert on_disk - set(listed) == {"manifest.json", "stray.txt"}
+
     def test_manifest_names_the_surface_format(self, pipeline_run):
         manifest = read_json(pipeline_run / "manifest.json")
         surface = read_json(pipeline_run / "surface.model.json")
@@ -385,6 +408,33 @@ class TestTheoryCommand:
         col = header.index("delta_norm")
         for line in lines[1:]:
             assert float(line.split(",")[col]) <= 1e-12
+
+    @pytest.mark.parametrize("minimizers", [[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0]]],
+                             ids=["identical-domains", "one-domain"])
+    def test_undefined_scaling_ratios_are_null(self, tmp_path, minimizers):
+        """Identical domains, or a single one, leave no mix-vs-merge gap at
+        either horizon, so both ratios are 0/0: the report writes null,
+        which strict JSON parsers read, and its schema allows."""
+        domains = [{"name": name, "kind": "quadratic", "minimizer": mu,
+                    "curvature": [[1.0, 0.0], [0.0, 1.0]]}
+                   for name, mu in zip("ab", minimizers)]
+        payload = {"name": "gapless", "seed": 3, "world": {"domains": domains},
+                   "train": {"learning_rate": 0.05, "steps": 10},
+                   "theory": {"learning_rate": 0.01, "steps": 20,
+                              "sweep_resolution": 0.25}}
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["theory", "--config", str(cfg), "--out", str(out)]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+        text = (out / "gapless" / "theory_report.json").read_text("utf-8")
+        report = json.loads(text, parse_constant=refuse)
+        scaling = report["scaling"]
+        assert scaling["gap_norm_full"] == scaling["gap_norm_half"] == 0.0
+        assert scaling["gap_ratio"] is None
+        assert scaling["residual_ratio"] is None
+        jsonschema.validate(report, THEORY_REPORT_SCHEMA)
 
     def test_theory_weights_length_exits_2_before_any_directory(
             self, tmp_path, capsys):

@@ -19,6 +19,7 @@ from mergemix.persist import (
     file_digest,
     load_checkpoint,
     read_json,
+    recording_digests,
     save_checkpoint,
     write_csv,
     write_json,
@@ -118,6 +119,24 @@ class TestArtifactWriters:
         }
         path = write_json(tmp_path / "stream.json", payload)
         assert path.read_bytes() == dumps_json(payload).encode("utf-8")
+
+    def test_recorded_digests_are_the_bytes_written(self, tmp_path):
+        """Every file written under the root is recorded by its relative
+        path with the sha256 of its bytes; the last write of a path wins, and
+        a file outside the root or a failed write is not recorded."""
+        run = tmp_path / "run"
+        with recording_digests(run) as written:
+            write_json(run / "a.json", {"x": 1})
+            write_csv(run / "sub" / "b.csv", ["u"], [[0.5]])
+            save_checkpoint(run / "c.ckpt", np.array([-0.0, 5e-324]), {"k": 1})
+            write_json(run / "a.json", {"x": 2})
+            write_json(tmp_path / "outside.json", {"x": 3})
+            with pytest.raises(TypeError):
+                write_json(run / "bad.json", {"x": object()})
+        write_json(run / "after.json", {"x": 4})
+        assert written == {rel: file_digest(run / rel)
+                           for rel in ("a.json", "sub/b.csv", "c.ckpt")}
+        assert read_json(run / "a.json") == {"x": 2}
 
     def test_failed_json_write_keeps_old_file(self, tmp_path):
         path = write_json(tmp_path / "a.json", {"x": 1})
@@ -484,6 +503,32 @@ class TestConfigValidation:
             parse_config(cfg)
         cfg["search"] = {"resolution": 0.05, "budget": 21}
         assert parse_config(cfg).budget == 21
+
+    def test_build_world_is_the_world_parse_built(self, monkeypatch):
+        """Parse builds the world once to validate the config; the run gets
+        that world. A replaced config builds its own, and the kept world is
+        no field: the config digest does not change."""
+        from dataclasses import fields, replace
+
+        import mergemix.config
+        from mergemix.pipeline import _config_digest
+
+        built = []
+        build = mergemix.config.build_world
+        monkeypatch.setattr(mergemix.config, "build_world",
+                            lambda spec: built.append(spec) or build(spec))
+        cfg = parse_config(dict(BASE_CONFIG))
+        digest = _config_digest(cfg)
+        world = cfg.build_world()
+        assert cfg.build_world() is world
+        assert len(built) == 1
+        assert _config_digest(cfg) == digest
+        assert "_world" not in {f.name for f in fields(cfg)}
+        other = replace(cfg, seed=cfg.seed + 1)
+        assert other.build_world() is not world
+        assert other.build_world() is other.build_world()
+        assert other.build_world().names == world.names
+        assert len(built) == 2
 
     def test_config_digest_covers_export_datasets(self):
         from mergemix.pipeline import _config_digest

@@ -1,9 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import mergemix.training
 import mergemix.worlds
+from mergemix.config import load_config
 from mergemix.errors import MergeMixError, NumericError, SimplexError, TrainingDiverged
+from mergemix.models import Quadratic
 from mergemix.seeding import rng_for, stable_seed
 from mergemix.simplex import (
     dirichlet_points,
@@ -16,11 +20,15 @@ from mergemix.training import (
     _BatchStream,
     _mixed_grad_fn,
     final_only,
+    train_all_experts,
     train_expert,
     train_on_mixture,
     train_on_mixtures,
 )
-from mergemix.worlds import raw_capabilities
+from mergemix.worlds import QuadraticWorld, fixture_by_name, raw_capabilities
+from tests.test_worlds import rotated_world
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 # Test-only reference kernels: the one-vector descent loop that trained every
@@ -484,3 +492,103 @@ class TestStackedDivergence:
         with pytest.raises(TrainingDiverged) as err:
             train_on_mixture(qw2, self.SLOW, qw2.base_params(), self.CFG)
         assert err.value.step == self.reference_step(qw2, self.SLOW)
+
+
+def expert_world(name):
+    """QW-4, QW-SEP, a rotated K=6, P=16 world (the shape of k6-search) and
+    the four regression domains of configs/reg4-flat.json."""
+    if name == "K6-P16":
+        return rotated_world(6, 16, seed=3)
+    if name == "REG-4":
+        return load_config(CONFIGS / "reg4-flat.json").build_world()
+    return fixture_by_name(name)
+
+
+class TestAllExpertsAsOneStack:
+    """train_all_experts descends every domain's expert as one K-row stack;
+    each row is the run the one-vector loop makes, and train_expert's."""
+
+    @pytest.fixture(scope="class", params=["QW-4", "QW-SEP", "K6-P16", "REG-4"])
+    def world(self, request):
+        return expert_world(request.param)
+
+    @pytest.mark.parametrize("batch", ["full", 16])
+    def test_rows_match_one_expert_runs(self, world, batch):
+        cfg = TrainConfig(learning_rate=0.05, steps=7, batch_size=batch,
+                          checkpoint_interval=3, seed=29)
+        base = world.base_params()
+        experts = train_all_experts(world, base, cfg)
+        assert [e.name for e in experts] == world.names
+        for k, artifact in enumerate(experts):
+            alone = train_expert(world, k, base, cfg)
+            assert alone.name == artifact.name
+            assert alone.steps == artifact.steps == cfg.checkpoint_steps
+            assert alone.checkpoints.tobytes() == artifact.checkpoints.tobytes()
+            assert_same_run(world, artifact.steps, artifact.checkpoints,
+                            reference_expert(world, k, base, cfg))
+
+    def test_stacked_gradient_matches_each_domain(self, world):
+        """Row k of `expert_grads` is domain k's gradient at row k, for
+        every stack height m <= K: `Quadratic.grad` on a quadratic world,
+        and on a regression world `grad(k, theta[k:k+1])`, the call a
+        one-expert descent makes."""
+        rng = np.random.default_rng(world.num_domains * 31 + world.dim)
+        theta = world.base_params() + rng.standard_normal((world.num_domains, world.dim))
+        for m in range(1, world.num_domains + 1):
+            got = world.expert_grads(theta[:m])
+            assert got.shape == (m, world.dim)
+            for k in range(m):
+                if isinstance(world, QuadraticWorld):
+                    want = world.quadratics[k].grad(theta[k])
+                else:
+                    [want] = world.grad(k, theta[k : k + 1])
+                assert got[k].tobytes() == want.tobytes()
+
+    def test_restricted_world_stacks_its_own_domains(self, world):
+        names = world.names[1::2]
+        sub = world.restrict(names)
+        theta = np.tile(world.base_params(), (len(names), 1)) + 0.25
+        got = sub.expert_grads(theta)
+        for i, name in enumerate(names):
+            k = world.names.index(name)
+            assert got[i].tobytes() == world.expert_grads(
+                np.tile(theta[i], (k + 1, 1)))[k].tobytes()
+
+
+class TestExpertDivergence:
+    """At lr 2.5 an error along curvature 1 grows by 1.5 per step and one
+    along curvature 2 by 4, so the steeper domain diverges first. The
+    sequential loop trained domain 0 first, so domain 0's step was the one
+    raised; the stack raises it too."""
+
+    CFG = TrainConfig(learning_rate=2.5, steps=3000, checkpoint_interval=3000)
+    DOMAINS = {"slow": Quadratic(np.ones(2), np.eye(2)),
+               "fast": Quadratic(np.ones(2), 2.0 * np.eye(2)),
+               "calm": Quadratic(np.ones(2), 0.1 * np.eye(2))}
+
+    def world(self, *names):
+        return QuadraticWorld(list(names), [self.DOMAINS[n] for n in names])
+
+    def reference_step(self, world, k):
+        with pytest.raises(TrainingDiverged) as err:
+            reference_expert(world, k, world.base_params(), self.CFG)
+        return err.value.step
+
+    def test_fast_domain_diverges_first(self):
+        world = self.world("slow", "fast")
+        assert self.reference_step(world, 1) < self.reference_step(world, 0)
+
+    @pytest.mark.parametrize("names,raised", [
+        (("slow", "fast"), "slow"), (("fast", "slow"), "fast"),
+        (("calm", "fast"), "fast"), (("calm", "slow", "fast"), "slow"),
+    ])
+    def test_first_diverging_expert_in_domain_order_raises(self, names, raised):
+        world = self.world(*names)
+        k = names.index(raised)
+        step = self.reference_step(world, k)
+        with pytest.raises(TrainingDiverged) as err:
+            train_all_experts(world, world.base_params(), self.CFG)
+        assert err.value.step == step
+        with pytest.raises(TrainingDiverged) as err:
+            train_expert(world, k, world.base_params(), self.CFG)
+        assert err.value.step == step
